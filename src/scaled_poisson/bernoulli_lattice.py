@@ -20,7 +20,13 @@ from math import fsum
 import numpy as np
 
 from .errors import NumericalRangeError, ValidationError
-from .weighted_sum import LatticeDistribution, WeightedPoissonSum, exact_distribution
+from .weighted_sum import (
+    LatticeDistribution,
+    WeightedPoissonSum,
+    _convolve_classes,
+    _suffix_sums,
+    exact_distribution,
+)
 
 __all__ = [
     "BernoulliScheme",
@@ -135,11 +141,27 @@ def _cap_upper_tail(pmf: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     """Drop the highest-index entries whose total mass stays below budget."""
     if budget <= 0.0:
         return pmf, 0.0
-    suffix = np.cumsum(pmf[::-1])[::-1]
+    suffix = _suffix_sums(pmf)
     keep = np.nonzero(suffix > budget)[0]
     hi = int(keep[-1]) if keep.size else 0
     dropped = float(suffix[hi + 1]) if hi + 1 < pmf.size else 0.0
     return pmf[: hi + 1], dropped
+
+
+def _capped_class_pmfs(
+    scheme: BernoulliScheme, trials: int, budget: float
+) -> tuple[list[tuple[np.ndarray, int]], float]:
+    """(pmf of Binomial(trials, p_r), b_r) per class, and the total mass dropped.
+
+    Each pmf loses its highest entries within ``budget`` (none when 0).
+    """
+    classes = []
+    dropped = 0.0
+    for p, b in zip(scheme.class_probs, scheme.replication):
+        pmf, lost = _cap_upper_tail(binomial_pmf_vector(trials, p), budget)
+        classes.append((pmf, b))
+        dropped += lost
+    return classes, dropped
 
 
 def w_distribution(scheme: BernoulliScheme, epsilon: float = 0.0) -> LatticeDistribution:
@@ -152,20 +174,10 @@ def w_distribution(scheme: BernoulliScheme, epsilon: float = 0.0) -> LatticeDist
     eps = float(epsilon)
     if eps < 0.0 or eps >= 1.0:
         raise ValidationError(f"epsilon must be in [0, 1), got {epsilon!r}")
-    budget = eps / scheme.class_count
-    acc = np.array([1.0])
-    deficit = 0.0
-    for p, b in zip(scheme.class_probs, scheme.replication):
-        pmf_r = binomial_pmf_vector(scheme.trials_per_class, p)
-        pmf_r, dropped = _cap_upper_tail(pmf_r, budget)
-        deficit += dropped
-        if b == 1:
-            strided = pmf_r
-        else:
-            strided = np.zeros(b * (pmf_r.size - 1) + 1)
-            strided[::b] = pmf_r
-        acc = np.convolve(acc, strided)
-    return LatticeDistribution(probs=acc, mass_deficit=deficit)
+    classes, deficit = _capped_class_pmfs(
+        scheme, scheme.trials_per_class, eps / scheme.class_count
+    )
+    return LatticeDistribution(probs=_convolve_classes(classes), mass_deficit=deficit)
 
 
 def tail_ratio(

@@ -30,11 +30,11 @@ from math import fsum
 
 import numpy as np
 
-from .bernoulli_lattice import BernoulliScheme, binomial_pmf_vector, _cap_upper_tail
+from .bernoulli_lattice import BernoulliScheme, _capped_class_pmfs, w_distribution
 from .errors import ValidationError
 from .poisson_core import poisson_pmf, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
-from .weighted_sum import SumMoments
+from .weighted_sum import SumMoments, _convolve_classes, _suffix_sums, _threshold
 
 __all__ = [
     "DeltaDistribution",
@@ -168,12 +168,17 @@ class SizeBiasSample:
 
 
 def _apply(f, arr: np.ndarray) -> np.ndarray:
+    """f over arr, whole-array when f accepts arrays, else per element.
+
+    Only the errors a scalar-only f raises on an array fall back; any other
+    error inside f propagates.
+    """
     try:
         out = np.asarray(f(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except Exception:
-        pass
+    except (TypeError, ValueError):
+        out = None
+    if out is not None and out.shape == arr.shape:
+        return out
     return np.asarray([float(f(v)) for v in arr.tolist()], dtype=float)
 
 
@@ -241,48 +246,17 @@ def size_bias_sample(
     )
 
 
-def _class_arrays(scheme: BernoulliScheme, cap: float) -> list[np.ndarray]:
-    """Per-class strided pmf arrays of b_r * Binomial(M*, p_r), upper-capped."""
-    budget = cap / max(1, scheme.class_count)
-    out = []
-    for p, b in zip(scheme.class_probs, scheme.replication):
-        pmf = binomial_pmf_vector(scheme.trials_per_class, p)
-        pmf, _ = _cap_upper_tail(pmf, budget)
-        if b > 1:
-            strided = np.zeros(b * (pmf.size - 1) + 1)
-            strided[::b] = pmf
-        else:
-            strided = pmf
-        out.append(strided)
-    return out
-
-
-def _convolve_all(arrays: list[np.ndarray]) -> np.ndarray:
-    acc = np.array([1.0])
-    for a in arrays:
-        acc = np.convolve(acc, a)
-    return acc
-
-
 def _leave_one_out_laws(scheme: BernoulliScheme, cap: float):
     """(law of W, per-class laws of W with one class-r trial removed)."""
-    budget = cap / max(1, scheme.class_count)
-    arrays = _class_arrays(scheme, cap)
-    w_law = _convolve_all(arrays)
-    loo = []
-    for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
-        if scheme.trials_per_class == 1:
-            reduced = np.array([1.0])
-        else:
-            pmf = binomial_pmf_vector(scheme.trials_per_class - 1, p)
-            pmf, _ = _cap_upper_tail(pmf, budget)
-            if b > 1:
-                reduced = np.zeros(b * (pmf.size - 1) + 1)
-                reduced[::b] = pmf
-            else:
-                reduced = pmf
-        rest = [a for s, a in enumerate(arrays) if s != r]
-        loo.append(_convolve_all([reduced] + rest))
+    m_star = scheme.trials_per_class
+    budget = cap / scheme.class_count
+    full, _ = _capped_class_pmfs(scheme, m_star, budget)
+    reduced, _ = _capped_class_pmfs(scheme, m_star - 1, budget)
+    w_law = _convolve_classes(full)
+    loo = [
+        _convolve_classes([reduced[r]] + full[:r] + full[r + 1 :])
+        for r in range(scheme.class_count)
+    ]
     return w_law, loo
 
 
@@ -371,11 +345,8 @@ def h_decomposition(
         f_shift_b = table.values[nw + n * b]
         h_values.append(lam_m * float(np.dot(f_shift_m - f_shift_b, joint * lr)))
 
-    threshold = -((-ctx.threshold_point) // n)  # ceil(m*y / n)
-    if threshold <= support:
-        w_tail = fsum(w_law[threshold:].tolist())
-    else:
-        w_tail = 0.0
+    threshold = _threshold(Fraction(ctx.threshold_point, n))  # nW >= my
+    w_tail = float(_suffix_sums(w_law)[threshold]) if threshold <= support else 0.0
     tail_diff = w_tail - poisson_tail(float(m.lam), ctx.threshold_y)
     closure = abs(fsum(h_values) - tail_diff)
     return HDecomposition(H=tuple(h_values), tail_diff=tail_diff, closure_error=closure)
@@ -413,7 +384,7 @@ def g_expectation_ratio(
             return 0.0
         return (table.f(a) - table.f(a + l)) / p_ge
 
-    w_law = _convolve_all(_class_arrays(scheme, cap))
+    w_law = w_distribution(scheme, epsilon=cap).probs
     n = m.k_num
     lhs = fsum(
         float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.tolist()) if pw > 0.0

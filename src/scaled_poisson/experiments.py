@@ -30,6 +30,7 @@ from .weighted_sum import (
     LatticeDistribution,
     SumMoments,
     WeightedPoissonSum,
+    _threshold,
     exact_distribution,
     moments,
     normal_approx_tail,
@@ -92,7 +93,7 @@ class BoundParams:
 def bound_params(model: WeightedPoissonSum, m: SumMoments) -> BoundParams:
     n, mm = m.k_num, m.k_den
     deltas = tuple(Fraction(b) * nu / m.mu for b, nu in zip(model.weights, model.rates))
-    K = tuple(-((-n * b) // mm) for b in model.weights)  # ceil(n b / m)
+    K = tuple(_threshold(Fraction(n * b, mm)) for b in model.weights)
     r_star = 0
     for r, b in enumerate(model.weights, start=1):
         if n * b <= mm:
@@ -116,14 +117,13 @@ def eta(w_dist: LatticeDistribution, m: SumMoments, y: int, from_zero: bool = Fa
     clamped variant that differs from the supremum by an absolute constant).
     """
     n, mm = m.k_num, m.k_den
-    lo = 1 if from_zero else -((-m.lam.numerator) // m.lam.denominator)  # ceil(lam)
+    lo = 1 if from_zero else _threshold(m.lam)
     if y < lo:
         raise ValidationError(f"need y >= ceil(lam) = {lo}")
     best = 0.0
     rate = float(m.lam)
     for r in range(lo, y + 1):
-        w_thr = -((-mm * r) // n)  # ceil(m r / n)
-        num, _ = w_dist.tail(w_thr, strict=False)
+        num, _ = w_dist.tail(Fraction(mm * r, n), strict=False)
         den = poisson_tail(rate, r)
         if den < _UNDERFLOW_FLOOR:
             raise NumericalRangeError(f"Poisson tail underflow at r={r}")
@@ -173,11 +173,7 @@ def _row(
     normal = normal_approx_tail(model_moments, y)
     underflow = exact < _UNDERFLOW_FLOOR
     rel = abs(1.0 - scaled / exact) if not underflow else math.nan
-    ky = model_moments.k * y
-    if strict:
-        plateau = ky.numerator // ky.denominator + 1
-    else:
-        plateau = -((-ky.numerator) // ky.denominator)
+    plateau = _threshold(model_moments.k * y, strict)
     bracket = params.bracket(y) if Fraction(y) >= params.lam else math.nan
     return ExperimentRow(
         y=y,
@@ -308,8 +304,7 @@ def empirical_constant(
     for y in range(y_from, y_to + 1):
         if Fraction(y) < m.lam:
             continue
-        w_thr = -((-mm * y) // n)
-        num, _ = w_dist.tail(w_thr, strict=False)
+        num, _ = w_dist.tail(Fraction(mm * y, n), strict=False)
         den = poisson_tail(rate, y)
         if den < _UNDERFLOW_FLOOR:
             raise NumericalRangeError(f"Poisson tail underflow at y={y}")

@@ -8,16 +8,18 @@ that exactness.
 
 The exact law of S (the ground-truth oracle for every experiment) is a
 truncated convolution over the integer lattice with a certified mass deficit.
-All types are immutable values; operations are pure.
+The stride convolution, the compensated tail sum and the integer threshold
+rule defined here are shared by every lattice law in the package.  All types
+are immutable values; operations are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -141,17 +143,53 @@ def moments(model: WeightedPoissonSum, scale_B: int = 1) -> SumMoments:
     )
 
 
+def _threshold(x, strict: bool = False) -> int:
+    """Least integer t with t > x (strict) or t >= x (ceil(x)), for rational x.
+
+    Exact integer arithmetic on numerator and denominator; every lattice
+    threshold in the package is resolved here.
+    """
+    q = Fraction(x)
+    if strict:
+        return q.numerator // q.denominator + 1
+    return -((-q.numerator) // q.denominator)
+
+
+def _suffix_sums(probs: np.ndarray) -> np.ndarray:
+    """suffix[t] = sum(probs[t:]) for every t, each within one ulp of exact.
+
+    A running sum from the top index down (cumsum adds strictly in order), the
+    exact rounding error of every step by TwoSum, and the running sum of
+    those errors added back.  At most three support-sized arrays are live.
+    """
+    x = probs[::-1]
+    s = np.cumsum(x)
+    if s.size > 1:
+        prev, cur = s[:-1], s[1:]
+        virt = np.subtract(cur, prev)
+        err = np.subtract(cur, virt)
+        np.subtract(prev, err, out=err)
+        np.subtract(x[1:], virt, out=virt)
+        err += virt
+        del virt
+        np.cumsum(err, out=err)
+        cur += err
+    return s[::-1]
+
+
 @dataclass(frozen=True)
 class LatticeDistribution:
     """Probability table on {0, 1, ..., support_max} with a certified deficit.
 
     Entries never exceed the true pmf by more than float rounding; the missing
     mass is at most ``mass_deficit``, so any tail query can be bracketed as
-    [p, p + mass_deficit].
+    [p, p + mass_deficit].  ``suffix`` holds the compensated tail sums of
+    ``probs``, built once, so every tail query is a lookup.
     """
 
     probs: np.ndarray
     mass_deficit: float
+    suffix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -159,15 +197,18 @@ class LatticeDistribution:
             raise ValidationError("probs must be a nonempty 1-d array")
         if float(p.min()) < -1e-15:
             raise ValidationError("probability table has a negative entry")
+        # suffix is derived from probs once, so probs must not change after.
+        p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "mass_deficit", float(self.mass_deficit))
+        object.__setattr__(self, "suffix", _suffix_sums(p))
 
     @property
     def support_max(self) -> int:
         return self.probs.size - 1
 
     def total_mass(self) -> float:
-        return fsum(self.probs.tolist())
+        return float(self.suffix[0])
 
     def pmf(self, j: int) -> float:
         if 0 <= j <= self.support_max:
@@ -182,15 +223,10 @@ class LatticeDistribution:
 
         y may be rational; the integer threshold is resolved exactly.
         """
-        yq = Fraction(y)
-        if strict:
-            threshold = yq.numerator // yq.denominator + 1  # floor(y) + 1
-        else:
-            threshold = -((-yq.numerator) // yq.denominator)  # ceil(y)
-        threshold = max(threshold, 0)
+        threshold = max(_threshold(y, strict), 0)
         if threshold > self.support_max:
             return (0.0, self.mass_deficit)
-        lo = fsum(self.probs[threshold:].tolist())
+        lo = float(self.suffix[threshold])
         return (lo, lo + self.mass_deficit)
 
 
@@ -215,6 +251,33 @@ def _truncation_point(rate: float, tail_budget: float) -> int:
     return n
 
 
+def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
+    """Law of X + b*Y from the pmf of X (acc) and the pmf of Y, for integer b >= 1.
+
+    For b > 1 the product terms are added as one shifted slice per entry of
+    the shorter operand, so no stride-b array of zeros is ever multiplied.
+    """
+    if b == 1:
+        return np.convolve(acc, pmf)
+    out = np.zeros(acc.size + b * (pmf.size - 1))
+    if pmf.size <= acc.size:
+        for j, pj in enumerate(pmf.tolist()):
+            out[j * b : j * b + acc.size] += pj * acc
+    else:
+        span = b * (pmf.size - 1) + 1
+        for i, ai in enumerate(acc.tolist()):
+            out[i : i + span : b] += ai * pmf
+    return out
+
+
+def _convolve_classes(classes: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Law of sum_r b_r X_r from (pmf of X_r, b_r) pairs, in the given order."""
+    acc = np.array([1.0])
+    for pmf, b in classes:
+        acc = _stride_convolve(acc, pmf, b)
+    return acc
+
+
 def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> LatticeDistribution:
     """Exact law of S by stride convolution of truncated Poisson tables.
 
@@ -225,19 +288,15 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
     if not (0.0 < eps <= 1e-3):
         raise ValidationError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
     budget = eps / model.class_count
-    acc = np.array([1.0])
+    classes = []
     for b, nu in zip(model.weights, model.rates):
         rate = float(nu)
-        n_r = _truncation_point(rate, budget)
-        pmf_r = _poisson_pmf_vector(rate, n_r)
-        if b == 1:
-            strided = pmf_r
-        else:
-            strided = np.zeros(b * n_r + 1)
-            strided[::b] = pmf_r
-        acc = np.convolve(acc, strided)
-    deficit = max(0.0, 1.0 - fsum(acc.tolist()))
-    return LatticeDistribution(probs=acc, mass_deficit=max(deficit, 0.0))
+        classes.append((_poisson_pmf_vector(rate, _truncation_point(rate, budget)), b))
+    dist = LatticeDistribution(probs=_convolve_classes(classes), mass_deficit=0.0)
+    # The deficit is what the table misses of unit mass, read off its own
+    # compensated total.
+    object.__setattr__(dist, "mass_deficit", max(0.0, 1.0 - dist.total_mass()))
+    return dist
 
 
 def exact_tail(
@@ -271,11 +330,7 @@ def scaled_poisson_tail(m: SumMoments, y, mode: str = "discrete", strict: bool =
         raise ValidationError("y must be positive")
     ky = m.k * yq
     if mode == "discrete":
-        if strict:
-            threshold = ky.numerator // ky.denominator + 1
-        else:
-            threshold = -((-ky.numerator) // ky.denominator)
-        return poisson_tail(float(m.lam), threshold)
+        return poisson_tail(float(m.lam), _threshold(ky, strict))
     if mode == "continuous":
         return 1.0 - regularized_gamma_q(float(ky), float(m.lam))
     raise ValidationError(f"mode must be 'discrete' or 'continuous', got {mode!r}")

@@ -135,3 +135,19 @@ def enumerate_delta_joint(weights, probs: list[Fraction], trials: int):
             if flip:
                 joint_flip[r][w] = joint_flip[r].get(w, Fraction(0)) + flip
     return joint_same, joint_flip
+
+
+def exact_suffix_sums(values) -> list[float]:
+    """sum(values[t:]) for every t, correctly rounded, as math.fsum gives it.
+
+    Every float is an integer multiple of 2**-1074, so the scaled running sum
+    is an exact Python int; int / int true division rounds correctly.
+    """
+    scale = 1 << 1074
+    out = [0.0] * len(values)
+    total = 0
+    for t in range(len(values) - 1, -1, -1):
+        num, den = float(values[t]).as_integer_ratio()
+        total += num * (scale // den)
+        out[t] = total / scale
+    return out

@@ -144,6 +144,26 @@ class TestSizeBiasSample:
         b = size_bias_sample(scheme, lambda x: x * 1.0, 50_000, seed=42)
         assert a == b
 
+    def test_error_inside_f_propagates(self, small_model):
+        import numpy as np
+
+        scheme = build_scheme(small_model, 20)
+
+        def f(x):
+            if isinstance(x, np.ndarray):
+                raise RuntimeError("defect inside f")
+            return float(x)
+
+        with pytest.raises(RuntimeError, match="defect inside f"):
+            size_bias_sample(scheme, f, 10_000, seed=1)
+
+    def test_scalar_only_f_falls_back_per_element(self, small_model):
+        scheme = build_scheme(small_model, 20)
+        # float() of a multi-element array raises TypeError
+        scalar = size_bias_sample(scheme, lambda x: float(x), 10_000, seed=3)
+        vector = size_bias_sample(scheme, lambda x: x * 1.0, 10_000, seed=3)
+        assert scalar == vector
+
     def test_sample_floor(self, small_model):
         scheme = build_scheme(small_model, 20)
         with pytest.raises(ValidationError):

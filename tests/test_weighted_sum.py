@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,11 @@ from scaled_poisson import (
     scaled_poisson_tail,
 )
 
-from oracles import enumerate_weighted_sum_pmf
+from scaled_poisson.weighted_sum import _stride_convolve
+
+from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums
+
+WIDE_MODEL = WeightedPoissonSum((1, 100, 10000), (Fraction(5), Fraction(3), Fraction(1)))
 
 
 class TestNormalizeWeights:
@@ -150,6 +155,71 @@ class TestExactDistribution:
             exact_distribution(small_model, 0.0)
         with pytest.raises(ValidationError):
             exact_distribution(small_model, 1e-2)
+
+
+@given(
+    b=st.integers(min_value=1, max_value=64),
+    n_acc=st.integers(min_value=1, max_value=80),
+    n_pmf=st.integers(min_value=1, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_stride_convolve_matches_zero_filled_convolve(b, n_acc, n_pmf, seed):
+    rng = np.random.default_rng(seed)
+    acc = rng.random(n_acc)
+    pmf = rng.random(n_pmf)
+    strided = np.zeros(b * (n_pmf - 1) + 1)
+    strided[::b] = pmf
+    want = np.convolve(acc, strided)
+    got = _stride_convolve(acc, pmf, b)
+    assert got.shape == want.shape
+    # Same rounded products, summed in another order: each order of n
+    # positive terms is within (n - 1) eps of the exact sum.
+    terms = min(n_acc, n_pmf)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(got, want, rtol=2 * terms * eps, atol=0.0)
+
+
+class TestSuffixSums:
+    @pytest.mark.parametrize(
+        "model_name,epsilon",
+        [("bench", 1e-12), ("bench", 1e-300), ("wide", 1e-12)],
+    )
+    def test_every_tail_within_two_ulp_of_fsum(self, bench_model, model_name, epsilon):
+        model = bench_model if model_name == "bench" else WIDE_MODEL
+        dist = exact_distribution(model, epsilon)
+        probs = dist.probs.tolist()
+        exact = np.array(exact_suffix_sums(probs))
+        for t in (0, len(probs) // 3, len(probs) - 2):
+            assert exact[t] == math.fsum(probs[t:])
+        got = np.array([dist.tail(t, strict=False)[0] for t in range(len(probs))])
+        assert np.all(np.abs(got - exact) <= 2 * np.spacing(exact))
+        assert dist.total_mass() == exact[0]
+        if epsilon < 1e-200:
+            assert exact[exact > 0].min() < 1e-300
+
+    def test_table_is_read_only(self, small_model):
+        # tails are read from a sum built once, so the table cannot change
+        dist = exact_distribution(small_model, 1e-12)
+        with pytest.raises(ValueError):
+            dist.probs[0] = 0.0
+
+    def test_wide_weights_against_enumeration(self):
+        # weights 1, 1000, 100000 decompose every y uniquely inside the box
+        weights, rates = (1, 1000, 100000), (5, 3, 1)
+        model = WeightedPoissonSum(weights, tuple(Fraction(r) for r in rates))
+        dist = exact_distribution(model, 1e-12)
+        law = enumerate_weighted_sum_pmf(weights, rates, (47, 40, 31))
+        for j in [(0, 0, 0), (5, 3, 1), (47, 0, 0), (12, 40, 2), (40, 35, 25), (3, 7, 31)]:
+            y = sum(b * v for b, v in zip(weights, j))
+            assert dist.pmf(y) == pytest.approx(law[y], rel=1e-12)
+        for y in (999, 1999, 99999):
+            assert dist.pmf(y) == 0.0
+        for y in (0, 5, 3005, 100000, 204003, 600000, 1_500_000):
+            tail = math.fsum(p for v, p in law.items() if v > y)
+            lo, hi = dist.tail(y, strict=True)
+            assert lo == pytest.approx(tail, rel=1e-12)
+            assert hi - lo <= 1e-12
 
 
 class TestExactTail:
