@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 
@@ -228,7 +229,9 @@ def _run(args) -> None:
                 "property": c.name,
                 "passed": c.passed,
                 "worst_margin": c.worst_margin,
-                "observed_constant": c.observed_constant if c.observed_constant is not None else "",
+                "observed_constant": (
+                    math.nan if c.observed_constant is None else c.observed_constant
+                ),
                 "points": c.points,
             }
             for c in report.checks
@@ -238,18 +241,12 @@ def _run(args) -> None:
                 "property": "stein_equation_residual",
                 "passed": table.residual_max <= 10.0 * ctx.series_tol,
                 "worst_margin": table.residual_max,
-                "observed_constant": "",
+                "observed_constant": math.nan,
                 "points": table.w_max // ctx.lattice_step,
             }
         )
         header = ["property", "passed", "worst_margin", "observed_constant", "points"]
-        out_rows = []
-        for row in rows:
-            r = dict(row)
-            if r["observed_constant"] == "":
-                r["observed_constant"] = float("nan")
-            out_rows.append(r)
-        _emit(out_rows, header, args.out)
+        _emit(rows, header, args.out)
     elif cmd == "coupling-check":
         model, _ = _model_from_args(args)
         m = moments(model)

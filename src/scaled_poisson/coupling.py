@@ -30,9 +30,14 @@ from math import fsum
 
 import numpy as np
 
-from .bernoulli_lattice import BernoulliScheme, _capped_class_pmfs, w_distribution
+from .bernoulli_lattice import (
+    BernoulliScheme,
+    _capped_class_pmfs,
+    scheme_moments,
+    w_distribution,
+)
 from .errors import ValidationError
-from .poisson_core import poisson_pmf, poisson_tail
+from .poisson_core import _poisson_pmf_vector, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
 from .weighted_sum import SumMoments, _convolve_classes, _suffix_sums, _threshold
 
@@ -204,8 +209,7 @@ def size_bias_sample(
     deltas = np.array([b * m_star * p / mu for b, p in zip(weights, probs)])
     deltas /= deltas.sum()
     # lattice constants from the scheme's exact moments
-    mu_q = sum((Fraction(b) * m_star * p for b, p in zip(scheme.replication, scheme.class_probs)), Fraction(0))
-    s2_q = sum((Fraction(b * b) * m_star * p for b, p in zip(scheme.replication, scheme.class_probs)), Fraction(0))
+    mu_q, s2_q = scheme_moments(scheme)
     k = mu_q / s2_q
     n = k.numerator
     lam_m = float(k * mu_q * k.denominator)
@@ -390,12 +394,8 @@ def g_expectation_ratio(
         float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.tolist()) if pw > 0.0
     )
     rate = float(ctx.lam)
-    terms = []
-    pmf = poisson_pmf(rate, 0)
-    for j in range(ctx.threshold_y):
-        if j > 0:
-            pmf *= rate / j
-        terms.append(pmf * g_clamped(mm * j))
+    pmf = _poisson_pmf_vector(rate, ctx.threshold_y - 1)
+    terms = [p * g_clamped(mm * j) for j, p in enumerate(pmf.tolist())]
     terms.append(poisson_tail(rate, ctx.threshold_y) * g_clamped(my))
     rhs = fsum(terms)
     ratio = lhs / rhs if rhs != 0.0 else math.inf

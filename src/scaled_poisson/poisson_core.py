@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from math import lgamma
 
+import numpy as np
+
 from .errors import NumericalRangeError, ValidationError
 
 __all__ = [
@@ -105,6 +107,20 @@ def poisson_tail(rate, threshold: int) -> float:
         if i > _MAX_ITER:  # pragma: no cover - geometric ratio < 1 guarantees exit
             raise NumericalRangeError("poisson_tail series failed to converge")
     return math.exp(poisson_log_pmf(r, t)) * acc
+
+
+def _poisson_pmf_vector(rate: float, n_max: int) -> np.ndarray:
+    """pmf(0..n_max) by cumulative products from pmf(0); relative drift ~n*eps."""
+    log_p0 = -rate
+    if log_p0 < -700.0:
+        raise ValidationError(f"rate {rate} too large for a dense pmf table")
+    ratios = rate / np.arange(1.0, n_max + 1.0)
+    out = np.empty(n_max + 1)
+    out[0] = math.exp(log_p0)
+    if n_max:
+        np.cumprod(ratios, out=out[1:])
+        out[1:] *= out[0]
+    return out
 
 
 def poisson_cdf(rate, count: int) -> float:

@@ -8,19 +8,25 @@ solution is the series
 
 with P = P(m*A_lam >= m*y) = P(A_lam >= y).
 
-Evaluation strategy.  On lattice points w = m*j the two signed halves of the
-series cancel almost exactly (the result is orders of magnitude below either
-half), so the series is summed there in exactly regrouped form:
+Evaluation strategy.  Term j of the series is (lam*m)^j / prod_{l=0..j} (w + m*l);
+the terms with w + m*j < m*y form S0 and the rest S1, so f_h(w) = P*S0 - (1-P)*S1.
+One masked-array routine sums both halves at every point it is given, with S1
+truncated by a certified geometric majorant relative to S1.  For w >= m*y the
+sum S0 is empty and S1 is the single-signed series T(w); on the lattice
+T(m*j) = D_high(j)/(lam*m) with D_high(j) = lam/j + lam^2/(j(j+1)) + ..., so
+the routine covers every off-lattice point and every lattice point above m*y.
+Off the lattice no cancellation occurs (the values there grow to
+~exp(lam) * (j-1)!/lam^j near w = m).
+
+On lattice points at or below m*y the two signed halves cancel almost exactly
+(the result is orders of magnitude below either half), so the series is
+summed there in exactly regrouped form:
 
     f_h(m*j) = -(P/(lam*m)) * D_low(j),   j <= y,
-    f_h(m*j) = -((1-P)/(lam*m)) * D_high(j),   j >= y,
 
-where D_low(j) = 1 + (j-1)/lam + (j-1)(j-2)/lam^2 + ... (j terms) and
-D_high(j) = lam/j + lam^2/(j(j+1)) + ... are all-positive sums; both forms
-satisfy the Stein recurrence identically, so the lattice residual is pure
-rounding.  Off the lattice no such cancellation occurs (the values there grow
-to ~exp(lam) * (j-1)!/lam^j near w = m) and the two signed halves are summed
-directly with a certified geometric truncation.
+where D_low(j) = 1 + (j-1)/lam + (j-1)(j-2)/lam^2 + ... (j terms) is an
+all-positive sum satisfying the Stein recurrence identically, so the lattice
+residual is pure rounding.
 
 The threshold m*y and all lattice indices stay exact integers; lam enters
 series evaluation as a float only.
@@ -36,7 +42,7 @@ from math import fsum, lgamma
 import numpy as np
 
 from .errors import ValidationError
-from .poisson_core import poisson_pmf, poisson_tail
+from .poisson_core import _poisson_pmf_vector, poisson_tail
 
 __all__ = [
     "SteinContext",
@@ -107,18 +113,13 @@ def operator_zero_mean(ctx: SteinContext, f, trunc: int) -> float:
 
     Caller picks trunc so the Poisson tail beyond it is negligible for the
     growth of f (a few hundred covers polynomially bounded f comfortably).
+    Rates above ~700 raise ValidationError: pmf(0) would underflow.
     """
     if trunc < 0:
         raise ValidationError("trunc must be nonnegative")
-    rate = float(ctx.lam)
     m = ctx.lattice_step
-    pmf = poisson_pmf(rate, 0)
-    terms = []
-    for j in range(trunc + 1):
-        if j > 0:
-            pmf *= rate / j
-        terms.append(stein_apply(ctx, f, m * j) * pmf)
-    return fsum(terms)
+    pmf = _poisson_pmf_vector(float(ctx.lam), trunc)
+    return fsum(stein_apply(ctx, f, m * j) * p for j, p in enumerate(pmf.tolist()))
 
 
 def _d_low(j: int, lam: float) -> tuple[float, int]:
@@ -131,22 +132,9 @@ def _d_low(j: int, lam: float) -> tuple[float, int]:
     return acc, j
 
 
-def _d_high(j: int, lam: float, rel_tol: float) -> tuple[float, int]:
-    """sum_{d>=1} lam^d / (j (j+1) ... (j+d-1)); converges for j > lam."""
-    term = lam / j
-    acc = term
-    d = 1
-    while True:
-        term *= lam / (j + d)
-        acc += term
-        d += 1
-        ratio = lam / (j + d)
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol * acc:
-            break
-    return acc, d
-
-
-@dataclass(frozen=True)
+# eq=False: a generated == or hash() would raise on the array fields, so
+# tables compare by identity.
+@dataclass(frozen=True, eq=False)
 class SteinSolutionTable:
     """f_h on integers [0, w_max]; lattice-only unless off-lattice requested.
 
@@ -176,49 +164,44 @@ class SteinSolutionTable:
         return self.f(w)
 
 
-def _values_at_or_above_threshold(ctx: SteinContext, ws: np.ndarray, rel_tol: float):
-    """-(1-P) * T(w) for w >= m*y, where T(w) is the single-signed tail series."""
+def _split_series(ctx: SteinContext, ws: np.ndarray, p_ge: float, rel_tol: float):
+    """P*S0 - (1-P)*S1 and the series length at every integer w > 0 in ws.
+
+    S0 holds the terms with w + m*j < m*y, S1 the rest.  S1 stops after term j
+    once the geometric majorant of the terms left, term * ratio / (1 - ratio)
+    with ratio = lam*m / (w + m*(j+1)), falls below rel_tol * S1; the test is
+    written without the division, so it is false whenever ratio >= 1.  Points
+    leave the arrays as they finish.
+    """
     m = ctx.lattice_step
     lam_m = float(ctx.lambda_m)
-    ws = ws.astype(float)
-    term = 1.0 / ws
-    acc = term.copy()
-    counts = np.ones(ws.size, dtype=np.int64)
-    active = np.arange(ws.size)
-    j = 0
-    while active.size:
-        j += 1
-        sub = ws[active] + m * j
-        term[active] *= lam_m / sub
-        acc[active] += term[active]
-        counts[active] = j + 1
-        ratio = lam_m / (sub + m)
-        done = (ratio < 1.0) & (term[active] * ratio < rel_tol * acc[active] * (1.0 - ratio))
-        active = active[~done]
-    return acc, counts
-
-
-def _value_below_threshold(ctx: SteinContext, w: int, p_ge: float, rel_tol: float):
-    """P*S0 - (1-P)*S1 for 0 < w < m*y: signed halves of the split series."""
-    m = ctx.lattice_step
-    my = ctx.threshold_point
-    lam_m = float(ctx.lambda_m)
-    j_prime = -((w - my) // m) - 1  # largest j with w + m*j < m*y
-    s0 = 0.0
-    s1 = 0.0
+    values = np.empty(ws.size)
+    counts = np.empty(ws.size, dtype=np.int64)
+    idx = np.arange(ws.size)
+    first_s1 = np.maximum(-((ws - ctx.threshold_point) // m), 0)
+    w = ws.astype(float)
     term = 1.0 / w
+    s0 = np.where(first_s1 > 0, term, 0.0)
+    s1 = np.where(first_s1 > 0, 0.0, term)
     j = 0
-    while True:
-        if j <= j_prime:
-            s0 += term
-        else:
-            s1 += term
-            ratio = lam_m / (w + m * (j + 1))
-            if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol * s1:
-                break
-        term *= lam_m / (w + m * (j + 1))
+    while idx.size:
         j += 1
-    return p_ge * s0 - (1.0 - p_ge) * s1, j + 1
+        sub = w + m * j
+        term *= lam_m / sub
+        in_s1 = first_s1 <= j
+        s0 += np.where(in_s1, 0.0, term)
+        s1 += np.where(in_s1, term, 0.0)
+        ratio = lam_m / (sub + m)
+        done = in_s1 & (term * ratio < rel_tol * s1 * (1.0 - ratio))
+        if done.any():
+            out = idx[done]
+            values[out] = p_ge * s0[done] - (1.0 - p_ge) * s1[done]
+            counts[out] = j + 1
+            keep = ~done
+            idx, first_s1, w, term, s0, s1 = (
+                a[keep] for a in (idx, first_s1, w, term, s0, s1)
+            )
+    return values, counts
 
 
 def solve_stein(
@@ -226,10 +209,11 @@ def solve_stein(
 ) -> SteinSolutionTable:
     """Evaluate the tail-indicator solution on [0, w_max].
 
-    Lattice points use the regrouped all-positive forms; off-lattice integers
-    (when requested) use the split series with a geometric-majorant truncation
-    certificate relative to each signed half.  f(0) is fixed to 0: the Stein
-    equation at w = 0 constrains only f(m), and nothing downstream reads f(0).
+    Lattice points at or below m*y use the regrouped all-positive D_low form;
+    every other point (off-lattice integers only when requested) uses the
+    split series with a geometric-majorant truncation certificate.  f(0) is
+    fixed to 0: the Stein equation at w = 0 constrains only f(m), and nothing
+    downstream reads f(0).
     """
     m = ctx.lattice_step
     y = ctx.threshold_y
@@ -246,28 +230,18 @@ def solve_stein(
     counts = np.zeros(w_max + 1, dtype=np.int64)
     values[0] = 0.0
 
-    j_top = w_max // m
-    for j in range(1, j_top + 1):
-        if j <= y:
-            d, used = _d_low(j, lam)
-            values[m * j] = -p_ge * d / lam_m
-        else:
-            d, used = _d_high(j, lam, rel_tol)
-            values[m * j] = -(1.0 - p_ge) * d / lam_m
-        counts[m * j] = used
+    for j in range(1, y + 1):
+        d, counts[m * j] = _d_low(j, lam)
+        values[m * j] = -p_ge * d / lam_m
 
     if include_off_lattice:
-        off = np.array([w for w in range(1, w_max + 1) if w % m], dtype=np.int64)
-        below = off[off < my]
-        above = off[off >= my]
-        for w in below:
-            values[w], counts[w] = _value_below_threshold(ctx, int(w), p_ge, rel_tol)
-        if above.size:
-            tails, used = _values_at_or_above_threshold(ctx, above, rel_tol)
-            values[above] = -(1.0 - p_ge) * tails
-            counts[above] = used
+        ws = np.arange(1, w_max + 1)
+        ws = ws[(ws % m != 0) | (ws > my)]
+    else:
+        ws = np.arange(my + m, w_max + 1, m)
+    values[ws], counts[ws] = _split_series(ctx, ws, p_ge, rel_tol)
 
-    lattice = np.arange(0, j_top + 1) * m
+    lattice = np.arange(0, w_max // m + 1) * m
     fw = values[lattice[:-1]]
     fwm = values[lattice[1:]]
     h = (lattice[:-1] >= my).astype(float)
@@ -374,72 +348,77 @@ def verify_f_properties(
     if grid is None:
         hi = table.w_max - m
         grid = range(m, hi + 1) if table.has_off_lattice else range(m, hi + 1, m)
-    pts = sorted({int(w) for w in grid})
-    if not pts or pts[0] < m:
+    pts = np.fromiter(grid, dtype=np.int64)
+    if not pts.size or pts.min() < m:
         raise ValidationError("grid must be nonempty and start at or above m")
-    usable = [w for w in pts if w + m <= table.w_max]
-    tail_pts = [w for w in usable if w >= my]
-    below_pts = [w for w in usable if w < my]
+    # the distinct grid points, ascending, whose shifts by up to m are in range
+    usable = np.flatnonzero(np.bincount(pts[pts + m <= table.w_max]))
+    tail = usable[usable >= my]
+    below = usable[usable < my]
+    p_ge = table.tail_at_threshold
+    step = 1 if table.has_off_lattice else m
+    l_values = range(1, m + 1) if table.has_off_lattice else (m,)
+
+    def f_at(ws):
+        v = table.values[ws]
+        missing = np.isnan(v)
+        if missing.any():
+            raise ValidationError(
+                f"f was not evaluated at {int(ws[missing][0])}; build with off-lattice points"
+            )
+        return v
 
     checks = []
-    step = 1 if table.has_off_lattice else m
-    l_values = tuple(range(1, m + 1)) if table.has_off_lattice else (m,)
-
-    diffs = [table.f(w + step) - table.f(w) for w in tail_pts if w + step <= table.w_max]
-    mono_margin = min(diffs) if diffs else math.inf
+    f_tail = f_at(tail)
+    mono_margin = float((f_at(tail + step) - f_tail).min(initial=math.inf))
     checks.append(
-        PropertyCheck("tail_monotone", bool(mono_margin > 0.0), mono_margin, None, len(diffs))
+        PropertyCheck("tail_monotone", bool(mono_margin > 0.0), mono_margin, None, tail.size)
     )
 
-    c_hat = 0.0
     jump_min = math.inf
-    n_jump = 0
-    for w in tail_pts:
-        fw = table.f(w)
-        for l in l_values:
-            d = table.f(w + l) - fw
-            jump_min = min(jump_min, d)
-            c_hat = max(c_hat, w * d)
-            n_jump += 1
+    c_hat = 0.0
+    for l in l_values:
+        d = f_at(tail + l) - f_tail
+        jump_min = min(jump_min, float(d.min(initial=math.inf)))
+        c_hat = max(c_hat, float((tail * d).max(initial=0.0)))
+    n_jump = tail.size * len(l_values)
     checks.append(
         PropertyCheck("tail_jump_positive_c_over_w", bool(jump_min > 0.0), jump_min, c_hat, n_jump)
     )
 
+    # The envelope depends on w only through its lattice cell w // m in 1..y-1.
+    cell_envelope = [factorial_envelope(ctx, m * c) for c in range(1, ctx.threshold_y)]
+    envelope = np.array(cell_envelope)[below // m - 1]
+
     lam_m = float(ctx.lambda_m)
-    gm_margin = math.inf
-    gm_ok = True
-    for w in below_pts:
-        g = g_l(ctx, table, w, m)
-        bound = 1.0 / lam_m + factorial_envelope(ctx, w) * abs(w - lam_m) / lam_m
-        gm_margin = min(gm_margin, bound - g)
-        if g > bound * (1.0 + _BOUND_SLACK) + 1e-12:
-            gm_ok = False
-    checks.append(PropertyCheck("g_m_envelope", gm_ok, gm_margin, None, len(below_pts)))
+    f_below = f_at(below)
+    g = (f_below - f_at(below + m)) / p_ge
+    bound = 1.0 / lam_m + envelope * np.abs(below - lam_m) / lam_m
+    gm_margin = float((bound - g).min(initial=math.inf))
+    gm_ok = not np.any(g > bound * (1.0 + _BOUND_SLACK) + 1e-12)
+    checks.append(PropertyCheck("g_m_envelope", gm_ok, gm_margin, None, below.size))
 
     gl_margin = math.inf
     gl_ok = True
     n_gl = 0
     if table.has_off_lattice and m > 1:
-        for w in below_pts:
-            bound = factorial_envelope(ctx, w)
-            fw = table.f(w)
-            for l in range(1, m):
-                g = abs(fw - table.f(w + l)) / table.tail_at_threshold
-                gl_margin = min(gl_margin, bound - g)
-                if g > bound * (1.0 + _BOUND_SLACK) + 1e-12:
-                    gl_ok = False
-                n_gl += 1
+        for l in range(1, m):
+            g = np.abs(f_below - f_at(below + l)) / p_ge
+            gl_margin = min(gl_margin, float((envelope - g).min(initial=math.inf)))
+            gl_ok = gl_ok and not np.any(g > envelope * (1.0 + _BOUND_SLACK) + 1e-12)
+        n_gl = below.size * (m - 1)
     checks.append(PropertyCheck("g_l_envelope", gl_ok, gl_margin, None, n_gl))
 
+    # g_l at m*j for j = 1 .. min(y, w_max // m) - 1; increments from j = 2.
+    lattice = m * np.arange(1, min(ctx.threshold_y, table.w_max // m))
+    f_lattice = f_at(lattice)
     inc_margin = math.inf
     n_inc = 0
-    for j in range(2, ctx.threshold_y):
-        if m * j + m > table.w_max:
-            break
-        for l in l_values:
-            inc = g_l(ctx, table, m * j, l) - g_l(ctx, table, m * (j - 1), l)
-            inc_margin = min(inc_margin, inc)
-            n_inc += 1
+    for l in l_values:
+        g = (f_lattice - f_at(lattice + l)) / p_ge
+        inc = g[1:] - g[:-1]
+        inc_margin = min(inc_margin, float(inc.min(initial=math.inf)))
+        n_inc += inc.size
     checks.append(
         PropertyCheck(
             "g_l_lattice_increments", bool(inc_margin >= -1e-10), inc_margin, None, n_inc

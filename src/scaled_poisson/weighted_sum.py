@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .poisson_core import normal_tail, poisson_tail, regularized_gamma_q
+from .poisson_core import _poisson_pmf_vector, normal_tail, poisson_tail, regularized_gamma_q
 
 __all__ = [
     "WeightedPoissonSum",
@@ -177,7 +177,9 @@ def _suffix_sums(probs: np.ndarray) -> np.ndarray:
     return s[::-1]
 
 
-@dataclass(frozen=True)
+# eq=False: a generated == or hash() would raise on the array fields, so
+# tables compare by identity.
+@dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """Probability table on {0, 1, ..., support_max} with a certified deficit.
 
@@ -189,7 +191,7 @@ class LatticeDistribution:
 
     probs: np.ndarray
     mass_deficit: float
-    suffix: np.ndarray = field(init=False, repr=False, compare=False)
+    suffix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -230,20 +232,6 @@ class LatticeDistribution:
         return (lo, lo + self.mass_deficit)
 
 
-def _poisson_pmf_vector(rate: float, n_max: int) -> np.ndarray:
-    """pmf(0..n_max) by cumulative products from pmf(0); relative drift ~n*eps."""
-    log_p0 = -rate
-    if log_p0 < -700.0:
-        raise ValidationError(f"rate {rate} too large for a dense pmf table")
-    ratios = rate / np.arange(1.0, n_max + 1.0)
-    out = np.empty(n_max + 1)
-    out[0] = math.exp(log_p0)
-    if n_max:
-        np.cumprod(ratios, out=out[1:])
-        out[1:] *= out[0]
-    return out
-
-
 def _truncation_point(rate: float, tail_budget: float) -> int:
     n = int(math.ceil(rate + 10.0 * math.sqrt(rate) + 20.0))
     while poisson_tail(rate, n + 1) >= tail_budget:
@@ -254,19 +242,19 @@ def _truncation_point(rate: float, tail_budget: float) -> int:
 def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
     """Law of X + b*Y from the pmf of X (acc) and the pmf of Y, for integer b >= 1.
 
-    For b > 1 the product terms are added as one shifted slice per entry of
-    the shorter operand, so no stride-b array of zeros is ever multiplied.
+    Entry i of acc only reaches outputs congruent to i mod b, so no stride-b
+    array of zeros is ever multiplied.  Either each residue class of acc is
+    convolved with pmf on its own (one np.convolve when b == 1), or one
+    shifted slice is added per pmf entry, whichever makes fewer calls:
+    min(b, len(acc), len(pmf)) in all.
     """
-    if b == 1:
-        return np.convolve(acc, pmf)
     out = np.zeros(acc.size + b * (pmf.size - 1))
-    if pmf.size <= acc.size:
+    if min(b, acc.size) <= pmf.size:
+        for c in range(min(b, acc.size)):
+            out[c::b] = np.convolve(acc[c::b], pmf)
+    else:
         for j, pj in enumerate(pmf.tolist()):
             out[j * b : j * b + acc.size] += pj * acc
-    else:
-        span = b * (pmf.size - 1) + 1
-        for i, ai in enumerate(acc.tolist()):
-            out[i : i + span : b] += ai * pmf
     return out
 
 

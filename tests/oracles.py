@@ -3,15 +3,26 @@
 Everything here deliberately avoids the library's own algorithms: mpmath
 arbitrary precision for scalar special functions and series, and literal
 exhaustive enumeration for distribution laws.  Oracles are slow and simple on
-purpose.
+purpose.  The scalar Stein references at the end are the point-by-point loops
+that the library's array forms replaced; they do the same float arithmetic
+one point at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from scaled_poisson.stein_lattice import (
+    _BOUND_SLACK,
+    PropertyCheck,
+    PropertyReport,
+    factorial_envelope,
+    g_l,
+)
 
 mp.mp.dps = 60
 
@@ -151,3 +162,123 @@ def exact_suffix_sums(values) -> list[float]:
         total += num * (scale // den)
         out[t] = total / scale
     return out
+
+
+def stein_split_series_reference(ctx, w: int, p_ge: float, rel_tol: float):
+    """P*S0 - (1-P)*S1 and its series length at one integer w > 0, scalar loop."""
+    m = ctx.lattice_step
+    my = ctx.threshold_point
+    lam_m = float(ctx.lambda_m)
+    j_prime = -((w - my) // m) - 1  # largest j with w + m*j < m*y
+    s0 = 0.0
+    s1 = 0.0
+    term = 1.0 / w
+    j = 0
+    while True:
+        if j <= j_prime:
+            s0 += term
+        else:
+            s1 += term
+            ratio = lam_m / (w + m * (j + 1))
+            if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol * s1:
+                break
+        term *= lam_m / (w + m * (j + 1))
+        j += 1
+    return p_ge * s0 - (1.0 - p_ge) * s1, j + 1
+
+
+def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:
+    """sum_{d>=1} lam^d / (j (j+1) ... (j+d-1)) for j > y, scalar loop.
+
+    The all-positive regrouping of the series on lattice points above the
+    threshold: f_h(m*j) = -((1-P)/(lam*m)) * D_high(j).
+    """
+    term = lam / j
+    acc = term
+    d = 1
+    while True:
+        term *= lam / (j + d)
+        acc += term
+        d += 1
+        ratio = lam / (j + d)
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol * acc:
+            return acc
+
+
+def verify_f_properties_reference(ctx, table, grid=None) -> PropertyReport:
+    """The property report of stein_lattice.verify_f_properties, by scalar loops."""
+    m = ctx.lattice_step
+    my = ctx.threshold_point
+    if grid is None:
+        hi = table.w_max - m
+        grid = range(m, hi + 1) if table.has_off_lattice else range(m, hi + 1, m)
+    pts = sorted({int(w) for w in grid})
+    usable = [w for w in pts if w + m <= table.w_max]
+    tail_pts = [w for w in usable if w >= my]
+    below_pts = [w for w in usable if w < my]
+
+    checks = []
+    step = 1 if table.has_off_lattice else m
+    l_values = tuple(range(1, m + 1)) if table.has_off_lattice else (m,)
+
+    diffs = [table.f(w + step) - table.f(w) for w in tail_pts if w + step <= table.w_max]
+    mono_margin = min(diffs) if diffs else math.inf
+    checks.append(
+        PropertyCheck("tail_monotone", bool(mono_margin > 0.0), mono_margin, None, len(diffs))
+    )
+
+    c_hat = 0.0
+    jump_min = math.inf
+    n_jump = 0
+    for w in tail_pts:
+        fw = table.f(w)
+        for l in l_values:
+            d = table.f(w + l) - fw
+            jump_min = min(jump_min, d)
+            c_hat = max(c_hat, w * d)
+            n_jump += 1
+    checks.append(
+        PropertyCheck("tail_jump_positive_c_over_w", bool(jump_min > 0.0), jump_min, c_hat, n_jump)
+    )
+
+    lam_m = float(ctx.lambda_m)
+    gm_margin = math.inf
+    gm_ok = True
+    for w in below_pts:
+        g = g_l(ctx, table, w, m)
+        bound = 1.0 / lam_m + factorial_envelope(ctx, w) * abs(w - lam_m) / lam_m
+        gm_margin = min(gm_margin, bound - g)
+        if g > bound * (1.0 + _BOUND_SLACK) + 1e-12:
+            gm_ok = False
+    checks.append(PropertyCheck("g_m_envelope", gm_ok, gm_margin, None, len(below_pts)))
+
+    gl_margin = math.inf
+    gl_ok = True
+    n_gl = 0
+    if table.has_off_lattice and m > 1:
+        for w in below_pts:
+            bound = factorial_envelope(ctx, w)
+            fw = table.f(w)
+            for l in range(1, m):
+                g = abs(fw - table.f(w + l)) / table.tail_at_threshold
+                gl_margin = min(gl_margin, bound - g)
+                if g > bound * (1.0 + _BOUND_SLACK) + 1e-12:
+                    gl_ok = False
+                n_gl += 1
+    checks.append(PropertyCheck("g_l_envelope", gl_ok, gl_margin, None, n_gl))
+
+    inc_margin = math.inf
+    n_inc = 0
+    for j in range(2, ctx.threshold_y):
+        if m * j + m > table.w_max:
+            break
+        for l in l_values:
+            inc = g_l(ctx, table, m * j, l) - g_l(ctx, table, m * (j - 1), l)
+            inc_margin = min(inc_margin, inc)
+            n_inc += 1
+    checks.append(
+        PropertyCheck(
+            "g_l_lattice_increments", bool(inc_margin >= -1e-10), inc_margin, None, n_inc
+        )
+    )
+    return PropertyReport(checks=tuple(checks))

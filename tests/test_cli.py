@@ -106,6 +106,10 @@ class TestSteinAndCoupling:
         report = {r[0]: r[1] for r in rows}
         assert report["tail_monotone"] == "1"
         assert report["stein_equation_residual"] == "1"
+        # only the jump check observes a constant; the others print nan
+        constants = {r[0]: r[header.index("observed_constant")] for r in rows}
+        assert float(constants.pop("tail_jump_positive_c_over_w")) > 0.0
+        assert set(constants.values()) == {"nan"}
 
     def test_stein_check_benchmark_invocation(self):
         code, out, _ = run_cli(

@@ -1,7 +1,9 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,12 @@ from scaled_poisson import (
 )
 from scaled_poisson.stein_lattice import factorial_envelope
 
-from oracles import mp_stein_solution
+from oracles import (
+    mp_stein_solution,
+    stein_d_high_reference,
+    stein_split_series_reference,
+    verify_f_properties_reference,
+)
 
 SMALL_CTX = SteinContext(lam=Fraction(9, 5), lattice_step=5, scale_num=3, threshold_y=3)
 BENCH_CTX = SteinContext(lam=Fraction(1600, 31), lattice_step=31, scale_num=4, threshold_y=60)
@@ -68,6 +75,12 @@ class TestOperator:
         ctx = SteinContext(lam=Fraction(2), lattice_step=3, scale_num=1, threshold_y=2)
         val = operator_zero_mean(ctx, lambda _: 1.0, 200)
         assert abs(val) <= 1e-10 * (1 + 6 + 3 * 200)
+
+    def test_zero_mean_refuses_rate_whose_pmf_zero_underflows(self):
+        # exp(-800) underflows: the truncated mean would silently read 0
+        ctx = SteinContext(lam=Fraction(800), lattice_step=1, scale_num=1, threshold_y=2)
+        with pytest.raises(ValidationError):
+            operator_zero_mean(ctx, lambda _: 1.0, 1000)
 
     def test_zero_mean_linear_and_indicator(self):
         ctx = SteinContext(lam=Fraction(9, 5), lattice_step=5, scale_num=3, threshold_y=3)
@@ -128,6 +141,14 @@ class TestSolveStein:
     def test_uncovered_point_rejected(self, small_table):
         with pytest.raises(ValidationError):
             small_table.f(small_table.w_max + 1)
+
+    def test_tables_compare_by_identity_and_hash(self):
+        a = solve_stein(SMALL_CTX, 5 * 40)
+        b = solve_stein(SMALL_CTX, 5 * 40)
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
 
 
 class TestGFunctions:
@@ -240,3 +261,72 @@ class TestSeriesCertificates:
         assert bench_table.tail_at_threshold == pytest.approx(
             poisson_tail(Fraction(1600, 31), 60), rel=1e-14
         )
+
+
+Y40_CTX = SteinContext(lam=Fraction(1600, 31), lattice_step=31, scale_num=4, threshold_y=40)
+UNIT_CTX = SteinContext(lam=Fraction(2), lattice_step=1, scale_num=1, threshold_y=4)
+
+# (context, w_max, off-lattice points, grid); grid None is the default grid.
+# "stein_check" is the README's stein-check invocation.
+REFERENCE_CASES = {
+    "stein_check": (BENCH_CTX, 5000, True, None),
+    "bench": (BENCH_CTX, 31 * 115, True, None),
+    "bench_grid": (BENCH_CTX, 31 * 115, True, range(31, 31 * 90 + 1)),
+    "small": (SMALL_CTX, 5 * 80, True, range(5, 201)),
+    "unit_lattice": (UNIT_CTX, 80, True, range(1, 60)),
+    "y40": (Y40_CTX, 31 * 95, True, None),
+    "lattice_only": (BENCH_CTX, 31 * 115, False, None),
+}
+
+
+def _solve_quietly(ctx, w_max, off):
+    # ratio = lam*m / (w + m*(j+1)) is exactly 1 at w = 19 + 31k on the
+    # benchmark context; neither the solve nor the report may warn there.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve_stein(ctx, w_max, include_off_lattice=off)
+
+
+class TestArrayFormsAgainstScalarReference:
+    """The array forms against the scalar loops they replaced."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_report_equals_scalar_loop(self, case):
+        ctx, w_max, off, grid = REFERENCE_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_f_properties(ctx, table, grid)
+        assert report == verify_f_properties_reference(ctx, table, grid)
+        assert report.all_passed
+
+    @pytest.mark.parametrize("case", ["stein_check", "small", "unit_lattice", "y40"])
+    def test_split_series_bit_equal_off_lattice(self, case):
+        ctx, w_max, _, _ = REFERENCE_CASES[case]
+        table = _solve_quietly(ctx, w_max, True)
+        p_ge = table.tail_at_threshold
+        rel_tol = min(ctx.series_tol, 1e-14)
+        for w in range(1, w_max + 1):
+            if w % ctx.lattice_step:
+                value, terms = stein_split_series_reference(ctx, w, p_ge, rel_tol)
+                assert table.values[w] == value, w
+                assert table.truncation_terms[w] == terms, w
+
+    @pytest.mark.parametrize("case", ["stein_check", "small", "unit_lattice", "y40"])
+    @pytest.mark.parametrize("off", [True, False])
+    def test_lattice_above_threshold_matches_regrouped_series(self, case, off):
+        ctx, w_max, _, _ = REFERENCE_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
+        m, y = ctx.lattice_step, ctx.threshold_y
+        lam, lam_m = float(ctx.lam), float(ctx.lambda_m)
+        p_ge = table.tail_at_threshold
+        rel_tol = min(ctx.series_tol, 1e-14)
+        for j in range(y + 1, w_max // m + 1):
+            ref = -(1.0 - p_ge) * stein_d_high_reference(j, lam, rel_tol) / lam_m
+            assert table.values[m * j] == pytest.approx(ref, rel=1e-14, abs=0.0), j
+
+    def test_off_lattice_grid_on_lattice_only_table_rejected(self):
+        ctx, w_max, _, _ = REFERENCE_CASES["lattice_only"]
+        table = solve_stein(ctx, w_max)
+        with pytest.raises(ValidationError):
+            verify_f_properties(ctx, table, range(31, 31 * 90 + 1))

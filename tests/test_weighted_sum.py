@@ -204,6 +204,14 @@ class TestSuffixSums:
         with pytest.raises(ValueError):
             dist.probs[0] = 0.0
 
+    def test_tables_compare_by_identity_and_hash(self, small_model):
+        a = exact_distribution(small_model, 1e-12)
+        b = exact_distribution(small_model, 1e-12)
+        assert np.array_equal(a.probs, b.probs)
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
     def test_wide_weights_against_enumeration(self):
         # weights 1, 1000, 100000 decompose every y uniquely inside the box
         weights, rates = (1, 1000, 100000), (5, 3, 1)
