@@ -115,8 +115,11 @@ def second_order_sum(scheme: BernoulliScheme) -> Fraction:
 def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
     """pmf(0..trials) of Binomial(trials, p), normalized to unit mass.
 
-    Built by cumulative ratio products from pmf(0), which keeps the relative
-    shape error at ~trials * eps; the uniform normalization removes the
+    Anchored at the mode floor((trials+1) p) in log space (lgamma) and built
+    outward both ways by cumulative ratio products, after Loader (2000), "Fast
+    and Accurate Computation of Binomial Probabilities".  The mode's pmf is at
+    least ~1/(trials+1), so no rate underflows the anchor; the relative shape
+    error stays at ~trials * eps, and the uniform normalization removes the
     anchor's error.
     """
     if p == 1:
@@ -124,16 +127,21 @@ def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
         out[trials] = 1.0
         return out
     pf = float(p)
-    log_p0 = trials * math.log1p(-pf)
-    if log_p0 < -700.0:
-        raise NumericalRangeError("binomial pmf anchor underflows; reduce trials")
-    j = np.arange(1.0, trials + 1.0)
-    ratios = (trials - j + 1.0) / j * (pf / (1.0 - pf))
+    odds = pf / (1.0 - pf)
+    mode = math.floor((trials + 1) * p)
     out = np.empty(trials + 1)
-    out[0] = math.exp(log_p0)
-    if trials:
-        np.cumprod(ratios, out=out[1:])
-        out[1:] *= out[0]
+    out[mode] = math.exp(
+        math.lgamma(trials + 1)
+        - math.lgamma(mode + 1)
+        - math.lgamma(trials - mode + 1)
+        + mode * math.log(pf)
+        + (trials - mode) * math.log1p(-pf)
+    )
+    # pmf(j) / pmf(j - 1) = (trials - j + 1) / j * odds, for j above and at/below the mode
+    up = np.arange(mode + 1.0, trials + 1.0)
+    out[mode + 1 :] = np.cumprod((trials - up + 1.0) / up * odds) * out[mode]
+    down = np.arange(mode, 0.0, -1.0)
+    out[:mode] = np.cumprod(down / (trials - down + 1.0) / odds)[::-1] * out[mode]
     return out / fsum(out.tolist())
 
 

@@ -76,32 +76,42 @@ class DeltaDistribution:
             raise ValidationError("delta_r must sum to 1 exactly")
 
 
+def _class_deltas(scheme: BernoulliScheme, m: SumMoments | None = None) -> tuple[Fraction, ...]:
+    """delta_r = b_r M* p_r / mu, the law of the size-biased index's class (exact).
+
+    mu comes from the scheme itself; moments m, when given, must agree with it.
+    """
+    mu, _ = scheme_moments(scheme)
+    if m is not None and m.mu != mu:
+        raise ValidationError("moments do not match the Bernoulli scheme")
+    m_star = scheme.trials_per_class
+    return tuple(
+        Fraction(b) * m_star * p / mu for p, b in zip(scheme.class_probs, scheme.replication)
+    )
+
+
 def delta_distribution(scheme: BernoulliScheme, m: SumMoments) -> DeltaDistribution:
     n, mm = m.k_num, m.k_den
-    m_star = scheme.trials_per_class
-    mu = m.mu
-    p_same = sum(
-        (Fraction(b) * m_star * p * p for p, b in zip(scheme.class_probs, scheme.replication)),
-        Fraction(0),
-    ) / mu
-    support = [mm]
-    probs = [p_same]
-    bounds = []
-    for p, b in zip(scheme.class_probs, scheme.replication):
-        support.append(mm - n * b)
-        probs.append(Fraction(b) * m_star * p * (1 - p) / mu)
-        bounds.append(Fraction(b) * m_star * p / mu)
-    return DeltaDistribution(
-        support=tuple(support), probs=tuple(probs), delta_bounds=tuple(bounds)
-    )
+    deltas = _class_deltas(scheme, m)
+    support = [mm] + [mm - n * b for b in scheme.replication]
+    probs = [sum((d * p for d, p in zip(deltas, scheme.class_probs)), Fraction(0))]
+    probs += [d * (1 - p) for d, p in zip(deltas, scheme.class_probs)]
+    return DeltaDistribution(support=tuple(support), probs=tuple(probs), delta_bounds=deltas)
+
+
+# configurations enumerated per array block; bounds memory at the 2^20 limit
+_ENUM_BLOCK = 1 << 16
 
 
 def _enumerate_w_law(class_trials: list[tuple[int, Fraction, int]]) -> dict[int, Fraction]:
     """Exact law of sum_r b_r * (successes among the listed trials).
 
-    Enumerates every one of the 2^(total trials) outcome configurations; the
-    per-configuration probability is read off cached power tables, which is
-    plain arithmetic reuse, not a distributional shortcut.
+    Enumerates every one of the 2^(total trials) outcome configurations: per
+    block of configurations, each class's success count is the bit count of
+    its c bits (shift and add; np.bitwise_count needs numpy >= 2), the counts
+    form one mixed-radix key, and bincount tallies how many configurations
+    share each count tuple.  The exact Fraction probability is then formed
+    once per distinct tuple.
     """
     counts = [c for c, _, _ in class_trials]
     total = sum(counts)
@@ -110,22 +120,29 @@ def _enumerate_w_law(class_trials: list[tuple[int, Fraction, int]]) -> dict[int,
             f"{total} trials is too large to enumerate exhaustively "
             f"(limit {_EXHAUSTIVE_LIMIT}); use size_bias_sample instead"
         )
-    pow_tables = []
-    for c, p, _ in class_trials:
-        pow_tables.append([p**a * (1 - p) ** (c - a) for a in range(c + 1)])
-    offsets = []
-    start = 0
-    for c, _, _ in class_trials:
-        offsets.append((start, (1 << c) - 1))
-        start += c
+    radices = np.cumprod([1] + [c + 1 for c in counts]).tolist()
+    tally = np.zeros(radices[-1], dtype=np.int64)
+    for start in range(0, 1 << total, _ENUM_BLOCK):
+        config = np.arange(start, min(start + _ENUM_BLOCK, 1 << total), dtype=np.int64)
+        key = np.zeros_like(config)
+        shift = 0
+        for c, radix in zip(counts, radices):
+            successes = np.zeros_like(config)
+            for i in range(shift, shift + c):
+                successes += (config >> i) & 1
+            key += successes * radix
+            shift += c
+        tally += np.bincount(key, minlength=tally.size)
     law: dict[int, Fraction] = {}
-    for config in range(1 << total):
+    for key, multiplicity in enumerate(tally.tolist()):
+        if not multiplicity:
+            continue
         w = 0
-        prob = Fraction(1)
-        for (shift, mask), (c, p, b), table in zip(offsets, class_trials, pow_tables):
-            a = ((config >> shift) & mask).bit_count()
+        prob = Fraction(multiplicity)
+        for (c, p, b), radix in zip(class_trials, radices):
+            a = key // radix % (c + 1)
             w += b * a
-            prob *= table[a]
+            prob *= p**a * (1 - p) ** (c - a)
         law[w] = law.get(w, Fraction(0)) + prob
     return law
 
@@ -148,13 +165,10 @@ def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[fl
     w_law = _enumerate_w_law(full)
     rhs = fsum(float(prob) * (n * w) * float(f(n * w)) for w, prob in sorted(w_law.items()))
 
-    deltas = [Fraction(b) * m_star * p / m.mu for p, b in zip(scheme.class_probs, scheme.replication)]
+    deltas = _class_deltas(scheme, m)
     lhs_terms = []
-    for r, (p_r, b_r) in enumerate(zip(scheme.class_probs, scheme.replication)):
-        reduced = [
-            (m_star - 1 if s == r else m_star, p, b)
-            for s, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication))
-        ]
+    for r, b_r in enumerate(scheme.replication):
+        reduced = [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
         loo_law = _enumerate_w_law(reduced)
         e_r = fsum(
             float(prob) * float(f(n * (w + b_r))) for w, prob in sorted(loo_law.items())
@@ -187,6 +201,26 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
     return np.asarray([float(f(v)) for v in arr.tolist()], dtype=float)
 
 
+def _class_tables(scheme: BernoulliScheme, cap: float):
+    """Per-class (pmf, b_r) of Binomial(M*, p_r) and of Binomial(M* - 1, p_r).
+
+    Each table's upper tail is capped within cap / R.
+    """
+    budget = cap / scheme.class_count
+    full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
+    reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
+    return full, reduced
+
+
+def _table_draw(g: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
+    """size i.i.d. draws of an index from the table pmf, exactly.
+
+    Multinomial counts per index, laid out in a uniformly random order; any
+    mass the table dropped off its top lands on its last entry.
+    """
+    return g.permutation(np.repeat(np.arange(pmf.size), g.multinomial(size, pmf)))
+
+
 def size_bias_sample(
     scheme: BernoulliScheme, f, samples: int, seed: int, chunk: int = 250_000
 ) -> SizeBiasSample:
@@ -195,19 +229,18 @@ def size_bias_sample(
     Each sample draws the index class with probability delta_r (the flat
     index within a class is exchangeable, so only the class matters), forces
     that copy-group to one by replacing its binomial with 1 + Binomial(M*-1),
-    and keeps every other class independent.  Deterministic given
-    (seed, samples): the budget is split into fixed-size chunks, each drawn
-    from a spawned child generator, and merged in index order.
+    and keeps every other class independent.  Binomial values are drawn from
+    the exact class tables (upper tails capped within 1e-250 overall, as in
+    the leave-one-out laws), and W and W^s from separate draws, so the two
+    sides are independent.  Deterministic given (seed, samples): the budget
+    is split into fixed-size chunks, each drawn from a spawned child
+    generator, and merged in index order.
     """
     n_samples = int(samples)
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
-    m_star = scheme.trials_per_class
-    probs = [float(p) for p in scheme.class_probs]
-    weights = list(scheme.replication)
-    mu = sum(b * m_star * p for b, p in zip(weights, probs))
-    deltas = np.array([b * m_star * p / mu for b, p in zip(weights, probs)])
-    deltas /= deltas.sum()
+    full, reduced = _class_tables(scheme, 1e-250)
+    deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
     mu_q, s2_q = scheme_moments(scheme)
     k = mu_q / s2_q
@@ -224,14 +257,18 @@ def size_bias_sample(
         size = min(chunk, n_samples - done)
         done += size
         w = np.zeros(size, dtype=np.int64)
+        for pmf, b in full:
+            w += b * _table_draw(g, pmf, size)
+        # W^s with the samples grouped by index class, block r = [lo, hi):
+        # all draws are i.i.d. in random order, so the grouping changes no
+        # sample's law and no sum over samples
+        counts = g.multinomial(size, deltas)
+        ends = np.cumsum(counts)
         ws = np.zeros(size, dtype=np.int64)
-        idx = g.choice(len(weights), size=size, p=deltas)
-        for r, (b, p) in enumerate(zip(weights, probs)):
-            w += b * g.binomial(m_star, p, size=size)
-            base = g.binomial(m_star, p, size=size)
-            loo = g.binomial(m_star - 1, p, size=size) if m_star > 1 else np.zeros(size, dtype=np.int64)
-            picked = idx == r
-            ws += b * np.where(picked, loo + 1, base)
+        for (pmf, b), (loo, _), picked, hi in zip(full, reduced, counts.tolist(), ends.tolist()):
+            lo = hi - picked
+            rest = _table_draw(g, pmf, size - picked)
+            ws += b * np.concatenate((rest[:lo], 1 + _table_draw(g, loo, picked), rest[lo:]))
         vals_l = lam_m * _apply(f, n * ws)
         vals_r = (n * w) * _apply(f, n * w)
         sum_l += float(vals_l.sum())
@@ -252,10 +289,7 @@ def size_bias_sample(
 
 def _leave_one_out_laws(scheme: BernoulliScheme, cap: float):
     """(law of W, per-class laws of W with one class-r trial removed)."""
-    m_star = scheme.trials_per_class
-    budget = cap / scheme.class_count
-    full, _ = _capped_class_pmfs(scheme, m_star, budget)
-    reduced, _ = _capped_class_pmfs(scheme, m_star - 1, budget)
+    full, reduced = _class_tables(scheme, cap)
     w_law = _convolve_classes(full)
     loo = [
         _convolve_classes([reduced[r]] + full[:r] + full[r + 1 :])
@@ -279,8 +313,7 @@ def conditional_delta_bound(
     if p_w <= 0.0:
         raise ValidationError(f"P(W = {w}) is zero; conditional undefined")
     out = []
-    for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
-        delta_r = Fraction(b) * scheme.trials_per_class * p / m.mu
+    for r, (p, delta_r) in enumerate(zip(scheme.class_probs, _class_deltas(scheme, m))):
         p_loo = float(loo[r][w]) if 0 <= w < loo[r].size else 0.0
         joint = float(delta_r) * (1.0 - float(p)) * p_loo
         out.append((joint / p_w, delta_r))
@@ -323,8 +356,7 @@ def h_decomposition(
         raise ValidationError("h_decomposition needs a table with off-lattice points")
 
     lam_m = float(m.lambda_m)
-    m_star = scheme.trials_per_class
-    mu = m.mu
+    deltas = _class_deltas(scheme, m)
 
     nw = n * np.arange(support + 1)
     f_nw = table.values[nw]
@@ -333,8 +365,8 @@ def h_decomposition(
     # Delta = m: the drawn index's trial was already one.  Conditional on the
     # draw landing in class r, W = b_r * (1 + trials without that one).
     h0_terms = np.zeros(support + 1)
-    for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
-        c_r = float(Fraction(b) * m_star * p * p / mu)
+    for r, (p, b, delta_r) in enumerate(zip(scheme.class_probs, scheme.replication, deltas)):
+        c_r = float(delta_r * p)
         shifted = np.zeros(support + 1)
         lr = loo[r]
         hi = min(support + 1, lr.size + b)
@@ -342,8 +374,8 @@ def h_decomposition(
         h0_terms += c_r * shifted
     h_values = [lam_m * float(np.dot(f_shift_m - f_nw, h0_terms))]
 
-    for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
-        joint = float(Fraction(b) * m_star * p * (1 - p) / mu)
+    for r, (p, b, delta_r) in enumerate(zip(scheme.class_probs, scheme.replication, deltas)):
+        joint = float(delta_r * (1 - p))
         lr = np.zeros(support + 1)
         lr[: min(support + 1, loo[r].size)] = loo[r][: support + 1]
         f_shift_b = table.values[nw + n * b]

@@ -106,6 +106,37 @@ def enumerate_bernoulli_w(weights, probs: list[Fraction], trials: int) -> dict[i
     return law
 
 
+def enumerate_w_law_reference(class_trials) -> dict[int, Fraction]:
+    """Law of sum_r b_r * (successes among c_r trials), one configuration at a time.
+
+    class_trials lists (c_r, p_r, b_r).  Walks all 2^(sum c_r) bit patterns;
+    each class's success count is the bit count of its slice.  A
+    configuration's probability is prod_r u_r^a (d_r - u_r)^(c_r - a) over the
+    common denominator prod_r d_r^c_r (p_r = u_r / d_r), so the loop sums
+    integers and divides once per value of W at the end.
+    """
+    tables = []
+    denominator = 1
+    offsets = []
+    start = 0
+    for c, p, _ in class_trials:
+        u, d = p.numerator, p.denominator
+        tables.append([u**a * (d - u) ** (c - a) for a in range(c + 1)])
+        denominator *= d**c
+        offsets.append((start, (1 << c) - 1))
+        start += c
+    numerators: dict[int, int] = {}
+    for config in range(1 << start):
+        w = 0
+        num = 1
+        for (shift, mask), (_, _, b), table in zip(offsets, class_trials, tables):
+            a = ((config >> shift) & mask).bit_count()
+            w += b * a
+            num *= table[a]
+        numerators[w] = numerators.get(w, 0) + num
+    return {w: Fraction(num, denominator) for w, num in numerators.items()}
+
+
 def enumerate_size_bias_rhs(weights, probs: list[Fraction], trials: int, n: int, f) -> float:
     """E[nW f(nW)] from the enumerated exact law of W."""
     law = enumerate_bernoulli_w(weights, probs, trials)

@@ -138,3 +138,73 @@ class TestTailRatio:
         s = build_scheme(small_model, 25)
         with pytest.raises(NumericalRangeError):
             tail_ratio(s, small_model, 200)  # past the certified S support
+
+
+def _mp_binomial_pmf(trials, p, j):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        pm = mp.mpf(p.numerator) / p.denominator
+        return mp.binomial(trials, j) * pm**j * (1 - pm) ** (trials - j)
+
+
+class TestBinomialPmfVector:
+    @pytest.mark.parametrize(
+        "trials,p",
+        [
+            (5000, Fraction(1, 50)),
+            (5000, Fraction(3, 500)),
+            (80000, Fraction(1, 100)),
+            (8000, Fraction(1, 10)),  # nu = 800: pmf(0) = 0.9^8000 ~ 1e-366
+            (50000, Fraction(1, 10)),  # nu = 5000
+            (7, Fraction(2, 3)),
+        ],
+    )
+    def test_against_mpmath_at_zero_mode_and_both_tails(self, trials, p):
+        import math
+
+        from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
+
+        pmf = binomial_pmf_vector(trials, p)
+        assert pmf.size == trials + 1
+        mean = trials * p
+        sd = math.sqrt(mean * (1 - p))
+        mode = math.floor((trials + 1) * p)
+        points = {0, 1, mode, trials}
+        for z in (-12, -6, -3, 3, 6, 12, 30):
+            j = math.floor(mean + z * sd)
+            if 0 <= j <= trials:
+                points.add(j)
+        checked = 0
+        for j in sorted(points):
+            truth = _mp_binomial_pmf(trials, p, j)
+            if truth < 1e-300:
+                # below the normal range: the table may only read 0 or tiny
+                assert pmf[j] < 1e-290
+                continue
+            assert abs(pmf[j] - float(truth)) <= 1e-12 * float(truth), (j, pmf[j], truth)
+            checked += 1
+        assert checked >= 4
+
+    def test_rate_800_no_longer_refused(self):
+        from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
+
+        pmf = binomial_pmf_vector(8000, Fraction(1, 10))
+        assert pmf[0] == 0.0  # 1e-366 underflows; the mode anchor does not
+        assert pmf.argmax() == 800
+
+    def test_w_distribution_at_rate_800_moments(self):
+        import numpy as np
+
+        model = WeightedPoissonSum((1, 3), (Fraction(800), Fraction(5)))
+        s = build_scheme(model, default_trials(model, 10))
+        dist = w_distribution(s)
+        mean_exact, _ = scheme_moments(s)
+        # Var W = sum_r b_r^2 M* p_r (1 - p_r) = sigma^2 - sum_i b_i p_i^2
+        var_exact = scheme_moments(s)[1] - second_order_sum(s)
+        support = np.arange(dist.probs.size, dtype=float)
+        mean = float(np.dot(support, dist.probs))
+        var = float(np.dot((support - float(mean_exact)) ** 2, dist.probs))
+        assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
+        assert mean == pytest.approx(float(mean_exact), rel=1e-12)
+        assert var == pytest.approx(float(var_exact), rel=1e-12)

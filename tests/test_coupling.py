@@ -21,7 +21,7 @@ from scaled_poisson import (
     w_distribution,
 )
 
-from oracles import enumerate_delta_joint, enumerate_size_bias_rhs
+from oracles import enumerate_delta_joint, enumerate_size_bias_rhs, enumerate_w_law_reference
 
 # exhaustive test matrix: (weights, rates, trials), R * trials <= 16
 EXHAUSTIVE_MATRIX = [
@@ -77,6 +77,10 @@ class TestDeltaDistribution:
             assert (value < 0) == (n * b > mm)
             assert value < mm
 
+    def test_moments_of_another_model_rejected(self, small_model, bench_moments):
+        with pytest.raises(ValidationError, match="do not match"):
+            delta_distribution(build_scheme(small_model, 10), bench_moments)
+
 
 class TestSizeBiasExact:
     @pytest.mark.parametrize("weights,rates,trials", EXHAUSTIVE_MATRIX)
@@ -110,6 +114,86 @@ class TestSizeBiasExact:
         scheme = build_scheme(bench_model, 100)
         with pytest.raises(ValidationError, match="size_bias_sample"):
             size_bias_check_exact(scheme, lambda x: 1.0, bench_moments)
+
+
+class TestEnumerationReference:
+    CASES = EXHAUSTIVE_MATRIX + [
+        ((1, 3, 5), (Fraction(1), Fraction(2), Fraction(1)), 3),  # R = 3
+        ((1, 2), (Fraction(1), Fraction(1)), 10),  # 20 trials, the limit
+    ]
+
+    @staticmethod
+    def _class_trials(weights, rates, trials):
+        scheme = build_scheme(WeightedPoissonSum(weights, rates), trials)
+        return scheme, [(trials, p, b) for p, b in zip(scheme.class_probs, scheme.replication)]
+
+    @pytest.mark.parametrize("weights,rates,trials", CASES)
+    def test_laws_equal_reference(self, weights, rates, trials):
+        from scaled_poisson.coupling import _enumerate_w_law
+
+        _, full = self._class_trials(weights, rates, trials)
+        assert _enumerate_w_law(full) == enumerate_w_law_reference(full)
+        if trials * len(weights) <= 16:
+            # the leave-one-trial-out laws the lhs enumerates
+            for r in range(len(full)):
+                reduced = [
+                    (c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)
+                ]
+                assert _enumerate_w_law(reduced) == enumerate_w_law_reference(reduced)
+
+    @pytest.mark.parametrize("weights,rates,trials", CASES[:-1])
+    def test_check_equals_check_through_reference(self, weights, rates, trials, monkeypatch):
+        import scaled_poisson.coupling as coupling
+
+        scheme, _ = self._class_trials(weights, rates, trials)
+        m = moments(WeightedPoissonSum(weights, rates))
+        got = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
+        monkeypatch.setattr(coupling, "_enumerate_w_law", enumerate_w_law_reference)
+        want = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
+        assert got == want
+
+    def test_refusal_above_limit_names_sampler(self):
+        from scaled_poisson.coupling import _enumerate_w_law
+
+        with pytest.raises(ValidationError, match="size_bias_sample"):
+            _enumerate_w_law([(11, Fraction(1, 2), 1), (10, Fraction(1, 3), 2)])
+        model = WeightedPoissonSum((1, 2, 3), (Fraction(1), Fraction(1), Fraction(1)))
+        with pytest.raises(ValidationError, match="size_bias_sample"):
+            size_bias_check_exact(build_scheme(model, 7), lambda x: 1.0, moments(model))
+
+
+class TestTableDraw:
+    def test_binomial_law_from_a_million_draws(self):
+        import numpy as np
+
+        from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
+        from scaled_poisson.coupling import _table_draw
+
+        trials, p = 5000, Fraction(3, 500)
+        pmf = binomial_pmf_vector(trials, p)
+        size = 1_000_000
+        x = _table_draw(np.random.default_rng(2024), pmf, size)
+        assert x.shape == (size,) and x.min() >= 0 and x.max() <= trials
+        counts = np.bincount(x, minlength=pmf.size)
+        expected = size * pmf
+        bins = expected >= 25
+        assert bins.sum() > 30
+        sigma = np.sqrt(expected * (1 - pmf))
+        assert np.all(np.abs(counts - expected)[bins] <= 5 * sigma[bins])
+        # exact binomial moments: mean np, variance npq, 4th central npq(1 + 3(n-2)pq)
+        mean, var = float(trials * p), float(trials * p * (1 - p))
+        mu4 = float(trials * p * (1 - p) * (1 + 3 * (trials - 2) * p * (1 - p)))
+        assert abs(x.mean() - mean) <= 4 * math.sqrt(var / size)
+        assert abs(x.var() - var) <= 4 * math.sqrt((mu4 - var**2) / size)
+
+    def test_draws_are_in_random_order(self):
+        import numpy as np
+
+        from scaled_poisson.coupling import _table_draw
+
+        x = _table_draw(np.random.default_rng(5), np.array([0.5, 0.5]), 10_000)
+        # sorted multinomial counts would give a single change point
+        assert np.count_nonzero(np.diff(x)) > 4000
 
 
 class TestSizeBiasSample:
@@ -168,6 +252,71 @@ class TestSizeBiasSample:
         scheme = build_scheme(small_model, 20)
         with pytest.raises(ValidationError):
             size_bias_sample(scheme, lambda x: 1.0, 100, seed=1)
+
+    def test_each_side_against_its_exact_value(self, bench_model, bench_moments):
+        # the benchmark workload's configuration; both sides are checked on
+        # their own, so a sampler drawing a wrong law on one side is caught
+        # even if the two sides still agree
+        import numpy as np
+
+        from scaled_poisson.coupling import _class_deltas, _leave_one_out_laws
+
+        scheme = build_scheme(bench_model, default_trials(bench_model, 50))
+        n = bench_moments.k_num
+        threshold = 31 * 60
+
+        def f(x):
+            return (x >= threshold) * 1.0
+
+        res = size_bias_sample(scheme, f, 200_000, seed=11)
+        w_law = w_distribution(scheme).probs
+        rhs_exact = math.fsum(
+            float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.tolist())
+        )
+        _, loo = _leave_one_out_laws(scheme, cap=1e-250)
+        lhs_exact = float(bench_moments.lambda_m) * math.fsum(
+            float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
+            for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
+        )
+        assert abs(res.rhs - rhs_exact) <= 4 * res.stderr_rhs
+        assert abs(res.lhs - lhs_exact) <= 4 * res.stderr_lhs
+        assert lhs_exact == pytest.approx(rhs_exact, rel=1e-12)
+
+    def test_deterministic_when_samples_not_a_multiple_of_chunk(self, small_model):
+        scheme = build_scheme(small_model, 20)
+        runs = [
+            size_bias_sample(scheme, lambda x: x * 1.0, 25_001, seed=9, chunk=10_000)
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0] != size_bias_sample(scheme, lambda x: x * 1.0, 25_001, seed=10, chunk=10_000)
+
+    def test_rate_800_runs_and_sides_agree(self):
+        model = WeightedPoissonSum((1, 3), (Fraction(800), Fraction(5)))
+        m = moments(model)
+        scheme = build_scheme(model, default_trials(model, 10))
+        threshold = m.k_den * 850
+        res = size_bias_sample(scheme, lambda x: (x >= threshold) * 1.0, 200_000, seed=4)
+        assert res.rhs > 0.0
+        assert abs(res.lhs - res.rhs) <= 4 * math.hypot(res.stderr_lhs, res.stderr_rhs)
+
+    @pytest.mark.parametrize(
+        "weights,rates,factor",
+        [((1, 10), (Fraction(100), Fraction(30)), 50), ((1, 3), (Fraction(800), Fraction(5)), 10)],
+    )
+    def test_no_runtime_warning(self, weights, rates, factor):
+        import warnings
+
+        model = WeightedPoissonSum(weights, rates)
+        scheme = build_scheme(model, default_trials(model, factor))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            size_bias_sample(scheme, lambda x: (x >= 1000) * 1.0, 20_000, seed=1)
+        # M* = 1: the leave-one-out table is the point mass at 0
+        scheme = build_scheme(WeightedPoissonSum((1, 2), (Fraction(1, 2), Fraction(1, 3))), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            size_bias_sample(scheme, lambda x: x * 1.0, 10_000, seed=1)
 
 
 class TestConditionalDeltaBound:
