@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -311,8 +312,17 @@ def _run(args) -> None:
         raise ValidationError(f"unknown command {cmd!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use, not at import.
+
+    parse_args leaves a parser unchanged, so in-process callers share it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _run(args)
     except ValidationError as e:

@@ -23,18 +23,20 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .bernoulli_lattice import build_scheme, default_trials, w_distribution
 from .errors import NumericalRangeError, ValidationError
-from .poisson_core import poisson_tail
+from .poisson_core import normal_tail, poisson_tail
 from .weighted_sum import (
     LatticeDistribution,
     SumMoments,
     WeightedPoissonSum,
+    _suffix_at,
     _threshold,
+    _threshold_ratio,
     exact_distribution,
     moments,
-    normal_approx_tail,
-    scaled_poisson_tail,
 )
 
 __all__ = [
@@ -85,9 +87,16 @@ class BoundParams:
         )
 
     def bracket(self, y: int) -> float:
+        return self._brackets((y,))[0]
+
+    def _brackets(self, ys) -> list[float]:
+        """bracket(y) for every y, with the float constants converted once."""
         lam = float(self.lam)
-        quad = 1.0 + (y - lam) ** 2 / (2.0 * lam)
-        return quad * (1.0 + float(self.correction_sum)) + lam * (1.0 + math.log(y))
+        scale = 1.0 + float(self.correction_sum)
+        return [
+            (1.0 + (y - lam) ** 2 / (2.0 * lam)) * scale + lam * (1.0 + math.log(y))
+            for y in ys
+        ]
 
 
 def bound_params(model: WeightedPoissonSum, m: SumMoments) -> BoundParams:
@@ -116,19 +125,30 @@ def eta(w_dist: LatticeDistribution, m: SumMoments, y: int, from_zero: bool = Fa
     W >= ceil(m r / n).  from_zero extends the range down to r = 1 (the
     clamped variant that differs from the supremum by an absolute constant).
     """
-    n, mm = m.k_num, m.k_den
     lo = 1 if from_zero else _threshold(m.lam)
     if y < lo:
         raise ValidationError(f"need y >= ceil(lam) = {lo}")
     best = 0.0
-    rate = float(m.lam)
-    for r in range(lo, y + 1):
-        num, _ = w_dist.tail(Fraction(mm * r, n), strict=False)
-        den = poisson_tail(rate, r)
-        if den < _UNDERFLOW_FLOOR:
-            raise NumericalRangeError(f"Poisson tail underflow at r={r}")
+    for _, num, den in _w_tail_ratios(w_dist, m, lo, y, "r"):
         best = max(best, num / den)
     return best
+
+
+def _w_tail_ratios(w_dist: LatticeDistribution, m: SumMoments, r_from: int, r_to: int, var: str):
+    """(r, P(nW >= m r), P(A_lam >= r)) for integer r in [r_from, r_to], in order.
+
+    The W tails are one gather from the suffix sums.  Raises
+    NumericalRangeError at the first r whose Poisson tail underflows, naming
+    it as ``var``.
+    """
+    rs = np.arange(r_from, r_to + 1, dtype=object)
+    nums = _suffix_at(w_dist.suffix, _threshold_ratio(m.k_den * rs, m.k_num)).tolist()
+    rate = float(m.lam)
+    for r, num in zip(rs.tolist(), nums):
+        den = poisson_tail(rate, r)
+        if den < _UNDERFLOW_FLOOR:
+            raise NumericalRangeError(f"Poisson tail underflow at {var}={r}")
+        yield r, num, den
 
 
 @dataclass(frozen=True)
@@ -160,34 +180,55 @@ class ExperimentRow:
     )
 
 
-def _row(
+def _rows(
     model_moments: SumMoments,
     params: BoundParams,
     dist: LatticeDistribution,
-    y: int,
+    y_from: int,
+    y_to: int,
     strict: bool,
     scale_n: int = 1,
-) -> ExperimentRow:
-    exact, _ = dist.tail(y, strict=strict)
-    scaled = scaled_poisson_tail(model_moments, y, mode="discrete", strict=strict)
-    normal = normal_approx_tail(model_moments, y)
+) -> list[ExperimentRow]:
+    """The rows for every integer y in [y_from, y_to], y_from >= 1, built over
+    the whole range at once.
+
+    Thresholds and plateau ids are exact integer array expressions (Python
+    ints, so k_num * y cannot overflow), exact tails one gather from the
+    suffix sums, and the scaled tail one poisson_tail call per distinct
+    plateau, shared by the rows on it.  The per-row floats are those of the
+    scalar evaluation, operation for operation.
+    """
+    ys = np.arange(y_from, y_to + 1, dtype=object)
+    exact = _suffix_at(dist.suffix, _threshold_ratio(ys, 1, strict))
+    plateaus = _threshold_ratio(model_moments.k_num * ys, model_moments.k_den, strict).tolist()
+    rate = float(model_moments.lam)
+    plateau_tail = {t: poisson_tail(rate, t) for t in dict.fromkeys(plateaus)}
+    scaled = np.array([plateau_tail[t] for t in plateaus])
+    y_list = ys.tolist()
+    mu, sigma_sq = float(model_moments.mu), float(model_moments.sigma_sq)
+    normal = np.array([normal_tail(mu, sigma_sq, y) for y in y_list])
     underflow = exact < _UNDERFLOW_FLOOR
-    rel = abs(1.0 - scaled / exact) if not underflow else math.nan
-    plateau = _threshold(model_moments.k * y, strict)
-    bracket = params.bracket(y) if Fraction(y) >= params.lam else math.nan
-    return ExperimentRow(
-        y=y,
-        exact_tail=exact,
-        scaled_tail=scaled,
-        normal_tail=normal,
-        rel_error=rel,
-        abs_error_poisson=abs(scaled - exact),
-        abs_error_normal=abs(normal - exact),
-        bound_bracket=bracket,
-        plateau_id=plateau,
-        scale_n=scale_n,
-        underflow=underflow,
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(underflow, math.nan, np.abs(1.0 - scaled / exact))
+    lam = params.lam
+    in_range = [y for y in y_list if y * lam.denominator >= lam.numerator]
+    brackets = [math.nan] * (len(y_list) - len(in_range)) + params._brackets(in_range)
+    columns = zip(
+        y_list,
+        exact.tolist(),
+        scaled.tolist(),
+        normal.tolist(),
+        rel.tolist(),
+        np.abs(scaled - exact).tolist(),
+        np.abs(normal - exact).tolist(),
+        brackets,
+        plateaus,
+        underflow.tolist(),
     )
+    return [
+        ExperimentRow(y, e, s, nt, r, ap, an, b, p, scale_n, u)
+        for y, e, s, nt, r, ap, an, b, p, u in columns
+    ]
 
 
 def relative_error_sweep(
@@ -203,8 +244,8 @@ def relative_error_sweep(
     tail, so maximal runs of equal plateau_id are exactly the flat segments
     of that tail; underflowed exact tails are flagged on the row, not dropped.
     """
-    if y_from > y_to or y_from < 0:
-        raise ValidationError("need 0 <= y_from <= y_to")
+    if y_from > y_to or y_from < 1:
+        raise ValidationError("need 1 <= y_from <= y_to")
     m = moments(model)
     params = bound_params(model, m)
     dist = exact_distribution(model, epsilon)
@@ -212,7 +253,7 @@ def relative_error_sweep(
         raise ValidationError(
             f"y_to={y_to} beyond the exact support bound {dist.support_max}"
         )
-    return [_row(m, params, dist, y, strict) for y in range(y_from, y_to + 1)]
+    return _rows(m, params, dist, y_from, y_to, strict)
 
 
 @dataclass(frozen=True)
@@ -249,7 +290,7 @@ def scaling_sweep(
         m = moments(scaled_model)
         params = bound_params(scaled_model, m)
         dist = exact_distribution(scaled_model, epsilon)
-        rows.append(_row(m, params, dist, y, strict, scale_n=n_scale))
+        rows.extend(_rows(m, params, dist, y, y, strict, scale_n=n_scale))
     return ScalingSweepResult(rows=rows, excluded=excluded)
 
 
@@ -297,24 +338,17 @@ def empirical_constant(
     params = bound_params(model, m)
     scheme = build_scheme(model, default_trials(model, mstar))
     w_dist = w_distribution(scheme, epsilon=w_cap)
-    n, mm = m.k_num, m.k_den
-    rate = float(m.lam)
+    y_lo = max(y_from, _threshold(m.lam))
+    if y_lo > y_to:
+        raise ValidationError("empty y grid above lam")
     rows = []
     c_hat = 0.0
-    for y in range(y_from, y_to + 1):
-        if Fraction(y) < m.lam:
-            continue
-        num, _ = w_dist.tail(Fraction(mm * y, n), strict=False)
-        den = poisson_tail(rate, y)
-        if den < _UNDERFLOW_FLOOR:
-            raise NumericalRangeError(f"Poisson tail underflow at y={y}")
+    brackets = params._brackets(range(y_lo, y_to + 1))
+    for (y, num, den), bracket in zip(_w_tail_ratios(w_dist, m, y_lo, y_to, "y"), brackets):
         deviation = abs(num / den - 1.0)
-        bracket = params.bracket(y)
         ratio = deviation / bracket
         rows.append((y, deviation, bracket, ratio))
         c_hat = max(c_hat, ratio)
-    if not rows:
-        raise ValidationError("empty y grid above lam")
     return EmpiricalConstant(c_hat=c_hat, rows=rows)
 
 

@@ -26,7 +26,8 @@ summed there in exactly regrouped form:
 
 where D_low(j) = 1 + (j-1)/lam + (j-1)(j-2)/lam^2 + ... (j terms) is an
 all-positive sum satisfying the Stein recurrence identically, so the lattice
-residual is pure rounding.
+residual is pure rounding.  It is built for all j <= y by its own
+all-positive recurrence D_low(j+1) = 1 + (j/lam) D_low(j), in O(y) steps.
 
 The threshold m*y and all lattice indices stay exact integers; lam enters
 series evaluation as a float only.
@@ -120,16 +121,6 @@ def operator_zero_mean(ctx: SteinContext, f, trunc: int) -> float:
     m = ctx.lattice_step
     pmf = _poisson_pmf_vector(float(ctx.lam), trunc)
     return fsum(stein_apply(ctx, f, m * j) * p for j, p in enumerate(pmf.tolist()))
-
-
-def _d_low(j: int, lam: float) -> tuple[float, int]:
-    """sum_{d=0}^{j-1} (j-1)(j-2)...(j-d) / lam^d, all positive, j terms."""
-    acc = 1.0
-    term = 1.0
-    for d in range(1, j):
-        term *= (j - d) / lam
-        acc += term
-    return acc, j
 
 
 # eq=False: a generated == or hash() would raise on the array fields, so
@@ -230,9 +221,13 @@ def solve_stein(
     counts = np.zeros(w_max + 1, dtype=np.int64)
     values[0] = 0.0
 
-    for j in range(1, y + 1):
-        d, counts[m * j] = _d_low(j, lam)
-        values[m * j] = -p_ge * d / lam_m
+    # D_low(1) = 1 and D_low(j+1) = 1 + (j/lam) D_low(j): all terms positive.
+    d_low = [1.0]
+    for j in range(1, y):
+        d_low.append(1.0 + j / lam * d_low[-1])
+    lattice_low = m * np.arange(1, y + 1)
+    values[lattice_low] = -p_ge * np.array(d_low) / lam_m
+    counts[lattice_low] = np.arange(1, y + 1)
 
     if include_off_lattice:
         ws = np.arange(1, w_max + 1)
@@ -342,6 +337,10 @@ def verify_f_properties(
     (e) g_l(m j) - g_l(m j - m) >= -1e-10 on lattice steps strictly below the
         threshold (j >= 2: the first step is excluded by the w < m convention,
         whose singular behavior is documented rather than asserted).
+
+    A check that no grid point reaches is left out of the report: (d) when
+    m = 1 or the table is lattice-only, and any check whose region the grid
+    misses.
     """
     m = ctx.lattice_step
     my = ctx.threshold_point
@@ -425,4 +424,5 @@ def verify_f_properties(
         )
     )
 
-    return PropertyReport(checks=tuple(checks))
+    # A check that examined no point certifies nothing, so it is left out.
+    return PropertyReport(checks=tuple(c for c in checks if c.points))

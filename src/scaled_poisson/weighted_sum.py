@@ -147,12 +147,30 @@ def _threshold(x, strict: bool = False) -> int:
     """Least integer t with t > x (strict) or t >= x (ceil(x)), for rational x.
 
     Exact integer arithmetic on numerator and denominator; every lattice
-    threshold in the package is resolved here.
+    threshold in the package is resolved here or by _threshold_ratio.
     """
     q = Fraction(x)
+    return _threshold_ratio(q.numerator, q.denominator, strict)
+
+
+def _threshold_ratio(num, den: int, strict: bool = False):
+    """_threshold(num/den, strict) for integer num and den > 0.
+
+    num may be an integer array: pass dtype=object (Python ints) wherever
+    num could pass 2**63, and floor division stays exact elementwise.
+    """
     if strict:
-        return q.numerator // q.denominator + 1
-    return -((-q.numerator) // q.denominator)
+        return num // den + 1
+    return -((-num) // den)
+
+
+def _suffix_at(suffix: np.ndarray, thresholds) -> np.ndarray:
+    """suffix[t] at each integer threshold t (an int or an integer array).
+
+    A threshold at or below 0 reads the total; one past the table reads 0.0.
+    """
+    t = np.clip(thresholds, 0, suffix.size).astype(np.int64)
+    return np.where(t < suffix.size, suffix[np.minimum(t, suffix.size - 1)], 0.0)
 
 
 def _suffix_sums(probs: np.ndarray) -> np.ndarray:
@@ -225,18 +243,17 @@ class LatticeDistribution:
 
         y may be rational; the integer threshold is resolved exactly.
         """
-        threshold = max(_threshold(y, strict), 0)
-        if threshold > self.support_max:
-            return (0.0, self.mass_deficit)
-        lo = float(self.suffix[threshold])
+        lo = float(_suffix_at(self.suffix, _threshold(y, strict)))
         return (lo, lo + self.mass_deficit)
 
 
-def _truncation_point(rate: float, tail_budget: float) -> int:
+def _truncation_point(rate: float, tail_budget: float) -> tuple[int, float]:
+    """The first n on the growth schedule with P(A_rate > n) < tail_budget,
+    and that dropped tail mass."""
     n = int(math.ceil(rate + 10.0 * math.sqrt(rate) + 20.0))
-    while poisson_tail(rate, n + 1) >= tail_budget:
+    while (dropped := poisson_tail(rate, n + 1)) >= tail_budget:
         n = int(math.ceil(n * 1.25)) + 10
-    return n
+    return n, dropped
 
 
 def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
@@ -269,22 +286,24 @@ def _convolve_classes(classes: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
 def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> LatticeDistribution:
     """Exact law of S by stride convolution of truncated Poisson tables.
 
-    Each class is truncated at a quantile leaving tail mass < epsilon/R; the
-    union bound certifies a total deficit <= epsilon.
+    Each class is truncated at a quantile leaving tail mass t_r < epsilon/R.
+    The table misses 1 - prod(1 - t_r) <= sum t_r of unit mass, so the
+    deficit is that sum, rounded up; it is <= epsilon.
     """
     eps = float(epsilon)
     if not (0.0 < eps <= 1e-3):
         raise ValidationError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
     budget = eps / model.class_count
     classes = []
+    dropped = []
     for b, nu in zip(model.weights, model.rates):
         rate = float(nu)
-        classes.append((_poisson_pmf_vector(rate, _truncation_point(rate, budget)), b))
-    dist = LatticeDistribution(probs=_convolve_classes(classes), mass_deficit=0.0)
-    # The deficit is what the table misses of unit mass, read off its own
-    # compensated total.
-    object.__setattr__(dist, "mass_deficit", max(0.0, 1.0 - dist.total_mass()))
-    return dist
+        n, tail = _truncation_point(rate, budget)
+        classes.append((_poisson_pmf_vector(rate, n), b))
+        dropped.append(tail)
+    return LatticeDistribution(
+        probs=_convolve_classes(classes), mass_deficit=math.nextafter(fsum(dropped), math.inf)
+    )
 
 
 def exact_tail(

@@ -1,11 +1,11 @@
 """Independent reference computations for the test suite.
 
 Everything here deliberately avoids the library's own algorithms: mpmath
-arbitrary precision for scalar special functions and series, and literal
-exhaustive enumeration for distribution laws.  Oracles are slow and simple on
-purpose.  The scalar Stein references at the end are the point-by-point loops
-that the library's array forms replaced; they do the same float arithmetic
-one point at a time.
+arbitrary precision for scalar special functions and series, the Panjer
+recursion and literal exhaustive enumeration for distribution laws.  Oracles
+are slow and simple on purpose.  The scalar Stein and sweep references at the
+end are the point-by-point loops that the library's array forms replaced;
+they do the same float arithmetic one point at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from scaled_poisson.errors import NumericalRangeError
+from scaled_poisson.experiments import _UNDERFLOW_FLOOR, ExperimentRow
+from scaled_poisson.poisson_core import poisson_tail
 from scaled_poisson.stein_lattice import (
     _BOUND_SLACK,
     PropertyCheck,
@@ -23,6 +26,7 @@ from scaled_poisson.stein_lattice import (
     factorial_envelope,
     g_l,
 )
+from scaled_poisson.weighted_sum import _threshold, normal_approx_tail, scaled_poisson_tail
 
 mp.mp.dps = 60
 
@@ -65,6 +69,41 @@ def mp_stein_solution(lam: Fraction, m: int, y: int, w: int, terms: int = 4000) 
         s += (lam_m**j / prod) * (h - p_ge)
         prod *= w + m * (j + 1)
     return float(-s)
+
+
+def _mp_rate(rate):
+    q = Fraction(rate)
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def panjer_tail(weights, rates, y: int, strict: bool = True) -> float:
+    """P(S > y) (strict) or P(S >= y) for S = sum_r b_r A(nu_r), high precision.
+
+    The law comes from the Panjer recursion s p(s) = sum_r nu_r b_r p(s - b_r)
+    with p(0) = exp(-sum nu_r); every term is positive.  The tail is one minus
+    the cdf below the threshold, at 60 digits.
+    """
+    nus = [_mp_rate(v) for v in rates]
+    top = y if strict else y - 1
+    p = [mp.e ** (-mp.fsum(nus))]
+    for s in range(1, top + 1):
+        p.append(mp.fsum(nu * b * p[s - b] for b, nu in zip(weights, nus) if b <= s) / s)
+    return float(1 - mp.fsum(p[: top + 1]))
+
+
+def mp_d_low(lam, y: int) -> list:
+    """D_low(j) = sum_{d<j} (j-1)...(j-d) / lam^d for j = 1..y, high precision.
+
+    Summed in the closed form (j-1)!/lam^(j-1) * sum_{i<j} lam^i/i!, which
+    shares no recurrence with the library's.
+    """
+    lam_mp = _mp_rate(lam)
+    out = []
+    partial = mp.mpf(0)
+    for j in range(1, y + 1):
+        partial += lam_mp ** (j - 1) / mp.factorial(j - 1)
+        out.append(mp.factorial(j - 1) / lam_mp ** (j - 1) * partial)
+    return out
 
 
 def enumerate_weighted_sum_pmf(weights, rates, bounds) -> dict[int, float]:
@@ -313,3 +352,67 @@ def verify_f_properties_reference(ctx, table, grid=None) -> PropertyReport:
         )
     )
     return PropertyReport(checks=tuple(checks))
+
+
+def bracket_reference(params, y: int) -> float:
+    """BoundParams.bracket(y) with every constant converted on the call."""
+    lam = float(params.lam)
+    quad = 1.0 + (y - lam) ** 2 / (2.0 * lam)
+    return quad * (1.0 + float(params.correction_sum)) + lam * (1.0 + math.log(y))
+
+
+def experiment_row_reference(model_moments, params, dist, y: int, strict: bool, scale_n: int = 1):
+    """One sweep row from scalar tail calls, the way experiments built rows per y."""
+    exact, _ = dist.tail(y, strict=strict)
+    scaled = scaled_poisson_tail(model_moments, y, mode="discrete", strict=strict)
+    normal = normal_approx_tail(model_moments, y)
+    underflow = exact < _UNDERFLOW_FLOOR
+    rel = abs(1.0 - scaled / exact) if not underflow else math.nan
+    plateau = _threshold(model_moments.k * y, strict)
+    bracket = bracket_reference(params, y) if Fraction(y) >= params.lam else math.nan
+    return ExperimentRow(
+        y=y,
+        exact_tail=exact,
+        scaled_tail=scaled,
+        normal_tail=normal,
+        rel_error=rel,
+        abs_error_poisson=abs(scaled - exact),
+        abs_error_normal=abs(normal - exact),
+        bound_bracket=bracket,
+        plateau_id=plateau,
+        scale_n=scale_n,
+        underflow=underflow,
+    )
+
+
+def eta_reference(w_dist, m, y: int, from_zero: bool = False) -> float:
+    """experiments.eta by one Fraction threshold and one tail query per r."""
+    n, mm = m.k_num, m.k_den
+    lo = 1 if from_zero else _threshold(m.lam)
+    best = 0.0
+    rate = float(m.lam)
+    for r in range(lo, y + 1):
+        num, _ = w_dist.tail(Fraction(mm * r, n), strict=False)
+        den = poisson_tail(rate, r)
+        if den < _UNDERFLOW_FLOOR:
+            raise NumericalRangeError(f"Poisson tail underflow at r={r}")
+        best = max(best, num / den)
+    return best
+
+
+def empirical_constant_rows_reference(w_dist, m, params, y_from: int, y_to: int):
+    """The (y, deviation, bracket, ratio) rows of experiments.empirical_constant, per y."""
+    n, mm = m.k_num, m.k_den
+    rate = float(m.lam)
+    rows = []
+    for y in range(y_from, y_to + 1):
+        if Fraction(y) < m.lam:
+            continue
+        num, _ = w_dist.tail(Fraction(mm * y, n), strict=False)
+        den = poisson_tail(rate, y)
+        if den < _UNDERFLOW_FLOOR:
+            raise NumericalRangeError(f"Poisson tail underflow at y={y}")
+        deviation = abs(num / den - 1.0)
+        bracket = bracket_reference(params, y)
+        rows.append((y, deviation, bracket, deviation / bracket))
+    return rows

@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from scaled_poisson.cli import main
+from scaled_poisson import cli
+from scaled_poisson.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -111,6 +112,26 @@ class TestSteinAndCoupling:
         assert float(constants.pop("tail_jump_positive_c_over_w")) > 0.0
         assert set(constants.values()) == {"nan"}
 
+    def test_stein_check_unit_lattice_omits_empty_check(self):
+        # with m = 1 no off-lattice shift exists: g_l_envelope examines no
+        # point, so it has no row rather than a vacuous passed = 1
+        code, out, _ = run_cli(
+            [
+                "stein-check",
+                "--lambda-num", "2", "--m", "1", "--n", "1", "--y", "4", "--wmax", "80",
+            ]
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [
+            "tail_monotone",
+            "tail_jump_positive_c_over_w",
+            "g_m_envelope",
+            "g_l_lattice_increments",
+            "stein_equation_residual",
+        ]
+        assert all(int(r[header.index("points")]) > 0 for r in rows)
+
     def test_stein_check_benchmark_invocation(self):
         code, out, _ = run_cli(
             [
@@ -185,6 +206,53 @@ class TestBound:
         header, rows = parse_csv(out)
         assert header == ["y", "deviation", "bracket", "ratio"]
         assert len(rows) == 5
+
+
+class TestSharedParser:
+    """main parses with one parser per process; reuse must not carry state."""
+
+    SWEEP = ["sweep-relerr", "--y-from", "440", "--y-to", "470"]
+    COMPARE = ["compare-normal", "--y-from", "20", "--y-to", "40", "--weights", "1,2", "--rates", "9,4"]
+
+    def test_rejected_argv_between_commands(self):
+        first = run_cli(self.SWEEP)
+        with pytest.raises(SystemExit) as rejected, redirect_stderr(io.StringIO()):
+            main(["compare-normal", "--y-from", "oops", "--y-to", "520"])
+        assert rejected.value.code == 2
+        second = run_cli(self.COMPARE)
+        cli._parser.cache_clear()
+        assert run_cli(self.SWEEP) == first
+        cli._parser.cache_clear()
+        assert run_cli(self.COMPARE) == second
+        assert first[0] == second[0] == 0
+
+    def test_parser_built_once(self):
+        cli._parser.cache_clear()
+        run_cli(["moments"])
+        run_cli(["bound", "--y", "60"])
+        assert cli._parser.cache_info().misses == 1
+
+    def test_shared_option_names_keep_their_defaults(self):
+        # --y, --eps, --strict, --out and the model options appear in several
+        # subcommands; values given to one command must not become defaults
+        sequence = [
+            ["exact-tail", "--y", "7", "--strict", "--eps", "1e-6", "--weights", "1,2", "--out", "a.csv"],
+            ["exact-tail", "--y", "8"],
+            ["approx-tail", "--y", "9", "--mode", "continuous"],
+            ["approx-tail", "--y", "9"],
+            ["sweep-relerr", "--y-from", "1", "--y-to", "2", "--non-strict", "--eps", "1e-9"],
+            ["compare-normal", "--y-from", "1", "--y-to", "2"],
+            ["sweep-relerr", "--y-from", "1", "--y-to", "2"],
+            ["coupling-check", "--y", "5", "--exhaustive", "--seed", "3", "--mstar", "6"],
+            ["coupling-check", "--y", "5"],
+            ["empirical-constant", "--y-from", "52", "--y-to", "53", "--mstar", "7"],
+            ["stein-check", "--lambda-num", "9", "--m", "5", "--n", "3", "--y", "3", "--wmax", "400", "--out", "s.csv"],
+            ["stein-check", "--lambda-num", "9", "--m", "5", "--n", "3", "--y", "3", "--wmax", "400"],
+        ]
+        cli._parser.cache_clear()
+        shared = cli._parser()
+        for argv in sequence:
+            assert shared.parse_args(argv) == build_parser().parse_args(argv), argv
 
 
 class TestExitCodes:

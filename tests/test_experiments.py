@@ -5,8 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    empirical_constant_rows_reference,
+    eta_reference,
+    experiment_row_reference,
+)
 from scaled_poisson import (
     ExperimentRow,
+    NumericalRangeError,
     ValidationError,
     WeightedPoissonSum,
     bound_params,
@@ -15,9 +21,11 @@ from scaled_poisson import (
     default_trials,
     empirical_constant,
     eta,
+    exact_distribution,
     fit_error_growth,
     moderate_deviation_bound,
     moments,
+    normalize_weights,
     plateau_lengths,
     relative_error_sweep,
     scaling_sweep,
@@ -314,3 +322,143 @@ class TestCsvRoundTrip:
             assert float(line[3]) == r.normal_tail
             assert float(line[4]) == r.rel_error
             assert float(line[7]) == r.bound_bracket
+
+
+def _same(a, b) -> bool:
+    """Bit-equal floats (NaN equal to NaN) and equal values of the same type."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+def assert_rows_match_reference(model, rows, y_from, y_to, strict, epsilon=1e-12):
+    m = moments(model)
+    params = bound_params(model, m)
+    dist = exact_distribution(model, epsilon)
+    assert [r.y for r in rows] == list(range(y_from, y_to + 1))
+    for row in rows:
+        ref = experiment_row_reference(m, params, dist, row.y, strict)
+        for name in ExperimentRow.csv_fields:
+            assert _same(getattr(row, name), getattr(ref, name)), (row.y, name)
+
+
+# Rates whose moments have ~20-digit denominators: k_num = 16000000064000000021,
+# so k_num * y passes 2**63 on every row.
+HUGE_K_MODEL = WeightedPoissonSum(
+    (1, 3), (Fraction(10**10 + 7, 10**9), Fraction(2 * 10**9 + 9, 10**9 + 3))
+)
+
+
+class TestArrayRowsAgainstScalarReference:
+    """Sweep rows built over whole ranges against the scalar row per y."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_bench_model_whole_support(self, bench_model, strict):
+        top = exact_distribution(bench_model).support_max
+        rows = relative_error_sweep(bench_model, 1, top, strict=strict)
+        assert_rows_match_reference(bench_model, rows, 1, top, strict)
+        # the range covers y below lam, nan brackets and underflowed edge rows
+        assert math.isnan(rows[0].bound_bracket) and not math.isnan(rows[-1].bound_bracket)
+        underflowed = [r for r in rows if r.underflow]
+        assert all(math.isnan(r.rel_error) for r in underflowed)
+        assert bool(underflowed) == strict  # P(S > support_max) reads 0.0
+
+    def test_y_zero_is_refused_as_before(self, bench_model):
+        m = moments(bench_model)
+        with pytest.raises(ValidationError):
+            experiment_row_reference(
+                m, bound_params(bench_model, m), exact_distribution(bench_model), 0, True
+            )
+        with pytest.raises(ValidationError):
+            relative_error_sweep(bench_model, 0, 10)
+
+    @pytest.mark.parametrize("y_from, y_to", [(1, 400), (20000, 20035), (313848, 314148)])
+    def test_wide_model(self, y_from, y_to):
+        model = WeightedPoissonSum((1, 100, 10000), (Fraction(5), Fraction(3), Fraction(1)))
+        for strict in (True, False):
+            rows = relative_error_sweep(model, y_from, y_to, strict=strict)
+            assert_rows_match_reference(model, rows, y_from, y_to, strict)
+
+    def test_rational_weights_via_normalize(self):
+        model, scale_b = normalize_weights(
+            [Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)],
+            [Fraction(7, 2), Fraction(3), Fraction(4, 3)],
+        )
+        assert scale_b == 6
+        for strict in (True, False):
+            rows = relative_error_sweep(model, 1, 828, strict=strict)
+            assert_rows_match_reference(model, rows, 1, 828, strict)
+
+    def test_row_at_integer_lam_has_a_bracket(self):
+        model = WeightedPoissonSum((1,), (Fraction(8),))
+        assert moments(model).lam == 8
+        rows = relative_error_sweep(model, 1, 30, strict=False)
+        assert_rows_match_reference(model, rows, 1, 30, False)
+        assert math.isnan(rows[6].bound_bracket) and not math.isnan(rows[7].bound_bracket)
+
+    def test_k_num_times_y_beyond_int64(self):
+        m = moments(HUGE_K_MODEL)
+        assert m.k_num * 1 > 2**63
+        top = exact_distribution(HUGE_K_MODEL).support_max
+        for strict in (True, False):
+            rows = relative_error_sweep(HUGE_K_MODEL, 1, top, strict=strict)
+            assert_rows_match_reference(HUGE_K_MODEL, rows, 1, top, strict)
+
+    def test_one_tail_per_distinct_plateau(self, bench_model, monkeypatch):
+        import scaled_poisson.experiments as experiments
+
+        calls = []
+        real = experiments.poisson_tail
+        monkeypatch.setattr(
+            experiments, "poisson_tail", lambda rate, t: calls.append(t) or real(rate, t)
+        )
+        rows = relative_error_sweep(bench_model, 401, 700)
+        assert sorted(calls) == sorted({r.plateau_id for r in rows})
+        assert len(calls) < len(rows) / 7
+
+    @pytest.mark.parametrize("y", [400, 430])
+    def test_scaling_sweep(self, bench_model, y):
+        result = scaling_sweep(bench_model, y, list(range(1, 8)))
+        assert [r.scale_n for r in result.rows] == list(range(1, 8))
+        for row in result.rows:
+            scaled = bench_model.scale_rates(row.scale_n)
+            m = moments(scaled)
+            ref = experiment_row_reference(
+                m, bound_params(scaled, m), exact_distribution(scaled), y, True, row.scale_n
+            )
+            for name in ExperimentRow.csv_fields:
+                assert _same(getattr(row, name), getattr(ref, name)), (row.scale_n, name)
+
+    @pytest.mark.parametrize("from_zero", [False, True])
+    def test_eta(self, bench_model, bench_moments, small_model, small_moments, from_zero):
+        bench_w = w_distribution(
+            build_scheme(bench_model, default_trials(bench_model, 100)), epsilon=1e-250
+        )
+        small_w = w_distribution(build_scheme(small_model, 80))
+        for wd, m, y in ((bench_w, bench_moments, 70), (small_w, small_moments, 7)):
+            assert eta(wd, m, y, from_zero) == eta_reference(wd, m, y, from_zero)
+
+    def test_eta_underflow_names_first_r(self):
+        model = WeightedPoissonSum((1,), (Fraction(1),))
+        m = moments(model)
+        wd = w_distribution(build_scheme(model, 50), epsilon=1e-250)
+        with pytest.raises(NumericalRangeError) as got:
+            eta(wd, m, 400)
+        with pytest.raises(NumericalRangeError) as want:
+            eta_reference(wd, m, 400)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "name, y_from, y_to, mstar",
+        [("bench", 52, 80, 100), ("bench", 40, 60, 25), ("small", 1, 30, 50)],
+    )
+    def test_empirical_constant(self, bench_model, small_model, name, y_from, y_to, mstar):
+        model = bench_model if name == "bench" else small_model
+        m = moments(model)
+        wd = w_distribution(build_scheme(model, default_trials(model, mstar)), epsilon=1e-250)
+        want = empirical_constant_rows_reference(wd, m, bound_params(model, m), y_from, y_to)
+        got = empirical_constant(model, y_from, y_to, mstar=mstar)
+        assert got.rows == want
+        assert got.c_hat == max(ratio for _, _, _, ratio in want)

@@ -3,6 +3,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from scaled_poisson import (
 from scaled_poisson.stein_lattice import factorial_envelope
 
 from oracles import (
+    mp_d_low,
     mp_stein_solution,
     stein_d_high_reference,
     stein_split_series_reference,
@@ -297,7 +299,9 @@ class TestArrayFormsAgainstScalarReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verify_f_properties(ctx, table, grid)
-        assert report == verify_f_properties_reference(ctx, table, grid)
+        # the report leaves out the checks that examined no point
+        reference = verify_f_properties_reference(ctx, table, grid)
+        assert report.checks == tuple(c for c in reference.checks if c.points)
         assert report.all_passed
 
     @pytest.mark.parametrize("case", ["stein_check", "small", "unit_lattice", "y40"])
@@ -325,8 +329,49 @@ class TestArrayFormsAgainstScalarReference:
             ref = -(1.0 - p_ge) * stein_d_high_reference(j, lam, rel_tol) / lam_m
             assert table.values[m * j] == pytest.approx(ref, rel=1e-14, abs=0.0), j
 
+    @pytest.mark.parametrize("case", ["unit_lattice", "lattice_only"])
+    def test_check_over_no_point_is_left_out(self, case):
+        # m = 1 has no off-lattice shift and a lattice-only table no
+        # off-lattice point, so g_l_envelope examines nothing there
+        ctx, w_max, off, grid = REFERENCE_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
+        report = verify_f_properties(ctx, table, grid)
+        names = [c.name for c in report.checks]
+        assert names == [
+            "tail_monotone",
+            "tail_jump_positive_c_over_w",
+            "g_m_envelope",
+            "g_l_lattice_increments",
+        ]
+        assert all(c.points > 0 for c in report.checks)
+        with pytest.raises(KeyError):
+            report["g_l_envelope"]
+        ref = {c.name: c for c in verify_f_properties_reference(ctx, table, grid).checks}
+        assert ref["g_l_envelope"].points == 0
+
     def test_off_lattice_grid_on_lattice_only_table_rejected(self):
         ctx, w_max, _, _ = REFERENCE_CASES["lattice_only"]
         table = solve_stein(ctx, w_max)
         with pytest.raises(ValidationError):
             verify_f_properties(ctx, table, range(31, 31 * 90 + 1))
+
+
+class TestLatticeRecurrence:
+    """f_h(m*j) = -(P/(lam*m)) D_low(j) for j <= y, D_low from its O(y) recurrence."""
+
+    @pytest.mark.parametrize(
+        "lam, m, n, y",
+        [(Fraction(1600, 31), 31, 4, 60), (Fraction(2000), 1, 1, 3000)],
+    )
+    def test_against_mpmath(self, lam, m, n, y):
+        ctx = SteinContext(lam=lam, lattice_step=m, scale_num=n, threshold_y=y)
+        table = solve_stein(ctx, m * (y + 10))
+        p_ge = table.tail_at_threshold
+        lam_m = mp.mpf(lam.numerator) / lam.denominator * m
+        worst = 0.0
+        for j, d in enumerate(mp_d_low(lam, y), start=1):
+            truth = -p_ge * d / lam_m
+            worst = max(worst, float(abs((table.values[m * j] - truth) / truth)))
+            assert table.truncation_terms[m * j] == j
+        assert worst <= 4e-15
+        assert table.residual_max <= 1e-9

@@ -21,7 +21,7 @@ from scaled_poisson import (
 
 from scaled_poisson.weighted_sum import _stride_convolve
 
-from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums
+from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums, panjer_tail
 
 WIDE_MODEL = WeightedPoissonSum((1, 100, 10000), (Fraction(5), Fraction(3), Fraction(1)))
 
@@ -149,6 +149,29 @@ class TestExactDistribution:
             dist = exact_distribution(bench_model, eps)
             assert 0.0 <= dist.mass_deficit <= eps
             assert dist.total_mass() == pytest.approx(1.0, abs=2 * eps + 1e-13)
+
+    @pytest.mark.parametrize(
+        "weights, rates",
+        [((1, 10), (100, 30)), ((1, 2, 5), (Fraction(1, 2), Fraction(1), Fraction(3, 2)))],
+    )
+    def test_bracket_holds_panjer_truth_at_truncation_edge(self, weights, rates):
+        model = WeightedPoissonSum(weights, tuple(Fraction(v) for v in rates))
+        dist = exact_distribution(model, 1e-12)
+        top = dist.support_max
+        queries = [(top - 1, True), (top, True), (top, False)]
+        if weights == (1, 10):
+            queries.append((1250, True))  # truth 4.2e-32; the table holds 5.0e-45
+        for y, strict in queries:
+            lo, hi = dist.tail(y, strict=strict)
+            truth = panjer_tail(weights, rates, y, strict)
+            assert lo <= truth <= hi, (y, strict, lo, truth, hi)
+
+    def test_deficit_is_the_dropped_class_mass(self, bench_model):
+        # class tails P(A_100 > 220) and P(A_30 > 105), summed and rounded up
+        dist = exact_distribution(bench_model, 1e-12)
+        dropped = math.fsum([poisson_tail(100, 221), poisson_tail(30, 106)])
+        assert dist.mass_deficit == math.nextafter(dropped, math.inf)
+        assert 1.3e-25 < dist.mass_deficit < 1.5e-25
 
     def test_epsilon_validation(self, small_model):
         with pytest.raises(ValidationError):
