@@ -152,7 +152,7 @@ def _cap_upper_tail(pmf: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     suffix = _suffix_sums(pmf)
     keep = np.nonzero(suffix > budget)[0]
     hi = int(keep[-1]) if keep.size else 0
-    dropped = float(suffix[hi + 1]) if hi + 1 < pmf.size else 0.0
+    dropped = float(suffix[hi + 1])
     return pmf[: hi + 1], dropped
 
 

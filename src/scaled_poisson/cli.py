@@ -1,5 +1,8 @@
 """Command-line harness: every experiment as a CSV emitter.
 
+Each subcommand is one handler ``args -> (header, rows)``, bound to its
+parser with ``set_defaults(run=...)``; ``main`` writes what it returns.
+
 All numeric fields are decimal with 17 significant digits, which round-trips
 float64 exactly.  Exit codes: 0 success, 2 validation error, 3 numerical
 range failure.
@@ -11,11 +14,17 @@ import argparse
 import csv
 import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 
 from .bernoulli_lattice import build_scheme, default_trials, w_distribution
-from .coupling import h_decomposition, size_bias_check_exact, size_bias_sample
+from .coupling import (
+    _table_w_needed,
+    h_decomposition,
+    size_bias_check_exact,
+    size_bias_sample,
+)
 from .errors import NumericalRangeError, ValidationError
 from .experiments import (
     ExperimentRow,
@@ -39,6 +48,8 @@ _DEFAULT_RATES = "100,30"
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):
@@ -48,42 +59,173 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
+def _parse(text, what: str, convert=Fraction):
+    """convert(text), with a malformed number raised as ValidationError, so
+    the CLI exits 2 with an error line rather than a traceback."""
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return convert(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"cannot parse rational list {text!r}: {e}") from e
+        raise ValidationError(f"cannot parse {what} {text!r}: {e}") from e
 
 
-def _model_from_args(args):
-    model, scale_b = normalize_weights(
-        _parse_fractions(args.weights), _parse_fractions(args.rates)
-    )
-    return model, scale_b
+def _fractions(text: str) -> list[Fraction]:
+    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _emit(rows: list[dict], header: list[str], out_path: str | None) -> None:
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _on_model(handler):
+    """handler(args, model, scale_B) as a command handler of args alone; the
+    model of --weights and --rates is parsed here for every command."""
+
+    @functools.wraps(handler)
+    def run(args):
+        model, scale_b = normalize_weights(
+            _parse(args.weights, "rational list", _fractions),
+            _parse(args.rates, "rational list", _fractions),
+        )
+        return handler(args, model, scale_b)
+
+    return run
+
+
+def _emit(header, rows, out_path: str | None) -> None:
     handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[h]) for h in header])
+        writer.writerows([_fmt(x) for x in row] for row in rows)
     finally:
         if out_path:
             handle.close()
 
 
-def _experiment_rows(rows: list[ExperimentRow]) -> list[dict]:
-    return [
-        {name: getattr(r, name) for name in ExperimentRow.csv_fields} for r in rows
-    ]
+_experiment_values = operator.attrgetter(*ExperimentRow.csv_fields)
+
+
+@_on_model
+def _moments(args, model, scale_b):
+    m = moments(model, scale_B=scale_b)
+    header = ("mu", "sigma_sq", "k_num", "k_den", "lambda", "scale_B")
+    return header, [(m.mu, m.sigma_sq, m.k_num, m.k_den, m.lam, m.scale_B)]
+
+
+@_on_model
+def _exact_tail(args, model, _):
+    y = _parse(args.y, "--y")
+    lo, hi = exact_tail(model, y, strict=args.strict, epsilon=args.eps)
+    return ("y", "tail_lo", "tail_hi", "strict"), [(args.y, lo, hi, args.strict)]
+
+
+@_on_model
+def _approx_tail(args, model, _):
+    y = _parse(args.y, "--y")
+    val = scaled_poisson_tail(moments(model), y, mode=args.mode, strict=args.strict)
+    return ("y", "mode", "strict", "value"), [(args.y, args.mode, args.strict, val)]
+
+
+@_on_model
+def _sweep_relerr(args, model, _):
+    rows = relative_error_sweep(
+        model, args.y_from, args.y_to, epsilon=args.eps, strict=not args.non_strict
+    )
+    return ExperimentRow.csv_fields, map(_experiment_values, rows)
+
+
+@_on_model
+def _sweep_scaling(args, model, _):
+    n_values = _parse(args.n_values, "integer list", _ints)
+    result = scaling_sweep(model, args.y, n_values, epsilon=args.eps)
+    for n_scale, reason in result.excluded:
+        print(f"note: N={n_scale} excluded: {reason}", file=sys.stderr)
+    return ExperimentRow.csv_fields, map(_experiment_values, result.rows)
+
+
+@_on_model
+def _compare_normal(args, model, _):
+    result = compare_normal(model, args.y_from, args.y_to, epsilon=args.eps)
+    print(
+        f"note: poisson beats normal on {result.poisson_better}/{result.total} rows",
+        file=sys.stderr,
+    )
+    return ExperimentRow.csv_fields, map(_experiment_values, result.rows)
+
+
+def _stein_check(args):
+    ctx = SteinContext(
+        lam=_parse(args.lambda_den, "--lambda-den", lambda den: Fraction(args.lambda_num, den)),
+        lattice_step=args.m,
+        scale_num=args.n,
+        threshold_y=args.y,
+        series_tol=args.tol,
+    )
+    table = solve_stein(ctx, args.wmax, include_off_lattice=True)
+    report = verify_f_properties(ctx, table)
+    rows = []
+    for c in report.checks:
+        observed = math.nan if c.observed_constant is None else c.observed_constant
+        rows.append((c.name, c.passed, c.worst_margin, observed, c.points))
+    passed = table.residual_max <= 10.0 * ctx.series_tol
+    points = table.w_max // ctx.lattice_step
+    rows.append(("stein_equation_residual", passed, table.residual_max, math.nan, points))
+    return ("property", "passed", "worst_margin", "observed_constant", "points"), rows
+
+
+@_on_model
+def _coupling_check(args, model, _):
+    m = moments(model)
+    trials = default_trials(model, args.mstar)
+    scheme = build_scheme(model, trials)
+    ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=args.y)
+    support = w_distribution(scheme, epsilon=1e-250).support_max
+    w_max = max(_table_w_needed(m, support, scheme.replication), m.k_den * (args.y + 10)) + m.k_den
+    table = solve_stein(ctx, w_max, include_off_lattice=True)
+    hd = h_decomposition(scheme, m, ctx, table)
+    rows = [("trials_per_class", trials)]
+    rows += [(f"H_{i}", h) for i, h in enumerate(hd.H)]
+    rows += [("tail_diff", hd.tail_diff), ("closure_error", hd.closure_error)]
+    if args.exhaustive:
+        lhs, rhs = size_bias_check_exact(scheme, lambda x: min(x, 10.0), m)
+        rows += [("sizebias_lhs", lhs), ("sizebias_rhs", rhs)]
+    else:
+        threshold = m.k_den * args.y
+        res = size_bias_sample(scheme, lambda x: (x >= threshold) * 1.0, args.samples, args.seed)
+        rows += [("sizebias_lhs", res.lhs), ("sizebias_rhs", res.rhs)]
+        rows += [("sizebias_stderr_lhs", res.stderr_lhs), ("sizebias_stderr_rhs", res.stderr_rhs)]
+    return ("field", "value"), rows
+
+
+@_on_model
+def _bound(args, model, _):
+    m = moments(model)
+    params = bound_params(model, m)
+    bracket = moderate_deviation_bound(params, args.y)
+    deltas, ks = (";".join(map(str, v)) for v in (params.deltas, params.K))
+    header = ("y", "lambda", "bracket", "r_star", "correction_sum", "deltas", "K")
+    return header, [(args.y, m.lam, bracket, params.r_star, params.correction_sum, deltas, ks)]
+
+
+@_on_model
+def _empirical_constant(args, model, _):
+    result = empirical_constant(model, args.y_from, args.y_to, mstar=args.mstar)
+    print(f"note: C_hat = {result.c_hat:.17g}", file=sys.stderr)
+    return ("y", "deviation", "bracket", "ratio"), result.rows
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", default=_DEFAULT_WEIGHTS, help="comma list, rationals allowed")
     p.add_argument("--rates", default=_DEFAULT_RATES, help="comma list, rationals allowed")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+
+
+def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """A subcommand on the model options, run by the handler run."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    _add_model_args(p)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,41 +235,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="exact mu, sigma^2, k, lambda")
-    _add_model_args(p)
+    _add_command(sub, "moments", _moments, "exact mu, sigma^2, k, lambda")
 
-    p = sub.add_parser("exact-tail", help="bracketed exact tail of S")
-    _add_model_args(p)
+    p = _add_command(sub, "exact-tail", _exact_tail, "bracketed exact tail of S")
     p.add_argument("--y", required=True)
     p.add_argument("--strict", action="store_true", help="P(S > y) instead of P(S >= y)")
     p.add_argument("--eps", type=float, default=1e-12)
 
-    p = sub.add_parser("approx-tail", help="scaled Poisson tail at y")
-    _add_model_args(p)
+    p = _add_command(sub, "approx-tail", _approx_tail, "scaled Poisson tail at y")
     p.add_argument("--y", required=True)
     p.add_argument("--mode", choices=("discrete", "continuous"), default="discrete")
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("sweep-relerr", help="relative error over a y range")
-    _add_model_args(p)
+    p = _add_command(sub, "sweep-relerr", _sweep_relerr, "relative error over a y range")
     p.add_argument("--y-from", type=int, required=True)
     p.add_argument("--y-to", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--non-strict", action="store_true", help="use P(S >= y) tails")
 
-    p = sub.add_parser("sweep-scaling", help="relative error vs rate scale N at fixed y")
-    _add_model_args(p)
+    p = _add_command(sub, "sweep-scaling", _sweep_scaling, "relative error vs rate scale N at fixed y")
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--n-values", default="1,2,3,4,5,6,7")
     p.add_argument("--eps", type=float, default=1e-12)
 
-    p = sub.add_parser("compare-normal", help="absolute error against the normal baseline")
-    _add_model_args(p)
+    p = _add_command(sub, "compare-normal", _compare_normal, "absolute error against the normal baseline")
     p.add_argument("--y-from", type=int, required=True)
     p.add_argument("--y-to", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-12)
 
     p = sub.add_parser("stein-check", help="solution-property report for one lattice context")
+    p.set_defaults(run=_stein_check)
     p.add_argument("--lambda-num", type=int, required=True)
     p.add_argument("--lambda-den", type=int, default=1)
     p.add_argument("--m", type=int, required=True)
@@ -137,179 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("coupling-check", help="size-bias identity and H-closure")
-    _add_model_args(p)
+    p = _add_command(sub, "coupling-check", _coupling_check, "size-bias identity and H-closure")
     p.add_argument("--mstar", type=int, default=100, help="trials factor: M* = mstar * ceil(max rate)")
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=7)
 
-    p = sub.add_parser("bound", help="moderate-deviation bracket and its parameters")
-    _add_model_args(p)
+    p = _add_command(sub, "bound", _bound, "moderate-deviation bracket and its parameters")
     p.add_argument("--y", type=int, required=True)
 
-    p = sub.add_parser("empirical-constant", help="observed constant over a y grid")
-    _add_model_args(p)
+    p = _add_command(sub, "empirical-constant", _empirical_constant, "observed constant over a y grid")
     p.add_argument("--y-from", type=int, required=True)
     p.add_argument("--y-to", type=int, required=True)
     p.add_argument("--mstar", type=int, default=100)
 
     return ap
-
-
-def _run(args) -> None:
-    cmd = args.command
-    if cmd == "moments":
-        model, scale_b = _model_from_args(args)
-        m = moments(model, scale_B=scale_b)
-        _emit(
-            [
-                {
-                    "mu": m.mu,
-                    "sigma_sq": m.sigma_sq,
-                    "k_num": m.k_num,
-                    "k_den": m.k_den,
-                    "lambda": m.lam,
-                    "scale_B": m.scale_B,
-                }
-            ],
-            ["mu", "sigma_sq", "k_num", "k_den", "lambda", "scale_B"],
-            args.out,
-        )
-    elif cmd == "exact-tail":
-        model, _ = _model_from_args(args)
-        lo, hi = exact_tail(model, Fraction(args.y), strict=args.strict, epsilon=args.eps)
-        _emit(
-            [{"y": args.y, "tail_lo": lo, "tail_hi": hi, "strict": args.strict}],
-            ["y", "tail_lo", "tail_hi", "strict"],
-            args.out,
-        )
-    elif cmd == "approx-tail":
-        model, _ = _model_from_args(args)
-        m = moments(model)
-        val = scaled_poisson_tail(m, Fraction(args.y), mode=args.mode, strict=args.strict)
-        _emit(
-            [{"y": args.y, "mode": args.mode, "strict": args.strict, "value": val}],
-            ["y", "mode", "strict", "value"],
-            args.out,
-        )
-    elif cmd == "sweep-relerr":
-        model, _ = _model_from_args(args)
-        rows = relative_error_sweep(
-            model, args.y_from, args.y_to, epsilon=args.eps, strict=not args.non_strict
-        )
-        _emit(_experiment_rows(rows), list(ExperimentRow.csv_fields), args.out)
-    elif cmd == "sweep-scaling":
-        model, _ = _model_from_args(args)
-        n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
-        result = scaling_sweep(model, args.y, n_values, epsilon=args.eps)
-        for n_scale, reason in result.excluded:
-            print(f"note: N={n_scale} excluded: {reason}", file=sys.stderr)
-        _emit(_experiment_rows(result.rows), list(ExperimentRow.csv_fields), args.out)
-    elif cmd == "compare-normal":
-        model, _ = _model_from_args(args)
-        result = compare_normal(model, args.y_from, args.y_to, epsilon=args.eps)
-        print(
-            f"note: poisson beats normal on {result.poisson_better}/{result.total} rows",
-            file=sys.stderr,
-        )
-        _emit(_experiment_rows(result.rows), list(ExperimentRow.csv_fields), args.out)
-    elif cmd == "stein-check":
-        ctx = SteinContext(
-            lam=Fraction(args.lambda_num, args.lambda_den),
-            lattice_step=args.m,
-            scale_num=args.n,
-            threshold_y=args.y,
-            series_tol=args.tol,
-        )
-        table = solve_stein(ctx, args.wmax, include_off_lattice=True)
-        report = verify_f_properties(ctx, table)
-        rows = [
-            {
-                "property": c.name,
-                "passed": c.passed,
-                "worst_margin": c.worst_margin,
-                "observed_constant": (
-                    math.nan if c.observed_constant is None else c.observed_constant
-                ),
-                "points": c.points,
-            }
-            for c in report.checks
-        ]
-        rows.append(
-            {
-                "property": "stein_equation_residual",
-                "passed": table.residual_max <= 10.0 * ctx.series_tol,
-                "worst_margin": table.residual_max,
-                "observed_constant": math.nan,
-                "points": table.w_max // ctx.lattice_step,
-            }
-        )
-        header = ["property", "passed", "worst_margin", "observed_constant", "points"]
-        _emit(rows, header, args.out)
-    elif cmd == "coupling-check":
-        model, _ = _model_from_args(args)
-        m = moments(model)
-        trials = default_trials(model, args.mstar)
-        scheme = build_scheme(model, trials)
-        rows = [{"field": "trials_per_class", "value": trials}]
-        ctx = SteinContext(
-            lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=args.y
-        )
-        wd = w_distribution(scheme, epsilon=1e-250)
-        need = m.k_num * wd.support_max + max(m.k_den, m.k_num * max(model.weights))
-        w_max = max(need, m.k_den * (args.y + 10)) + m.k_den
-        table = solve_stein(ctx, w_max, include_off_lattice=True)
-        hd = h_decomposition(scheme, m, ctx, table)
-        for i, h in enumerate(hd.H):
-            rows.append({"field": f"H_{i}", "value": h})
-        rows.append({"field": "tail_diff", "value": hd.tail_diff})
-        rows.append({"field": "closure_error", "value": hd.closure_error})
-        if args.exhaustive:
-            lhs, rhs = size_bias_check_exact(scheme, lambda x: min(x, 10.0), m)
-            rows.append({"field": "sizebias_lhs", "value": lhs})
-            rows.append({"field": "sizebias_rhs", "value": rhs})
-        else:
-            threshold = m.k_den * args.y
-            res = size_bias_sample(
-                scheme, lambda x: (x >= threshold) * 1.0, args.samples, args.seed
-            )
-            rows.append({"field": "sizebias_lhs", "value": res.lhs})
-            rows.append({"field": "sizebias_rhs", "value": res.rhs})
-            rows.append({"field": "sizebias_stderr_lhs", "value": res.stderr_lhs})
-            rows.append({"field": "sizebias_stderr_rhs", "value": res.stderr_rhs})
-        _emit(rows, ["field", "value"], args.out)
-    elif cmd == "bound":
-        model, _ = _model_from_args(args)
-        m = moments(model)
-        params = bound_params(model, m)
-        _emit(
-            [
-                {
-                    "y": args.y,
-                    "lambda": m.lam,
-                    "bracket": moderate_deviation_bound(params, args.y),
-                    "r_star": params.r_star,
-                    "correction_sum": params.correction_sum,
-                    "deltas": ";".join(str(d) for d in params.deltas),
-                    "K": ";".join(str(k) for k in params.K),
-                }
-            ],
-            ["y", "lambda", "bracket", "r_star", "correction_sum", "deltas", "K"],
-            args.out,
-        )
-    elif cmd == "empirical-constant":
-        model, _ = _model_from_args(args)
-        result = empirical_constant(model, args.y_from, args.y_to, mstar=args.mstar)
-        rows = [
-            {"y": y, "deviation": dev, "bracket": br, "ratio": ratio}
-            for y, dev, br, ratio in result.rows
-        ]
-        print(f"note: C_hat = {result.c_hat:.17g}", file=sys.stderr)
-        _emit(rows, ["y", "deviation", "bracket", "ratio"], args.out)
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown command {cmd!r}")
 
 
 @functools.cache
@@ -324,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _run(args)
+        _emit(*args.run(args), args.out)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

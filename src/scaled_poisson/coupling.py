@@ -39,7 +39,7 @@ from .bernoulli_lattice import (
 from .errors import ValidationError
 from .poisson_core import _poisson_pmf_vector, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
-from .weighted_sum import SumMoments, _convolve_classes, _suffix_sums, _threshold
+from .weighted_sum import SumMoments, _convolve_classes, _suffix_at, _suffix_sums, _threshold
 
 __all__ = [
     "DeltaDistribution",
@@ -329,6 +329,12 @@ class HDecomposition:
     closure_error: float
 
 
+def _table_w_needed(m: SumMoments, support: int, replication) -> int:
+    """The largest w at which h_decomposition reads the Stein table: f at
+    n*W + m and n*W + n*b_r, for W up to the W law's support."""
+    return m.k_num * support + max(m.k_den, m.k_num * max(replication))
+
+
 def h_decomposition(
     scheme: BernoulliScheme,
     m: SumMoments,
@@ -347,7 +353,7 @@ def h_decomposition(
         raise ValidationError("Stein context does not match the model's moments")
     w_law, loo = _leave_one_out_laws(scheme, cap)
     support = w_law.size - 1
-    needed = n * support + max(mm, n * max(scheme.replication))
+    needed = _table_w_needed(m, support, scheme.replication)
     if table.w_max < needed:
         raise ValidationError(
             f"solution table covers w <= {table.w_max}, need {needed}; rebuild with larger w_max"
@@ -382,7 +388,7 @@ def h_decomposition(
         h_values.append(lam_m * float(np.dot(f_shift_m - f_shift_b, joint * lr)))
 
     threshold = _threshold(Fraction(ctx.threshold_point, n))  # nW >= my
-    w_tail = float(_suffix_sums(w_law)[threshold]) if threshold <= support else 0.0
+    w_tail = float(_suffix_at(_suffix_sums(w_law), threshold))
     tail_diff = w_tail - poisson_tail(float(m.lam), ctx.threshold_y)
     closure = abs(fsum(h_values) - tail_diff)
     return HDecomposition(H=tuple(h_values), tail_diff=tail_diff, closure_error=closure)

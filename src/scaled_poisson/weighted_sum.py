@@ -165,23 +165,27 @@ def _threshold_ratio(num, den: int, strict: bool = False):
 
 
 def _suffix_at(suffix: np.ndarray, thresholds) -> np.ndarray:
-    """suffix[t] at each integer threshold t (an int or an integer array).
+    """suffix[t] at each integer threshold t (an int or an integer array),
+    clamped to the table: at or below 0 reads the total, at or past the last
+    entry reads its empty sum 0.0.
 
-    A threshold at or below 0 reads the total; one past the table reads 0.0.
+    The clamp runs on Python ints, so a threshold beyond int64 reads 0.0 too.
     """
-    t = np.clip(thresholds, 0, suffix.size).astype(np.int64)
-    return np.where(t < suffix.size, suffix[np.minimum(t, suffix.size - 1)], 0.0)
+    t = np.minimum(np.maximum(thresholds, 0, dtype=object), suffix.size - 1, dtype=object)
+    return suffix[np.asarray(t, dtype=np.int64)]
 
 
 def _suffix_sums(probs: np.ndarray) -> np.ndarray:
-    """suffix[t] = sum(probs[t:]) for every t, each within one ulp of exact.
+    """suffix[t] = sum(probs[t:]) for every t in [0, len(probs)], each within
+    one ulp of exact; the last entry is the empty sum 0.0.
 
     A running sum from the top index down (cumsum adds strictly in order), the
     exact rounding error of every step by TwoSum, and the running sum of
     those errors added back.  At most three support-sized arrays are live.
     """
     x = probs[::-1]
-    s = np.cumsum(x)
+    out = np.zeros(x.size + 1)
+    s = np.cumsum(x, out=out[1:])
     if s.size > 1:
         prev, cur = s[:-1], s[1:]
         virt = np.subtract(cur, prev)
@@ -192,7 +196,7 @@ def _suffix_sums(probs: np.ndarray) -> np.ndarray:
         del virt
         np.cumsum(err, out=err)
         cur += err
-    return s[::-1]
+    return out[::-1]
 
 
 # eq=False: a generated == or hash() would raise on the array fields, so
@@ -204,7 +208,8 @@ class LatticeDistribution:
     Entries never exceed the true pmf by more than float rounding; the missing
     mass is at most ``mass_deficit``, so any tail query can be bracketed as
     [p, p + mass_deficit].  ``suffix`` holds the compensated tail sums of
-    ``probs``, built once, so every tail query is a lookup.
+    ``probs`` (one more entry, the empty sum 0.0), built once, so every tail
+    query is a lookup.
     """
 
     probs: np.ndarray

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -261,6 +264,22 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact-tail", "--y", "abc"],
+            ["approx-tail", "--y", "1/0"],
+            ["sweep-scaling", "--y", "400", "--n-values", "1,x"],
+            ["stein-check", "--lambda-num", "1600", "--lambda-den", "0", "--m", "31",
+             "--n", "4", "--y", "60", "--wmax", "5000"],
+        ],
+    )
+    def test_malformed_number_is_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse ")
+
     def test_bound_below_lambda_is_2(self):
         code, _, _ = run_cli(["bound", "--y", "40"])
         assert code == 2
@@ -282,3 +301,32 @@ class TestExitCodes:
 
         m = sp.moments(sp.WeightedPoissonSum((1, 10), (Fraction(100), Fraction(30))))
         assert float(text) == sp.scaled_poisson_tail(m, 450, mode="continuous")
+
+
+class TestProcess:
+    """The installed entry point runs main under sys.exit; check it as a process."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["moments"], 0),
+            (["bound", "--y", "40"], 2),
+            (["approx-tail", "--y", "1/0"], 2),
+        ],
+    )
+    def test_exit_code_without_traceback(self, argv, code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scaled_poisson.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("error: ")
+        else:
+            assert proc.stdout.startswith("mu,sigma_sq,k_num,k_den,lambda,scale_B")

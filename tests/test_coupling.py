@@ -21,6 +21,8 @@ from scaled_poisson import (
     w_distribution,
 )
 
+from scaled_poisson.coupling import _table_w_needed
+
 from oracles import enumerate_delta_joint, enumerate_size_bias_rhs, enumerate_w_law_reference
 
 # exhaustive test matrix: (weights, rates, trials), R * trials <= 16
@@ -44,8 +46,8 @@ def _stein_setup(model, m, y, mstar_factor, w_cap=1e-250):
     scheme = build_scheme(model, default_trials(model, mstar_factor))
     ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=y)
     wd = w_distribution(scheme, epsilon=w_cap)
-    need = m.k_num * wd.support_max + max(m.k_den, m.k_num * max(model.weights))
-    w_max = max(need, m.k_den * (y + 10)) + m.k_den
+    w_max = max(_table_w_needed(m, wd.support_max, scheme.replication), m.k_den * (y + 10))
+    w_max += m.k_den
     table = solve_stein(ctx, w_max, include_off_lattice=True)
     return scheme, ctx, table
 
@@ -382,6 +384,20 @@ class TestHDecomposition:
         scheme = build_scheme(small_model, 50)
         ctx = SteinContext(lam=small_moments.lam, lattice_step=5, scale_num=3, threshold_y=5)
         short = solve_stein(ctx, 5 * 15, include_off_lattice=True)
+        with pytest.raises(ValidationError, match="rebuild"):
+            h_decomposition(scheme, small_moments, ctx, short)
+
+    def test_table_ending_at_the_sizing_rule(self, small_model, small_moments):
+        # f is read at n*W + m and n*W + n*b_r up to the top of W's support
+        # (24 with 8 trials of weights 1, 2): a table ending exactly there
+        # is enough, one point shorter is refused
+        scheme = build_scheme(small_model, 8)
+        ctx = SteinContext(lam=small_moments.lam, lattice_step=5, scale_num=3, threshold_y=5)
+        need = _table_w_needed(small_moments, 24, scheme.replication)
+        assert need == 3 * 24 + max(5, 3 * 2)
+        table = solve_stein(ctx, need, include_off_lattice=True)
+        assert h_decomposition(scheme, small_moments, ctx, table).closure_error <= 1e-8
+        short = solve_stein(ctx, need - 1, include_off_lattice=True)
         with pytest.raises(ValidationError, match="rebuild"):
             h_decomposition(scheme, small_moments, ctx, short)
 

@@ -254,6 +254,15 @@ class TestSuffixSums:
 
 
 class TestExactTail:
+    def test_thresholds_past_int64_read_the_table_ends(self, small_model):
+        # the clamp runs on Python ints: a y far past the support is a 0.0
+        # tail, one far below it the total, not an overflow
+        dist = exact_distribution(small_model, 1e-12)
+        assert dist.tail(10**30) == (0.0, dist.mass_deficit)
+        assert dist.tail(Fraction(-(10**30)), strict=False)[0] == dist.total_mass()
+        assert dist.tail(dist.support_max) == (0.0, dist.mass_deficit)
+        assert exact_tail(small_model, Fraction(10**40, 3)) == (0.0, dist.mass_deficit)
+
     def test_nonstrict_at_zero_is_one(self, small_model):
         lo, hi = exact_tail(small_model, 0, strict=False)
         assert hi >= 1.0 - 1e-12 and lo <= 1.0
