@@ -36,6 +36,14 @@ class TestMoments:
         assert (row["k_num"], row["k_den"]) == ("4", "31")
         assert float(row["lambda"]) == pytest.approx(1600 / 31, rel=1e-16)
 
+    def test_csv_text(self):
+        # exact rationals print as floats with 17 significant digits
+        _, out, _ = run_cli(["moments"])
+        assert out == (
+            "mu,sigma_sq,k_num,k_den,lambda,scale_B\r\n"
+            "400,3100,4,31,51.612903225806448,1\r\n"
+        )
+
     def test_rational_weights(self):
         code, out, _ = run_cli(["moments", "--weights", "1/2,3/2", "--rates", "1,1"])
         assert code == 0
@@ -296,6 +304,7 @@ class TestExitCodes:
         _, out, _ = run_cli(["approx-tail", "--y", "450", "--mode", "continuous"])
         header, rows = parse_csv(out)
         text = dict(zip(header, rows[0]))["value"]
+        assert text == format(float(text), ".17g")
         import scaled_poisson as sp
         from fractions import Fraction
 
