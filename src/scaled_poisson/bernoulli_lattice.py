@@ -112,15 +112,14 @@ def second_order_sum(scheme: BernoulliScheme) -> Fraction:
     )
 
 
-def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
-    """pmf(0..trials) of Binomial(trials, p), normalized to unit mass.
+def _binomial_shape(trials: int, p: Fraction) -> np.ndarray:
+    """pmf(0..trials) of Binomial(trials, p) up to one common factor.
 
     Anchored at the mode floor((trials+1) p) in log space (lgamma) and built
     outward both ways by cumulative ratio products, after Loader (2000), "Fast
     and Accurate Computation of Binomial Probabilities".  The mode's pmf is at
     least ~1/(trials+1), so no rate underflows the anchor; the relative shape
-    error stays at ~trials * eps, and the uniform normalization removes the
-    anchor's error.
+    error stays at ~trials * eps.  Far tails underflow to exact zeros.
     """
     if p == 1:
         out = np.zeros(trials + 1)
@@ -142,7 +141,19 @@ def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
     out[mode + 1 :] = np.cumprod((trials - up + 1.0) / up * odds) * out[mode]
     down = np.arange(mode, 0.0, -1.0)
     out[:mode] = np.cumprod(down / (trials - down + 1.0) / odds)[::-1] * out[mode]
-    return out / fsum(out.tolist())
+    return out
+
+
+def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
+    """pmf(0..trials) of Binomial(trials, p), normalized to unit mass.
+
+    The uniform normalization removes the anchor's error.  Zeros add nothing
+    to an fsum, so only the window from the first to the last nonzero entry
+    is summed.
+    """
+    out = _binomial_shape(trials, p)
+    nonzero = np.flatnonzero(out)
+    return out / fsum(out[nonzero[0] : nonzero[-1] + 1].tolist())
 
 
 def _cap_upper_tail(pmf: np.ndarray, budget: float) -> tuple[np.ndarray, float]:

@@ -23,6 +23,7 @@ deterministic function of (seed, samples).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,12 +35,18 @@ from .bernoulli_lattice import (
     BernoulliScheme,
     _capped_class_pmfs,
     scheme_moments,
-    w_distribution,
 )
 from .errors import ValidationError
 from .poisson_core import _poisson_pmf_vector, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
-from .weighted_sum import SumMoments, _convolve_classes, _suffix_at, _suffix_sums, _threshold
+from .weighted_sum import (
+    SumMoments,
+    _convolve_classes,
+    _stride_convolve,
+    _suffix_at,
+    _suffix_sums,
+    _threshold,
+)
 
 __all__ = [
     "DeltaDistribution",
@@ -201,24 +208,95 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
     return np.asarray([float(f(v)) for v in arr.tolist()], dtype=float)
 
 
-def _class_tables(scheme: BernoulliScheme, cap: float):
-    """Per-class (pmf, b_r) of Binomial(M*, p_r) and of Binomial(M* - 1, p_r).
-
-    Each table's upper tail is capped within cap / R.
-    """
-    budget = cap / scheme.class_count
-    full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
-    reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
-    return full, reduced
-
-
-def _table_draw(g: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
+def _table_draw(
+    g: np.random.Generator, pmf: np.ndarray, size: int, shuffle: bool = True
+) -> np.ndarray:
     """size i.i.d. draws of an index from the table pmf, exactly.
 
-    Multinomial counts per index, laid out in a uniformly random order; any
-    mass the table dropped off its top lands on its last entry.
+    Multinomial counts per index, laid out in a uniformly random order, or in
+    sorted order when shuffle is False; any mass the table dropped off its
+    top lands on its last entry.
     """
-    return g.permutation(np.repeat(np.arange(pmf.size), g.multinomial(size, pmf)))
+    draws = np.repeat(np.arange(pmf.size), g.multinomial(size, pmf))
+    if shuffle:
+        g.shuffle(draws)
+    return draws
+
+
+def _prefix_laws(classes):
+    """[(law, g)] of classes[:r] for r = 0..len(classes) - 1, each with the
+    gcd g of its weights (0 for the empty prefix)."""
+    laws = [(np.array([1.0]), 0)]
+    for pmf, b in classes[:-1]:
+        law, g = laws[-1]
+        laws.append((_stride_convolve(law, pmf, b), math.gcd(g, b)))
+    return laws
+
+
+class _CouplingTables:
+    """The class tables and laws every coupling check of one scheme reads.
+
+    Built once per (scheme, cap) and shared by the checks of one command:
+    per class, the capped tables of Binomial(M*, p_r) (``full``) and of
+    Binomial(M* - 1, p_r) (``reduced``), each upper tail within cap / R; the
+    law of W; and per class r the law of W with one class-r trial removed.
+    ``reduced`` and ``loo`` are built on first use.
+    """
+
+    def __init__(self, scheme: BernoulliScheme, cap: float = 1e-250):
+        if not 0.0 <= cap < 1.0:
+            raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
+        self.scheme = scheme
+        self.budget = cap / scheme.class_count
+        self.full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, self.budget)
+        self.w_law = _convolve_classes(self.full)
+
+    @functools.cached_property
+    def reduced(self) -> list[tuple[np.ndarray, int]]:
+        classes, _ = _capped_class_pmfs(self.scheme, self.scheme.trials_per_class - 1, self.budget)
+        return classes
+
+    @functools.cached_property
+    def loo(self) -> list[np.ndarray]:
+        """Per class r: class r's reduced table, then the law of the classes
+        before r, then that of the classes after r, in O(R) convolutions.
+
+        A partial law whose weights share the gcd g lives on multiples of g,
+        so it is convolved in as the table law[::g] of stride g; a side with
+        one class is then exactly that class's table.
+        """
+        prefix = _prefix_laws(self.full)
+        suffix = _prefix_laws(self.full[::-1])[::-1]
+        out = []
+        for (pmf, b), pre, suf in zip(self.reduced, prefix, suffix):
+            acc = _stride_convolve(np.array([1.0]), pmf, b)
+            for law, g in (pre, suf):
+                if g:
+                    acc = _stride_convolve(acc, law[::g], g)
+            out.append(acc)
+        return out
+
+
+def _tables(scheme: BernoulliScheme, cap: float) -> _CouplingTables:
+    """The coupling tables of scheme at cap.
+
+    A command running several checks on one scheme builds its
+    _CouplingTables once and passes it in place of the scheme; it is used as
+    it is, with the cap it was built with.
+    """
+    if isinstance(scheme, _CouplingTables):
+        return scheme
+    return _CouplingTables(scheme, cap)
+
+
+def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
+    """(sum, sum of squares) over the samples tallied in counts, where counts[v]
+    samples take the value v and values(support) maps distinct values to
+    each sample's term."""
+    support = np.flatnonzero(counts)
+    c = counts[support].astype(float)
+    vals = values(support)
+    return float(np.dot(c, vals)), float(np.dot(c, vals**2))
 
 
 def size_bias_sample(
@@ -235,11 +313,20 @@ def size_bias_sample(
     sides are independent.  Deterministic given (seed, samples): the budget
     is split into fixed-size chunks, each drawn from a spawned child
     generator, and merged in index order.
+
+    Per side the first class keeps its draws in sorted order and the others
+    are shuffled against it: both sums see only which values of the classes
+    share a sample.  W^s is drawn per index-class block: in block r, class r
+    from its reduced table plus one and every other class from its full
+    table, each draw of the block's own size.  The samples of each side are
+    tallied by value, and f runs once over the distinct values.
     """
     n_samples = int(samples)
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
-    full, reduced = _class_tables(scheme, 1e-250)
+    tables = _tables(scheme, 1e-250)
+    scheme = tables.scheme
+    full, reduced = tables.full, tables.reduced
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
     mu_q, s2_q = scheme_moments(scheme)
@@ -247,34 +334,30 @@ def size_bias_sample(
     n = k.numerator
     lam_m = float(k * mu_q * k.denominator)
 
+    # largest value either side can take, plus one
+    top = 1 + sum(b * max(pmf.size - 1, loo.size) for (pmf, b), (loo, _) in zip(full, reduced))
+    tally_w = np.zeros(top, dtype=np.int64)
+    tally_s = np.zeros(top, dtype=np.int64)
     root = np.random.default_rng(seed)
     n_chunks = (n_samples + chunk - 1) // chunk
     children = root.spawn(n_chunks)
-    sum_l = sumsq_l = 0.0
-    sum_r = sumsq_r = 0.0
     done = 0
     for g in children:
         size = min(chunk, n_samples - done)
         done += size
         w = np.zeros(size, dtype=np.int64)
-        for pmf, b in full:
-            w += b * _table_draw(g, pmf, size)
-        # W^s with the samples grouped by index class, block r = [lo, hi):
-        # all draws are i.i.d. in random order, so the grouping changes no
-        # sample's law and no sum over samples
-        counts = g.multinomial(size, deltas)
-        ends = np.cumsum(counts)
-        ws = np.zeros(size, dtype=np.int64)
-        for (pmf, b), (loo, _), picked, hi in zip(full, reduced, counts.tolist(), ends.tolist()):
-            lo = hi - picked
-            rest = _table_draw(g, pmf, size - picked)
-            ws += b * np.concatenate((rest[:lo], 1 + _table_draw(g, loo, picked), rest[lo:]))
-        vals_l = lam_m * _apply(f, n * ws)
-        vals_r = (n * w) * _apply(f, n * w)
-        sum_l += float(vals_l.sum())
-        sumsq_l += float((vals_l**2).sum())
-        sum_r += float(vals_r.sum())
-        sumsq_r += float((vals_r**2).sum())
+        for s, (pmf, b) in enumerate(full):
+            w += b * _table_draw(g, pmf, size, shuffle=s > 0)
+        tally_w += np.bincount(w, minlength=top)
+        for r, picked in enumerate(g.multinomial(size, deltas).tolist()):
+            ws = np.zeros(picked, dtype=np.int64)
+            for s, ((pmf, b), (loo, _)) in enumerate(zip(full, reduced)):
+                forced = s == r
+                table = loo if forced else pmf
+                ws += b * (forced + _table_draw(g, table, picked, shuffle=s > 0))
+            tally_s += np.bincount(ws, minlength=top)
+    sum_l, sumsq_l = _count_sums(tally_s, lambda v: lam_m * _apply(f, n * v))
+    sum_r, sumsq_r = _count_sums(tally_w, lambda v: (n * v) * _apply(f, n * v))
     mean_l = sum_l / n_samples
     mean_r = sum_r / n_samples
     var_l = max(0.0, sumsq_l / n_samples - mean_l**2)
@@ -287,17 +370,6 @@ def size_bias_sample(
     )
 
 
-def _leave_one_out_laws(scheme: BernoulliScheme, cap: float):
-    """(law of W, per-class laws of W with one class-r trial removed)."""
-    full, reduced = _class_tables(scheme, cap)
-    w_law = _convolve_classes(full)
-    loo = [
-        _convolve_classes([reduced[r]] + full[:r] + full[r + 1 :])
-        for r in range(scheme.class_count)
-    ]
-    return w_law, loo
-
-
 def conditional_delta_bound(
     scheme: BernoulliScheme, m: SumMoments, w: int, cap: float = 1e-250
 ) -> list[tuple[float, Fraction]]:
@@ -308,7 +380,9 @@ def conditional_delta_bound(
     Each conditional is bounded by delta_r.
     """
     w = int(w)
-    w_law, loo = _leave_one_out_laws(scheme, cap)
+    tables = _tables(scheme, cap)
+    scheme = tables.scheme
+    w_law, loo = tables.w_law, tables.loo
     p_w = float(w_law[w]) if 0 <= w < w_law.size else 0.0
     if p_w <= 0.0:
         raise ValidationError(f"P(W = {w}) is zero; conditional undefined")
@@ -351,8 +425,9 @@ def h_decomposition(
     n, mm = m.k_num, m.k_den
     if ctx.lam != m.lam or ctx.lattice_step != mm or ctx.scale_num != n:
         raise ValidationError("Stein context does not match the model's moments")
-    w_law, loo = _leave_one_out_laws(scheme, cap)
-    support = w_law.size - 1
+    tables = _tables(scheme, cap)
+    scheme = tables.scheme
+    support = tables.w_law.size - 1
     needed = _table_w_needed(m, support, scheme.replication)
     if table.w_max < needed:
         raise ValidationError(
@@ -361,6 +436,7 @@ def h_decomposition(
     if not table.has_off_lattice and mm > 1:
         raise ValidationError("h_decomposition needs a table with off-lattice points")
 
+    w_law, loo = tables.w_law, tables.loo
     lam_m = float(m.lambda_m)
     deltas = _class_deltas(scheme, m)
 
@@ -426,7 +502,7 @@ def g_expectation_ratio(
             return 0.0
         return (table.f(a) - table.f(a + l)) / p_ge
 
-    w_law = w_distribution(scheme, epsilon=cap).probs
+    w_law = _tables(scheme, cap).w_law
     n = m.k_num
     lhs = fsum(
         float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.tolist()) if pw > 0.0

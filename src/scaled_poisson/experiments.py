@@ -273,8 +273,10 @@ def scaling_sweep(
     are invariant; lam scales to N*lam).
 
     Scales with N*lam > y fall outside the bound's range and are excluded,
-    each with a note.
+    each with a note.  An empty n_values is a ValidationError.
     """
+    if not n_values:
+        raise ValidationError("n_values must list at least one scale N")
     base = moments(model)
     rows: list[ExperimentRow] = []
     excluded: list[tuple[int, str]] = []

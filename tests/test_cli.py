@@ -25,6 +25,61 @@ def parse_csv(text):
     return header, list(reader)
 
 
+# CSV text of the exact coupling-check and empirical-constant rows, pinned
+# byte for byte
+_COUPLING_EXACT_ROWS = (
+    "field,value\r\n"
+    "trials_per_class,5000\r\n"
+    "H_0,-0.0023581311069419339\r\n"
+    "H_1,-0.063115342720439352\r\n"
+    "H_2,0.053008121297460131\r\n"
+    "tail_diff,-0.012465352529919399\r\n"
+    "closure_error,1.7555401576885288e-15\r\n"
+)
+_COUPLING_EXHAUSTIVE = (
+    "field,value\r\n"
+    "trials_per_class,6\r\n"
+    "H_0,-0.014330882743751482\r\n"
+    "H_1,-0.014814943752591143\r\n"
+    "H_2,0.0022204010137010419\r\n"
+    "tail_diff,-0.026925425482641568\r\n"
+    "closure_error,1.3877787807814457e-17\r\n"
+    "sizebias_lhs,80.713428983833865\r\n"
+    "sizebias_rhs,80.713428983833865\r\n"
+)
+_EMPIRICAL_CONSTANT = (
+    "y,deviation,bracket,ratio\r\n"
+    "52,0.053110680586331949,256.54951450742851,0.00020701922078591228\r\n"
+    "53,0.062278407801068303,257.54983465107722,0.00024181109603677945\r\n"
+    "54,0.072000982454001994,258.55115240331736,0.00027847867543706286\r\n"
+    "55,0.082208321975283383,259.55414222167593,0.00031672899253933767\r\n"
+    "56,0.073140612622163981,260.55944210245934,0.00028070605322144887\r\n"
+    "57,0.082823376143781102,261.56765616242842,0.00031664226899808055\r\n"
+    "58,0.092811472046341548,262.57935699594418,0.00035346065703015304\r\n"
+    "59,0.10304138100726734,263.59508783061779,0.00039090781947150765\r\n"
+    "60,0.088349989550792096,264.61536450178579,0.00033388079984371372\r\n"
+    "61,0.09767753136976387,265.6406772637838,0.00036770547483873909\r\n"
+    "62,0.10711290514469696,266.67149245394017,0.00040166612546032693\r\n"
+    "63,0.11660581763450184,267.70825402343394,0.00043557049841389916\r\n"
+    "64,0.095568480236023268,268.75138494759597,0.00035560181486937541\r\n"
+    "65,0.10390242879732858,269.80128852687159,0.00038510723712492623\r\n"
+    "66,0.11220016701797375,270.85834958846067,0.00041423927742471114\r\n"
+    "67,0.12042368058218356,271.92293559759821,0.00044285959298553268\r\n"
+    "68,0.092398824995417628,272.99539768650874,0.00033846294032224968\r\n"
+    "69,0.099272791421293083,274.07607160824563,0.00036220889637965186\r\n"
+    "70,0.10600550169255485,275.16527862190242,0.00038524301548312098\r\n"
+    "71,0.11256809556555825,276.26332631503561,0.00040746666257537108\r\n"
+    "72,0.076810860451629881,277.37050936857054,0.00027692511589097398\r\n"
+    "73,0.081847586061634781,278.48711026894921,0.00029390080561570835\r\n"
+    "74,0.086660606977052468,279.61339997182813,0.00030993009271295215\r\n"
+    "75,0.09122695728399266,280.74963852122892,0.00032494060460595934\r\n"
+    "76,0.046741621265592226,281.89607562768157,0.00016581153590561833\r\n"
+    "77,0.049577242066556448,283.05295120857721,0.00017515182885347754\r\n"
+    "78,0.052114748805741518,284.22049589365628,0.00018336027682268463\r\n"
+    "79,0.054334184379072226,285.39893149829783,0.00019037977505320929\r\n"
+    "80,0.00025829394897436408,286.58847146703903,9.0127124671890666e-07\r\n"
+)
+
 class TestMoments:
     def test_bench_defaults(self):
         code, out, _ = run_cli(["moments"])
@@ -197,6 +252,47 @@ class TestSteinAndCoupling:
         assert spread <= 5 * combined + 1e-12
 
 
+class TestCouplingCheckText:
+    """coupling-check builds its class tables once per command, and its exact
+    rows, like empirical-constant's, keep their text."""
+
+    SAMPLED = ["coupling-check", "--mstar", "50", "--y", "60", "--samples", "200000", "--seed", "7"]
+
+    def test_one_table_build_per_command(self, monkeypatch):
+        from scaled_poisson import bernoulli_lattice
+
+        calls = []
+        original = bernoulli_lattice.binomial_pmf_vector
+
+        def counted(trials, p):
+            calls.append((trials, p))
+            return original(trials, p)
+
+        monkeypatch.setattr(bernoulli_lattice, "binomial_pmf_vector", counted)
+        code, out, _ = run_cli(self.SAMPLED)
+        assert code == 0
+        # one Binomial(M*) and one Binomial(M* - 1) table per class, R = 2
+        assert len(calls) == 2 * 2
+        assert out.startswith(_COUPLING_EXACT_ROWS)
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows[-4:]] == [
+            "sizebias_lhs", "sizebias_rhs", "sizebias_stderr_lhs", "sizebias_stderr_rhs",
+        ]
+
+    def test_exhaustive_rows(self):
+        code, out, _ = run_cli(
+            ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "5", "--exhaustive"]
+        )
+        assert code == 0
+        assert out == _COUPLING_EXHAUSTIVE
+
+    def test_empirical_constant_rows(self):
+        code, out, err = run_cli(["empirical-constant", "--y-from", "52", "--y-to", "80", "--mstar", "100"])
+        assert code == 0
+        assert out == _EMPIRICAL_CONSTANT
+        assert err == "note: C_hat = 0.00044285959298553268\n"
+
+
 class TestBound:
     def test_bench_bracket(self):
         code, out, _ = run_cli(["bound", "--y", "60"])
@@ -287,6 +383,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot parse ")
+
+    @pytest.mark.parametrize("n_values", [",", ""])
+    def test_empty_n_values_is_2(self, n_values):
+        code, out, err = run_cli(["sweep-scaling", "--y", "400", "--n-values", n_values])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_bound_below_lambda_is_2(self):
         code, _, _ = run_cli(["bound", "--y", "40"])

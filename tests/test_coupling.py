@@ -261,7 +261,7 @@ class TestSizeBiasSample:
         # even if the two sides still agree
         import numpy as np
 
-        from scaled_poisson.coupling import _class_deltas, _leave_one_out_laws
+        from scaled_poisson.coupling import _class_deltas, _CouplingTables
 
         scheme = build_scheme(bench_model, default_trials(bench_model, 50))
         n = bench_moments.k_num
@@ -275,7 +275,7 @@ class TestSizeBiasSample:
         rhs_exact = math.fsum(
             float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.tolist())
         )
-        _, loo = _leave_one_out_laws(scheme, cap=1e-250)
+        loo = _CouplingTables(scheme, cap=1e-250).loo
         lhs_exact = float(bench_moments.lambda_m) * math.fsum(
             float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
             for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
@@ -283,6 +283,58 @@ class TestSizeBiasSample:
         assert abs(res.rhs - rhs_exact) <= 4 * res.stderr_rhs
         assert abs(res.lhs - lhs_exact) <= 4 * res.stderr_lhs
         assert lhs_exact == pytest.approx(rhs_exact, rel=1e-12)
+
+    def test_pairing_at_three_classes(self):
+        # Per side one class keeps its sorted draws and the others are
+        # shuffled against it.  A second class left sorted, or class 0 drawn
+        # once sorted and split across the W^s blocks, pairs the classes'
+        # values wrongly.  With f(x) = x the lhs is linear in W^s, so the
+        # pairing shows only in its spread: each side's mean and sample
+        # variance are checked against their exact values.
+        import numpy as np
+
+        from scaled_poisson import scheme_moments
+        from scaled_poisson.coupling import _class_deltas, _CouplingTables
+
+        model = WeightedPoissonSum((1, 2, 5), (Fraction(4), Fraction(3), Fraction(2)))
+        m = moments(model)
+        n = m.k_num
+        scheme = build_scheme(model, 40)
+        samples = 200_000
+        res = size_bias_sample(scheme, lambda x: x * 1.0, samples, seed=21, chunk=75_000)
+
+        # rhs = E[(nW)^2] = n^2 (Var W + mu^2), exact
+        mu, _ = scheme_moments(scheme)
+        var_w = sum(
+            (b * b * scheme.trials_per_class * p * (1 - p)
+             for p, b in zip(scheme.class_probs, scheme.replication)),
+            Fraction(0),
+        )
+        rhs_exact = n * n * (var_w + mu * mu)
+
+        # lhs = lam*m*E[n W^s]; W^s is class r's leave-one-out law shifted by
+        # b_r, with probability delta_r
+        tables = _CouplingTables(scheme)
+        ws_law = np.zeros(tables.w_law.size + max(scheme.replication))
+        for d, lr, b in zip(_class_deltas(scheme), tables.loo, scheme.replication):
+            ws_law[b : b + lr.size] += float(d) * lr
+        lam_m = float(m.lambda_m)
+        lhs_values = lam_m * n * np.arange(ws_law.size)
+        lhs_exact = float(np.dot(ws_law, lhs_values))
+        assert lhs_exact == pytest.approx(float(rhs_exact), rel=1e-12)
+        rhs_values = (n * np.arange(tables.w_law.size, dtype=float)) ** 2
+
+        sides = (
+            (res.lhs, res.stderr_lhs, float(lhs_exact), ws_law, lhs_values),
+            (res.rhs, res.stderr_rhs, float(rhs_exact), tables.w_law, rhs_values),
+        )
+        for mean, stderr, exact, law, values in sides:
+            assert abs(mean - exact) <= 4 * stderr
+            # the sample variance against the exact one, within 4 of its
+            # standard error sqrt((mu_4 - var^2) / samples)
+            var = float(np.dot(law, (values - exact) ** 2))
+            mu4 = float(np.dot(law, (values - exact) ** 4))
+            assert abs(stderr**2 * samples - var) <= 4 * math.sqrt((mu4 - var**2) / samples)
 
     def test_deterministic_when_samples_not_a_multiple_of_chunk(self, small_model):
         scheme = build_scheme(small_model, 20)
@@ -433,17 +485,22 @@ class TestJointLawOracle:
             ((1, 2), (Fraction(1), Fraction(1)), 4),
             ((2, 5), (Fraction(1), Fraction(1)), 3),
             ((1,), (Fraction(3, 4),), 6),
+            # R >= 3: prefix and suffix laws of several classes, one of
+            # them ({2, 4} before the weight-5 class) on the stride-2 lattice
+            ((1, 2, 5), (Fraction(1), Fraction(1, 2), Fraction(1)), 3),
+            ((2, 4, 5), (Fraction(1), Fraction(1, 2), Fraction(2, 3)), 3),
+            ((1, 2, 3, 5), (Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(1)), 2),
         ],
     )
     def test_leave_one_out_joints_match_enumeration(self, weights, rates, trials):
         # the H-terms integrate f against these joint laws, so pin them
         # against a literal enumeration over trials and the index draw
-        from scaled_poisson.coupling import _leave_one_out_laws
+        from scaled_poisson.coupling import _CouplingTables
 
         model = WeightedPoissonSum(weights, rates)
         m = moments(model)
         scheme = build_scheme(model, trials)
-        _, loo = _leave_one_out_laws(scheme, cap=0.0)
+        loo = _CouplingTables(scheme, cap=0.0).loo
         joint_same, joint_flip = enumerate_delta_joint(weights, list(scheme.class_probs), trials)
 
         # flipped-trial branch, per class: delta_r (1 - p_r) P(W_loo_r = w)
@@ -464,6 +521,64 @@ class TestJointLawOracle:
         for w, prob in joint_same.items():
             assert agg[w] == pytest.approx(float(prob), rel=1e-12, abs=1e-16)
 
+
+class TestCouplingTables:
+    @pytest.mark.parametrize(
+        "weights,rates,factor",
+        [
+            ((1, 10), (Fraction(100), Fraction(30)), 50),
+            ((1, 2, 3, 5), (Fraction(2), Fraction(1), Fraction(3), Fraction(1, 2)), 20),
+        ],
+    )
+    def test_leave_one_out_laws_against_direct_convolution(self, weights, rates, factor):
+        # prefix and suffix laws against the O(R^2) convolution of each
+        # reduced table with every other full table, in class order; with
+        # R = 2 both are the same two stride convolutions, bit for bit
+        import numpy as np
+
+        from scaled_poisson.coupling import _CouplingTables
+        from scaled_poisson.weighted_sum import _convolve_classes
+
+        model = WeightedPoissonSum(weights, rates)
+        tables = _CouplingTables(build_scheme(model, default_trials(model, factor)))
+        full = tables.full
+        for r, got in enumerate(tables.loo):
+            direct = _convolve_classes([tables.reduced[r]] + full[:r] + full[r + 1 :])
+            if len(weights) == 2:
+                assert np.array_equal(got, direct)
+            else:
+                assert got.shape == direct.shape
+                assert np.allclose(got, direct, rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("cap", [-1e-3, 1.0, 2.5])
+    def test_cap_outside_unit_interval_is_refused(self, small_model, small_moments, cap):
+        scheme, ctx, table = _stein_setup(small_model, small_moments, y=5, mstar_factor=10)
+        with pytest.raises(ValidationError, match="cap"):
+            h_decomposition(scheme, small_moments, ctx, table, cap=cap)
+        with pytest.raises(ValidationError, match="cap"):
+            conditional_delta_bound(scheme, small_moments, 2, cap=cap)
+        with pytest.raises(ValidationError, match="cap"):
+            g_expectation_ratio(scheme, small_moments, ctx, table, 1, cap=cap)
+
+    def test_prebuilt_tables_give_the_same_results(self, bench_model, bench_moments):
+        from scaled_poisson.coupling import _CouplingTables
+
+        scheme, ctx, table = _stein_setup(bench_model, bench_moments, y=60, mstar_factor=25)
+        tables = _CouplingTables(scheme)
+        assert h_decomposition(tables, bench_moments, ctx, table) == h_decomposition(
+            scheme, bench_moments, ctx, table
+        )
+
+        def f(x):
+            return (x >= 31 * 60) * 1.0
+
+        assert size_bias_sample(tables, f, 20_000, seed=5) == size_bias_sample(scheme, f, 20_000, seed=5)
+        assert conditional_delta_bound(tables, bench_moments, 400) == conditional_delta_bound(
+            scheme, bench_moments, 400
+        )
+        assert g_expectation_ratio(tables, bench_moments, ctx, table, 27) == g_expectation_ratio(
+            scheme, bench_moments, ctx, table, 27
+        )
 
 class TestGExpectationRatio:
     def test_ratio_finite_and_recorded(self, small_model, small_moments):

@@ -236,6 +236,10 @@ class TestScalingSweep:
         assert len(result.rows) == 1
         assert result.excluded and result.excluded[0][0] == 8
 
+    def test_empty_scale_list_is_an_error(self, bench_model):
+        with pytest.raises(ValidationError, match="n_values"):
+            scaling_sweep(bench_model, 400, [])
+
 
 class TestCompareNormal:
     def test_poisson_wins_uniformly_in_far_tail(self, bench_model):
