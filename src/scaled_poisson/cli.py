@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .bernoulli_lattice import build_scheme, default_trials
 from .coupling import (
-    _CouplingTables,
     _table_w_needed,
+    _tables,
     h_decomposition,
     size_bias_check_exact,
     size_bias_sample,
@@ -180,12 +180,11 @@ def _coupling_check(args, model, _):
     trials = default_trials(model, args.mstar)
     scheme = build_scheme(model, trials)
     ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=args.y)
-    # the class tables and laws, built once and passed to both checks
-    tables = _CouplingTables(scheme)
-    support = tables.w_law.size - 1
+    # the class tables and laws, built once here and read by both checks
+    support = _tables(scheme, 1e-250).w_law.size - 1
     w_max = max(_table_w_needed(m, support, scheme.replication), m.k_den * (args.y + 10)) + m.k_den
     table = solve_stein(ctx, w_max, include_off_lattice=True)
-    hd = h_decomposition(tables, m, ctx, table)
+    hd = h_decomposition(scheme, m, ctx, table)
     rows = [("trials_per_class", trials)]
     rows += [(f"H_{i}", h) for i, h in enumerate(hd.H)]
     rows += [("tail_diff", hd.tail_diff), ("closure_error", hd.closure_error)]
@@ -194,7 +193,7 @@ def _coupling_check(args, model, _):
         rows += [("sizebias_lhs", lhs), ("sizebias_rhs", rhs)]
     else:
         threshold = m.k_den * args.y
-        res = size_bias_sample(tables, lambda x: (x >= threshold) * 1.0, args.samples, args.seed)
+        res = size_bias_sample(scheme, lambda x: (x >= threshold) * 1.0, args.samples, args.seed)
         rows += [("sizebias_lhs", res.lhs), ("sizebias_rhs", res.rhs)]
         rows += [("sizebias_stderr_lhs", res.stderr_lhs), ("sizebias_stderr_rhs", res.stderr_rhs)]
     return ("field", "value"), rows

@@ -39,14 +39,7 @@ from .bernoulli_lattice import (
 from .errors import ValidationError
 from .poisson_core import _poisson_pmf_vector, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
-from .weighted_sum import (
-    SumMoments,
-    _convolve_classes,
-    _stride_convolve,
-    _suffix_at,
-    _suffix_sums,
-    _threshold,
-)
+from .weighted_sum import SumMoments, _convolve_classes, _suffix_at, _suffix_sums, _threshold
 
 __all__ = [
     "DeltaDistribution",
@@ -223,69 +216,33 @@ def _table_draw(
     return draws
 
 
-def _prefix_laws(classes):
-    """[(law, g)] of classes[:r] for r = 0..len(classes) - 1, each with the
-    gcd g of its weights (0 for the empty prefix)."""
-    laws = [(np.array([1.0]), 0)]
-    for pmf, b in classes[:-1]:
-        law, g = laws[-1]
-        laws.append((_stride_convolve(law, pmf, b), math.gcd(g, b)))
-    return laws
-
-
 class _CouplingTables:
     """The class tables and laws every coupling check of one scheme reads.
 
-    Built once per (scheme, cap) and shared by the checks of one command:
-    per class, the capped tables of Binomial(M*, p_r) (``full``) and of
+    Per class, the capped tables of Binomial(M*, p_r) (``full``) and of
     Binomial(M* - 1, p_r) (``reduced``), each upper tail within cap / R; the
-    law of W; and per class r the law of W with one class-r trial removed.
-    ``reduced`` and ``loo`` are built on first use.
+    law of W; and per class r the law of W with one class-r trial removed
+    (``loo``).  Read-only once built: _tables shares one instance between
+    the checks of a command.
     """
 
-    def __init__(self, scheme: BernoulliScheme, cap: float = 1e-250):
+    def __init__(self, scheme: BernoulliScheme, cap: float):
         if not 0.0 <= cap < 1.0:
             raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
-        self.scheme = scheme
-        self.budget = cap / scheme.class_count
-        self.full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, self.budget)
+        budget = cap / scheme.class_count
+        self.full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
+        self.reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
         self.w_law = _convolve_classes(self.full)
-
-    @functools.cached_property
-    def reduced(self) -> list[tuple[np.ndarray, int]]:
-        classes, _ = _capped_class_pmfs(self.scheme, self.scheme.trials_per_class - 1, self.budget)
-        return classes
-
-    @functools.cached_property
-    def loo(self) -> list[np.ndarray]:
-        """Per class r: class r's reduced table, then the law of the classes
-        before r, then that of the classes after r, in O(R) convolutions.
-
-        A partial law whose weights share the gcd g lives on multiples of g,
-        so it is convolved in as the table law[::g] of stride g; a side with
-        one class is then exactly that class's table.
-        """
-        prefix = _prefix_laws(self.full)
-        suffix = _prefix_laws(self.full[::-1])[::-1]
-        out = []
-        for (pmf, b), pre, suf in zip(self.reduced, prefix, suffix):
-            acc = _stride_convolve(np.array([1.0]), pmf, b)
-            for law, g in (pre, suf):
-                if g:
-                    acc = _stride_convolve(acc, law[::g], g)
-            out.append(acc)
-        return out
+        self.loo = [
+            _convolve_classes([self.reduced[r]] + self.full[:r] + self.full[r + 1 :])
+            for r in range(scheme.class_count)
+        ]
 
 
+@functools.lru_cache(maxsize=1)
 def _tables(scheme: BernoulliScheme, cap: float) -> _CouplingTables:
-    """The coupling tables of scheme at cap.
-
-    A command running several checks on one scheme builds its
-    _CouplingTables once and passes it in place of the scheme; it is used as
-    it is, with the cap it was built with.
-    """
-    if isinstance(scheme, _CouplingTables):
-        return scheme
+    """The coupling tables of scheme at cap, built once for consecutive
+    calls on the same (scheme, cap), as the checks of one command make."""
     return _CouplingTables(scheme, cap)
 
 
@@ -325,7 +282,6 @@ def size_bias_sample(
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
     tables = _tables(scheme, 1e-250)
-    scheme = tables.scheme
     full, reduced = tables.full, tables.reduced
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
@@ -381,7 +337,6 @@ def conditional_delta_bound(
     """
     w = int(w)
     tables = _tables(scheme, cap)
-    scheme = tables.scheme
     w_law, loo = tables.w_law, tables.loo
     p_w = float(w_law[w]) if 0 <= w < w_law.size else 0.0
     if p_w <= 0.0:
@@ -426,7 +381,6 @@ def h_decomposition(
     if ctx.lam != m.lam or ctx.lattice_step != mm or ctx.scale_num != n:
         raise ValidationError("Stein context does not match the model's moments")
     tables = _tables(scheme, cap)
-    scheme = tables.scheme
     support = tables.w_law.size - 1
     needed = _table_w_needed(m, support, scheme.replication)
     if table.w_max < needed:

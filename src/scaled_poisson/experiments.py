@@ -275,6 +275,7 @@ def scaling_sweep(
     Scales with N*lam > y fall outside the bound's range and are excluded,
     each with a note.  An empty n_values is a ValidationError.
     """
+    n_values = list(n_values)
     if not n_values:
         raise ValidationError("n_values must list at least one scale N")
     base = moments(model)

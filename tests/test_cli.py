@@ -260,6 +260,7 @@ class TestCouplingCheckText:
 
     def test_one_table_build_per_command(self, monkeypatch):
         from scaled_poisson import bernoulli_lattice
+        from scaled_poisson.coupling import _tables
 
         calls = []
         original = bernoulli_lattice.binomial_pmf_vector
@@ -269,6 +270,8 @@ class TestCouplingCheckText:
             return original(trials, p)
 
         monkeypatch.setattr(bernoulli_lattice, "binomial_pmf_vector", counted)
+        # a build left over from an earlier call on the same scheme is not counted
+        _tables.cache_clear()
         code, out, _ = run_cli(self.SAMPLED)
         assert code == 0
         # one Binomial(M*) and one Binomial(M* - 1) table per class, R = 2

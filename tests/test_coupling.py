@@ -261,7 +261,7 @@ class TestSizeBiasSample:
         # even if the two sides still agree
         import numpy as np
 
-        from scaled_poisson.coupling import _class_deltas, _CouplingTables
+        from scaled_poisson.coupling import _class_deltas, _tables
 
         scheme = build_scheme(bench_model, default_trials(bench_model, 50))
         n = bench_moments.k_num
@@ -275,7 +275,7 @@ class TestSizeBiasSample:
         rhs_exact = math.fsum(
             float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.tolist())
         )
-        loo = _CouplingTables(scheme, cap=1e-250).loo
+        loo = _tables(scheme, 1e-250).loo
         lhs_exact = float(bench_moments.lambda_m) * math.fsum(
             float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
             for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
@@ -294,7 +294,7 @@ class TestSizeBiasSample:
         import numpy as np
 
         from scaled_poisson import scheme_moments
-        from scaled_poisson.coupling import _class_deltas, _CouplingTables
+        from scaled_poisson.coupling import _class_deltas, _tables
 
         model = WeightedPoissonSum((1, 2, 5), (Fraction(4), Fraction(3), Fraction(2)))
         m = moments(model)
@@ -314,7 +314,7 @@ class TestSizeBiasSample:
 
         # lhs = lam*m*E[n W^s]; W^s is class r's leave-one-out law shifted by
         # b_r, with probability delta_r
-        tables = _CouplingTables(scheme)
+        tables = _tables(scheme, 1e-250)
         ws_law = np.zeros(tables.w_law.size + max(scheme.replication))
         for d, lr, b in zip(_class_deltas(scheme), tables.loo, scheme.replication):
             ws_law[b : b + lr.size] += float(d) * lr
@@ -485,8 +485,7 @@ class TestJointLawOracle:
             ((1, 2), (Fraction(1), Fraction(1)), 4),
             ((2, 5), (Fraction(1), Fraction(1)), 3),
             ((1,), (Fraction(3, 4),), 6),
-            # R >= 3: prefix and suffix laws of several classes, one of
-            # them ({2, 4} before the weight-5 class) on the stride-2 lattice
+            # R >= 3, one of them with classes ({2, 4}) on the stride-2 lattice
             ((1, 2, 5), (Fraction(1), Fraction(1, 2), Fraction(1)), 3),
             ((2, 4, 5), (Fraction(1), Fraction(1, 2), Fraction(2, 3)), 3),
             ((1, 2, 3, 5), (Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(1)), 2),
@@ -495,12 +494,12 @@ class TestJointLawOracle:
     def test_leave_one_out_joints_match_enumeration(self, weights, rates, trials):
         # the H-terms integrate f against these joint laws, so pin them
         # against a literal enumeration over trials and the index draw
-        from scaled_poisson.coupling import _CouplingTables
+        from scaled_poisson.coupling import _tables
 
         model = WeightedPoissonSum(weights, rates)
         m = moments(model)
         scheme = build_scheme(model, trials)
-        loo = _CouplingTables(scheme, cap=0.0).loo
+        loo = _tables(scheme, 0.0).loo
         joint_same, joint_flip = enumerate_delta_joint(weights, list(scheme.class_probs), trials)
 
         # flipped-trial branch, per class: delta_r (1 - p_r) P(W_loo_r = w)
@@ -523,33 +522,6 @@ class TestJointLawOracle:
 
 
 class TestCouplingTables:
-    @pytest.mark.parametrize(
-        "weights,rates,factor",
-        [
-            ((1, 10), (Fraction(100), Fraction(30)), 50),
-            ((1, 2, 3, 5), (Fraction(2), Fraction(1), Fraction(3), Fraction(1, 2)), 20),
-        ],
-    )
-    def test_leave_one_out_laws_against_direct_convolution(self, weights, rates, factor):
-        # prefix and suffix laws against the O(R^2) convolution of each
-        # reduced table with every other full table, in class order; with
-        # R = 2 both are the same two stride convolutions, bit for bit
-        import numpy as np
-
-        from scaled_poisson.coupling import _CouplingTables
-        from scaled_poisson.weighted_sum import _convolve_classes
-
-        model = WeightedPoissonSum(weights, rates)
-        tables = _CouplingTables(build_scheme(model, default_trials(model, factor)))
-        full = tables.full
-        for r, got in enumerate(tables.loo):
-            direct = _convolve_classes([tables.reduced[r]] + full[:r] + full[r + 1 :])
-            if len(weights) == 2:
-                assert np.array_equal(got, direct)
-            else:
-                assert got.shape == direct.shape
-                assert np.allclose(got, direct, rtol=1e-13, atol=1e-300)
-
     @pytest.mark.parametrize("cap", [-1e-3, 1.0, 2.5])
     def test_cap_outside_unit_interval_is_refused(self, small_model, small_moments, cap):
         scheme, ctx, table = _stein_setup(small_model, small_moments, y=5, mstar_factor=10)
@@ -560,25 +532,30 @@ class TestCouplingTables:
         with pytest.raises(ValidationError, match="cap"):
             g_expectation_ratio(scheme, small_moments, ctx, table, 1, cap=cap)
 
-    def test_prebuilt_tables_give_the_same_results(self, bench_model, bench_moments):
-        from scaled_poisson.coupling import _CouplingTables
+    def test_shared_tables_give_the_same_results(self, bench_model, bench_moments):
+        # the checks of one command share one build of the tables; each
+        # check must read it as a fresh build would leave it
+        from scaled_poisson.coupling import _tables
 
         scheme, ctx, table = _stein_setup(bench_model, bench_moments, y=60, mstar_factor=25)
-        tables = _CouplingTables(scheme)
-        assert h_decomposition(tables, bench_moments, ctx, table) == h_decomposition(
-            scheme, bench_moments, ctx, table
-        )
 
         def f(x):
             return (x >= 31 * 60) * 1.0
 
-        assert size_bias_sample(tables, f, 20_000, seed=5) == size_bias_sample(scheme, f, 20_000, seed=5)
-        assert conditional_delta_bound(tables, bench_moments, 400) == conditional_delta_bound(
-            scheme, bench_moments, 400
-        )
-        assert g_expectation_ratio(tables, bench_moments, ctx, table, 27) == g_expectation_ratio(
-            scheme, bench_moments, ctx, table, 27
-        )
+        checks = [
+            lambda: h_decomposition(scheme, bench_moments, ctx, table),
+            lambda: size_bias_sample(scheme, f, 20_000, seed=5),
+            lambda: conditional_delta_bound(scheme, bench_moments, 400),
+            lambda: g_expectation_ratio(scheme, bench_moments, ctx, table, 27),
+        ]
+        fresh = []
+        for check in checks:
+            _tables.cache_clear()
+            fresh.append(check())
+        _tables.cache_clear()
+        assert [check() for check in checks] == fresh
+        assert _tables.cache_info().misses == 1
+
 
 class TestGExpectationRatio:
     def test_ratio_finite_and_recorded(self, small_model, small_moments):

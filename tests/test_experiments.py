@@ -3,6 +3,7 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -239,6 +240,11 @@ class TestScalingSweep:
     def test_empty_scale_list_is_an_error(self, bench_model):
         with pytest.raises(ValidationError, match="n_values"):
             scaling_sweep(bench_model, 400, [])
+        with pytest.raises(ValidationError, match="n_values"):
+            scaling_sweep(bench_model, 400, np.array([], dtype=int))
+
+    def test_scale_array_runs_like_a_list(self, bench_model):
+        assert scaling_sweep(bench_model, 400, np.array([1, 2])) == scaling_sweep(bench_model, 400, [1, 2])
 
 
 class TestCompareNormal:
