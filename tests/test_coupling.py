@@ -534,7 +534,8 @@ class TestCouplingTables:
 
     def test_shared_tables_give_the_same_results(self, bench_model, bench_moments):
         # the checks of one command share one build of the tables; each
-        # check must read it as a fresh build would leave it
+        # check must leave it as a fresh build would, so running every check
+        # twice on one build reproduces the results of fresh builds
         from scaled_poisson.coupling import _tables
 
         scheme, ctx, table = _stein_setup(bench_model, bench_moments, y=60, mstar_factor=25)
@@ -553,7 +554,7 @@ class TestCouplingTables:
             _tables.cache_clear()
             fresh.append(check())
         _tables.cache_clear()
-        assert [check() for check in checks] == fresh
+        assert [check() for check in checks * 2] == fresh * 2
         assert _tables.cache_info().misses == 1
 
 
