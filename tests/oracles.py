@@ -71,6 +71,26 @@ def mp_stein_solution(lam: Fraction, m: int, y: int, w: int, terms: int = 4000) 
     return float(-s)
 
 
+def mp_stein_halves(lam: Fraction, m: int, y: int, w: int):
+    """The halves S0, S1 of the tail-indicator series at integer w > 0, high precision.
+
+    S0, the J terms with w + m*j < m*y, is summed term by term; S1 is term J
+    times the closed form sum_i (lam*m)^i / prod_{l=0..i} (v + m*l)
+    = 1F1(1; v/m + 1; lam) / v at v = w + m*J, times v.  The library's
+    recurrences and truncation rules play no part.
+    """
+    lam_mp = _mp_rate(lam)
+    lam_m = lam_mp * m
+    first_s1 = max(-((w - m * y) // m), 0)
+    s0 = mp.mpf(0)
+    term = mp.mpf(1) / w
+    for j in range(first_s1):
+        s0 += term
+        term *= lam_m / (w + m * (j + 1))
+    v = w + m * first_s1
+    return s0, term * mp.hyp1f1(1, mp.mpf(v) / m + 1, lam_mp)
+
+
 def _mp_rate(rate):
     q = Fraction(rate)
     return mp.mpf(q.numerator) / q.denominator

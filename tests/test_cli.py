@@ -26,24 +26,25 @@ def parse_csv(text):
 
 
 # CSV text of the exact coupling-check and empirical-constant rows, pinned
-# byte for byte
+# byte for byte.  test_coupling.py checks the exhaustive scheme's H terms
+# against a 50-digit f table (test_exhaustive_scheme_against_mpmath_table).
 _COUPLING_EXACT_ROWS = (
     "field,value\r\n"
     "trials_per_class,5000\r\n"
-    "H_0,-0.0023581311069419339\r\n"
-    "H_1,-0.063115342720439352\r\n"
-    "H_2,0.053008121297460131\r\n"
+    "H_0,-0.0023581311069418723\r\n"
+    "H_1,-0.063115342720437395\r\n"
+    "H_2,0.053008121297458868\r\n"
     "tail_diff,-0.012465352529919399\r\n"
-    "closure_error,1.7555401576885288e-15\r\n"
+    "closure_error,9.9920072216264089e-16\r\n"
 )
 _COUPLING_EXHAUSTIVE = (
     "field,value\r\n"
     "trials_per_class,6\r\n"
-    "H_0,-0.014330882743751482\r\n"
+    "H_0,-0.014330882743751501\r\n"
     "H_1,-0.014814943752591143\r\n"
-    "H_2,0.0022204010137010419\r\n"
+    "H_2,0.0022204010137010779\r\n"
     "tail_diff,-0.026925425482641568\r\n"
-    "closure_error,1.3877787807814457e-17\r\n"
+    "closure_error,3.4694469519536142e-18\r\n"
     "sizebias_lhs,80.713428983833865\r\n"
     "sizebias_rhs,80.713428983833865\r\n"
 )
@@ -445,3 +446,24 @@ class TestProcess:
             assert proc.stderr.startswith("error: ")
         else:
             assert proc.stdout.startswith("mu,sigma_sq,k_num,k_den,lambda,scale_B")
+
+    def test_stein_check_beyond_float_range_is_3(self):
+        # f_h grows like exp(lam) near w = m, past the float range at lam = 720.
+        # A series that never met its stopping test once hung here, hence the
+        # subprocess and its timeout.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["stein-check", "--lambda-num", "720", "--m", "7", "--n", "1", "--y", "900",
+                "--wmax", "6370"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "scaled_poisson.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical range error: ")
+        assert "lam = 720" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

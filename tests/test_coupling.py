@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from scaled_poisson import (
@@ -18,12 +20,20 @@ from scaled_poisson import (
     size_bias_check_exact,
     size_bias_sample,
     solve_stein,
+    SteinSolutionTable,
     w_distribution,
 )
 
 from scaled_poisson.coupling import _table_w_needed
 
-from oracles import enumerate_delta_joint, enumerate_size_bias_rhs, enumerate_w_law_reference
+from oracles import (
+    _mp_rate,
+    enumerate_delta_joint,
+    enumerate_size_bias_rhs,
+    enumerate_w_law_reference,
+    mp_d_low,
+    mp_stein_halves,
+)
 
 # exhaustive test matrix: (weights, rates, trials), R * trials <= 16
 EXHAUSTIVE_MATRIX = [
@@ -424,6 +434,38 @@ class TestHDecomposition:
         h0, h1, h2 = hd.H
         # K_2 = 2 makes the first term vanish: |H_2| <= (delta_2/delta_1) |H_1|
         assert abs(h2) <= 3 * abs(h1) + 1e-15
+
+    def test_exhaustive_scheme_against_mpmath_table(self):
+        # coupling-check --weights 1,2 --rates 1,1 --mstar 6 --y 5: the H terms
+        # from the solved table against the same terms from a 50-digit f table
+        # with the same float P.  At lattice points at or below m*y the table
+        # holds -(P/(lam*m)) D_low(j), equal to P*S0 - (1-P)*S1 only for the
+        # exact P, so the 50-digit table takes the same form there.
+        model = WeightedPoissonSum((1, 2), (Fraction(1), Fraction(1)))
+        m = moments(model)
+        y = 5
+        scheme, ctx, table = _stein_setup(model, m, y=y, mstar_factor=6)
+        assert table.w_max == 80
+        step = ctx.lattice_step
+        p_mp = mp.mpf(table.tail_at_threshold)
+        exact = np.zeros(table.w_max + 1)
+        for w in range(1, table.w_max + 1):
+            s0, s1 = mp_stein_halves(ctx.lam, step, y, w)
+            exact[w] = float(p_mp * s0 - (1 - p_mp) * s1)
+        for j, d in enumerate(mp_d_low(ctx.lam, y), start=1):
+            exact[step * j] = float(-p_mp * d / (_mp_rate(ctx.lam) * step))
+        truth = SteinSolutionTable(
+            ctx=ctx,
+            w_max=table.w_max,
+            values=exact,
+            truncation_terms=table.truncation_terms,
+            tail_at_threshold=table.tail_at_threshold,
+            has_off_lattice=True,
+        )
+        got = h_decomposition(scheme, m, ctx, table).H
+        want = h_decomposition(scheme, m, ctx, truth).H
+        for g, h in zip(got, want):
+            assert abs(g - h) <= 5e-15 * abs(h)
 
     def test_small_model_h2_inequality(self, small_model, small_moments):
         scheme, ctx, table = _stein_setup(small_model, small_moments, y=5, mstar_factor=50)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaled_poisson import (
+    NumericalRangeError,
     SteinContext,
     ValidationError,
     g_l,
@@ -20,10 +22,11 @@ from scaled_poisson import (
     stein_apply,
     verify_f_properties,
 )
-from scaled_poisson.stein_lattice import factorial_envelope
+from scaled_poisson.stein_lattice import _RECURRENCE_ROWS, factorial_envelope
 
 from oracles import (
     mp_d_low,
+    mp_stein_halves,
     mp_stein_solution,
     stein_d_high_reference,
     stein_split_series_reference,
@@ -134,6 +137,20 @@ class TestSolveStein:
             ref = mp_stein_solution(Fraction(1600, 31), 31, 40, w)
             assert table.f(w) == pytest.approx(ref, rel=5e-10)
 
+    def test_beyond_float_range_raises(self):
+        # f_h grows like exp(lam) near w = m: past the float range at lam = 720
+        ctx = SteinContext(lam=Fraction(720), lattice_step=7, scale_num=1, threshold_y=900)
+        with pytest.raises(NumericalRangeError, match="lam = 720"):
+            solve_stein(ctx, 7 * 910, include_off_lattice=True)
+
+    @pytest.mark.parametrize("off", [True, False])
+    def test_overflowing_series_terms_stop(self, off):
+        # above the recurrence rows the terms pass the float range before
+        # they start to fall, so the series' stopping test is never met
+        ctx = SteinContext(lam=Fraction(5000), lattice_step=1, scale_num=1, threshold_y=600)
+        with pytest.raises(NumericalRangeError, match="lam = 5000"):
+            solve_stein(ctx, 2000, include_off_lattice=off)
+
     def test_lattice_only_table(self):
         t = solve_stein(SMALL_CTX, 5 * 40)
         assert t.f(5) < 0
@@ -198,6 +215,18 @@ class TestVerifyProperties:
         report = verify_f_properties(BENCH_CTX, bench_table, range(31, 31 * 90 + 1))
         for check in report.checks:
             assert check.passed, check
+
+    def test_non_finite_table_never_passes(self, small_table):
+        # inf - inf differences give NaN margins, which must not read as passed
+        values = small_table.values.copy()
+        values[1:] = np.inf
+        table = dataclasses.replace(small_table, values=values)
+        with np.errstate(invalid="ignore"):
+            report = verify_f_properties(SMALL_CTX, table, range(5, 201))
+        assert len(report.checks) == 5
+        for check in report.checks:
+            assert math.isnan(check.worst_margin), check
+            assert not check.passed, check
 
     def test_degenerate_unit_lattice(self):
         # m = 1 collapses to the classical integer case
@@ -281,6 +310,33 @@ REFERENCE_CASES = {
 }
 
 
+# (context, w_max, off-lattice points) for the checks of the table layout;
+# the last two have points above the recurrence rows.
+LAYOUT_CASES = {
+    **{case: (ctx, w_max, True) for case, (ctx, w_max, _, _) in REFERENCE_CASES.items()},
+    "lattice_only": (BENCH_CTX, 31 * 115, False),
+    "coupling_table": (BENCH_CTX, 16728, True),
+    "lattice_only_wide": (BENCH_CTX, 31 * 1000, False),
+}
+
+
+def _layout(ctx, w_max, off):
+    """solve_stein's seed row, the recurrence points below it, and the series
+    points above it.
+
+    Row q holds q*m + c for the columns c: 1..m from row 0 with off-lattice
+    points, m alone from row y without them or at m = 1.  The seed row is the
+    last whole row, at most _RECURRENCE_ROWS rows up.
+    """
+    m = ctx.lattice_step
+    cols, low = (range(1, m + 1), 0) if off and m > 1 else ((m,), ctx.threshold_y)
+    seed = min(w_max // m - 1, low + _RECURRENCE_ROWS)
+    seed_row = [seed * m + c for c in cols]
+    rows = [q * m + c for q in range(low, seed) for c in cols]
+    above = [w for w in range(seed * m + m + 1, w_max + 1) if w % m in {c % m for c in cols}]
+    return seed_row, rows, above
+
+
 def _solve_quietly(ctx, w_max, off):
     # ratio = lam*m / (w + m*(j+1)) is exactly 1 at w = 19 + 31k on the
     # benchmark context; neither the solve nor the report may warn there.
@@ -304,17 +360,46 @@ class TestArrayFormsAgainstScalarReference:
         assert report.checks == tuple(c for c in reference.checks if c.points)
         assert report.all_passed
 
-    @pytest.mark.parametrize("case", ["stein_check", "small", "unit_lattice", "y40"])
+    @pytest.mark.parametrize(
+        "case", ["stein_check", "small", "unit_lattice", "y40", "coupling_table", "lattice_only_wide"]
+    )
     def test_split_series_bit_equal_off_lattice(self, case):
-        ctx, w_max, _, _ = REFERENCE_CASES[case]
-        table = _solve_quietly(ctx, w_max, True)
+        # The seed row and every point above the recurrence rows are the
+        # scalar series loop's values and lengths, bit for bit, each at its
+        # own tolerance.
+        ctx, w_max, off = LAYOUT_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
         p_ge = table.tail_at_threshold
         rel_tol = min(ctx.series_tol, 1e-14)
-        for w in range(1, w_max + 1):
-            if w % ctx.lattice_step:
-                value, terms = stein_split_series_reference(ctx, w, p_ge, rel_tol)
-                assert table.values[w] == value, w
-                assert table.truncation_terms[w] == terms, w
+        seed_row, _, above = _layout(ctx, w_max, off)
+        for w, tol in [(w, 2.0**-53) for w in seed_row] + [(w, rel_tol) for w in above]:
+            value, terms = stein_split_series_reference(ctx, w, p_ge, tol)
+            assert table.values[w] == value, w
+            assert table.truncation_terms[w] == terms, w
+
+    @pytest.mark.parametrize(
+        "case", ["stein_check", "small", "unit_lattice", "y40", "lattice_only", "lattice_only_wide"]
+    )
+    def test_recurrence_points_against_mpmath(self, case):
+        # Below the seed row each value is P*S0 - (1-P)*S1 to within 2e-15 of
+        # the halves, against 50-digit halves with the same float P, and its
+        # series is the seed's one term longer per row.
+        ctx, w_max, off = LAYOUT_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
+        m, y = ctx.lattice_step, ctx.threshold_y
+        p_mp = mp.mpf(table.tail_at_threshold)
+        seed_row, rows, _ = _layout(ctx, w_max, off)
+        seed_terms = {w % m: table.truncation_terms[w] for w in seed_row}
+        seed_q = (seed_row[0] - 1) // m
+        worst = 0.0
+        for w in rows:
+            if w % m == 0 and w <= m * y:
+                continue  # the D_low lattice values
+            s0, s1 = mp_stein_halves(ctx.lam, m, y, w)
+            err = abs(mp.mpf(table.values[w]) - (p_mp * s0 - (1 - p_mp) * s1))
+            worst = max(worst, float(err / (p_mp * s0 + (1 - p_mp) * s1)))
+            assert table.truncation_terms[w] == seed_terms[w % m] + seed_q - (w - 1) // m, w
+        assert worst <= 2e-15
 
     @pytest.mark.parametrize("case", ["stein_check", "small", "unit_lattice", "y40"])
     @pytest.mark.parametrize("off", [True, False])
@@ -324,9 +409,9 @@ class TestArrayFormsAgainstScalarReference:
         m, y = ctx.lattice_step, ctx.threshold_y
         lam, lam_m = float(ctx.lam), float(ctx.lambda_m)
         p_ge = table.tail_at_threshold
-        rel_tol = min(ctx.series_tol, 1e-14)
         for j in range(y + 1, w_max // m + 1):
-            ref = -(1.0 - p_ge) * stein_d_high_reference(j, lam, rel_tol) / lam_m
+            # the reference summed past one rounding, not to the table's rel_tol
+            ref = -(1.0 - p_ge) * stein_d_high_reference(j, lam, 2.0**-53) / lam_m
             assert table.values[m * j] == pytest.approx(ref, rel=1e-14, abs=0.0), j
 
     @pytest.mark.parametrize("case", ["unit_lattice", "lattice_only"])
