@@ -176,16 +176,15 @@ class SteinSolutionTable:
         return self.f(w)
 
 
-def _split_series(ctx: SteinContext, ws: np.ndarray, rel_tol):
+def _split_series(ctx: SteinContext, ws: np.ndarray, tol: np.ndarray):
     """S0, S1 and the series length at every integer w > 0 in ws.
 
     S0 holds the terms with w + m*j < m*y, S1 the rest.  S1 stops after term j
     once the geometric majorant of the terms left, term * ratio / (1 - ratio)
-    with ratio = lam*m / (w + m*(j+1)), falls below rel_tol * S1; the test is
-    written without the division, so it is false whenever ratio >= 1.  rel_tol
-    is a scalar or one tolerance per point.  A point whose term overflows
-    stops at once with an infinite half.  Points leave the arrays as they
-    finish.
+    with ratio = lam*m / (w + m*(j+1)), falls below tol * S1, tol one relative
+    tolerance per point; the test is written without the division, so it is
+    false whenever ratio >= 1.  A point whose term overflows stops at once
+    with an infinite half.  Points leave the arrays as they finish.
     """
     m = ctx.lattice_step
     lam_m = float(ctx.lambda_m)
@@ -193,7 +192,6 @@ def _split_series(ctx: SteinContext, ws: np.ndarray, rel_tol):
     s1_out = np.empty(ws.size)
     counts = np.empty(ws.size, dtype=np.int64)
     idx = np.arange(ws.size)
-    tol = np.broadcast_to(np.asarray(rel_tol, dtype=float), ws.shape)
     first_s1 = np.maximum(-((ws - ctx.threshold_point) // m), 0)
     # from term last_s0 on, every point sums into S1
     last_s0 = int(first_s1.max(initial=0))
