@@ -193,7 +193,9 @@ def _split_series(ctx: SteinContext, ws: np.ndarray, tol: np.ndarray):
     counts = np.empty(ws.size, dtype=np.int64)
     idx = np.arange(ws.size)
     first_s1 = np.maximum(-((ws - ctx.threshold_point) // m), 0)
-    # from term last_s0 on, every point sums into S1
+    # From term last_s0 on every point sums into S1, so the masks are skipped:
+    # points above the recurrence rows mostly lie above m*y, and there the
+    # masked sums made tables of 1e5 points about a third slower.
     last_s0 = int(first_s1.max(initial=0))
     w = ws.astype(float)
     term = 1.0 / w
@@ -253,37 +255,27 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int, rel_tol: 
     n = cols.size
     seed = min(w_max // m - 1, low + _RECURRENCE_ROWS)
     grid = m * np.arange(low, seed + 1)[:, None] + cols
-    if n == 1:
-        above = np.arange(m * (seed + 2), w_max + 1, m)
-    else:
-        above = np.arange(m * (seed + 1) + 1, w_max + 1)
+    above = (m * np.arange(seed + 1, w_max // m + 1)[:, None] + cols).ravel()
+    above = above[above <= w_max]
     ws = np.concatenate((grid[-1], above))
     tol = np.full(ws.size, rel_tol)
     tol[:n] = _SEED_TOL
     s0_series, s1_series, terms_series = _split_series(ctx, ws, tol)
 
-    if n == 1:
-        # One column starts above m*y, so S0 = 0 on it; a float steps faster
-        # than a one-element array.
-        s1 = [float(s1_series[0])]
-        for w in grid[-2::-1, 0].tolist():
-            s1.append((1.0 + lam_m * s1[-1]) / w)
-        s0, s1 = np.zeros(grid.shape), np.array(s1[::-1])[:, None]
-    else:
-        # the halves side by side, one vector step per row
-        halves = np.empty((grid.shape[0], 2 * n))
-        halves[-1, :n] = s0_series[:n]
-        halves[-1, n:] = s1_series[:n]
-        at_or_above = grid >= ctx.threshold_point
-        rows = list(halves)
-        firsts = list(np.hstack((~at_or_above, at_or_above)).astype(float))
-        divisors = list(np.hstack((grid, grid)).astype(float))
-        for q in range(len(rows) - 2, -1, -1):
-            row = rows[q]
-            np.multiply(rows[q + 1], lam_m, out=row)
-            row += firsts[q]
-            row /= divisors[q]
-        s0, s1 = halves[:, :n], halves[:, n:]
+    # the halves side by side, one vector step per row
+    halves = np.empty((grid.shape[0], 2 * n))
+    halves[-1, :n] = s0_series[:n]
+    halves[-1, n:] = s1_series[:n]
+    at_or_above = grid >= ctx.threshold_point
+    rows = list(halves)
+    firsts = list(np.hstack((~at_or_above, at_or_above)).astype(float))
+    divisors = list(np.hstack((grid, grid)).astype(float))
+    for q in range(len(rows) - 2, -1, -1):
+        row = rows[q]
+        np.multiply(rows[q + 1], lam_m, out=row)
+        row += firsts[q]
+        row /= divisors[q]
+    s0, s1 = halves[:, :n], halves[:, n:]
     # a row below the seed equals the seed's series one term longer
     terms = terms_series[:n] + np.arange(grid.shape[0] - 1, -1, -1)[:, None]
     return (
@@ -343,7 +335,7 @@ def solve_stein(
     bad = np.flatnonzero((counts > 0) & ~np.isfinite(values))
     if bad.size:
         raise NumericalRangeError(
-            f"f_h is not finite at {bad.size} points up to w = {int(bad[-1])}"
+            f"f_h is not finite at {bad.size} points, the first at w = {int(bad[0])},"
             f" for lam = {ctx.lam}: it leaves the float range"
         )
 

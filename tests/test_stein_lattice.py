@@ -140,7 +140,7 @@ class TestSolveStein:
     def test_beyond_float_range_raises(self):
         # f_h grows like exp(lam) near w = m: past the float range at lam = 720
         ctx = SteinContext(lam=Fraction(720), lattice_step=7, scale_num=1, threshold_y=900)
-        with pytest.raises(NumericalRangeError, match="lam = 720"):
+        with pytest.raises(NumericalRangeError, match="first at w = 1, for lam = 720"):
             solve_stein(ctx, 7 * 910, include_off_lattice=True)
 
     @pytest.mark.parametrize("off", [True, False])
@@ -310,13 +310,18 @@ REFERENCE_CASES = {
 }
 
 
+# lam*m = 1500 with m*y = 1800 above the seed row: the seed row and the points
+# just above it have both halves, and all recurrence rows lie below m*y.
+Y600_CTX = SteinContext(lam=Fraction(500), lattice_step=3, scale_num=1, threshold_y=600)
+
 # (context, w_max, off-lattice points) for the checks of the table layout;
-# the last two have points above the recurrence rows.
+# the last three have points above the recurrence rows.
 LAYOUT_CASES = {
     **{case: (ctx, w_max, True) for case, (ctx, w_max, _, _) in REFERENCE_CASES.items()},
     "lattice_only": (BENCH_CTX, 31 * 115, False),
     "coupling_table": (BENCH_CTX, 16728, True),
     "lattice_only_wide": (BENCH_CTX, 31 * 1000, False),
+    "seed_below_threshold": (Y600_CTX, 3 * 700, True),
 }
 
 
@@ -361,24 +366,46 @@ class TestArrayFormsAgainstScalarReference:
         assert report.all_passed
 
     @pytest.mark.parametrize(
-        "case", ["stein_check", "small", "unit_lattice", "y40", "coupling_table", "lattice_only_wide"]
+        "case",
+        [
+            "stein_check",
+            "small",
+            "unit_lattice",
+            "y40",
+            "coupling_table",
+            "lattice_only_wide",
+            "seed_below_threshold",
+        ],
     )
     def test_split_series_bit_equal_off_lattice(self, case):
         # The seed row and every point above the recurrence rows are the
         # scalar series loop's values and lengths, bit for bit, each at its
-        # own tolerance.
+        # own tolerance; lattice points at or below m*y take D_low values.
         ctx, w_max, off = LAYOUT_CASES[case]
         table = _solve_quietly(ctx, w_max, off)
+        m, my = ctx.lattice_step, ctx.threshold_point
         p_ge = table.tail_at_threshold
         rel_tol = min(ctx.series_tol, 1e-14)
         seed_row, _, above = _layout(ctx, w_max, off)
         for w, tol in [(w, 2.0**-53) for w in seed_row] + [(w, rel_tol) for w in above]:
+            if w % m == 0 and w <= my:
+                continue
             value, terms = stein_split_series_reference(ctx, w, p_ge, tol)
             assert table.values[w] == value, w
             assert table.truncation_terms[w] == terms, w
 
     @pytest.mark.parametrize(
-        "case", ["stein_check", "small", "unit_lattice", "y40", "lattice_only", "lattice_only_wide"]
+        "case",
+        [
+            "stein_check",
+            "small",
+            "unit_lattice",
+            "y40",
+            "lattice_only",
+            "coupling_table",
+            "lattice_only_wide",
+            "seed_below_threshold",
+        ],
     )
     def test_recurrence_points_against_mpmath(self, case):
         # Below the seed row each value is P*S0 - (1-P)*S1 to within 2e-15 of
