@@ -195,7 +195,7 @@ def _split_series(ctx: SteinContext, ws: np.ndarray, tol: np.ndarray):
     first_s1 = np.maximum(-((ws - ctx.threshold_point) // m), 0)
     # From term last_s0 on every point sums into S1, so the masks are skipped:
     # points above the recurrence rows mostly lie above m*y, and there the
-    # masked sums made tables of 1e5 points about a third slower.
+    # masked sums made tables of 1e5 points up to a third slower.
     last_s0 = int(first_s1.max(initial=0))
     w = ws.astype(float)
     term = 1.0 / w
