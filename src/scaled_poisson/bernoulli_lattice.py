@@ -191,7 +191,7 @@ def w_distribution(scheme: BernoulliScheme, epsilon: float = 0.0) -> LatticeDist
     epsilon / R, for large-M* work where the dense support would be wasteful.
     """
     eps = float(epsilon)
-    if eps < 0.0 or eps >= 1.0:
+    if not 0.0 <= eps < 1.0:
         raise ValidationError(f"epsilon must be in [0, 1), got {epsilon!r}")
     classes, deficit = _capped_class_pmfs(
         scheme, scheme.trials_per_class, eps / scheme.class_count

@@ -180,13 +180,14 @@ def _gamma_q_contfrac(shape: float, x: float) -> float:
     return math.exp(log_prefix) * h
 
 
-def regularized_gamma_q(shape, rate_point) -> float:
-    """Regularized upper incomplete gamma Q(shape, rate_point).
+def _regularized_gamma_pq(shape, rate_point) -> tuple[float, float]:
+    """Lower and upper regularized incomplete gamma (P, Q), each on its own side.
 
-    Q(x, s) = integral_s^inf t^(x-1) e^(-t) dt / Gamma(x); for integer n,
-    Q(n, s) = P(A_s <= n-1).  The continued fraction is used on and right of
-    the switch line shape = rate_point + 1; the power series elsewhere and
-    for rate_point < 1, where the fraction is ill-conditioned.
+    The continued fraction gives Q on and right of the switch line
+    shape = rate_point + 1; the power series gives P elsewhere and for
+    rate_point < 1, where the fraction is ill-conditioned.  The other is one
+    minus it, so only the side that was summed keeps full relative accuracy
+    when it is small.
     """
     a = float(shape)
     x = float(rate_point)
@@ -195,8 +196,19 @@ def regularized_gamma_q(shape, rate_point) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise ValidationError(f"rate_point must be positive, got {rate_point!r}")
     if x >= 1.0 and x >= a - 1.0:
-        return _gamma_q_contfrac(a, x)
-    return 1.0 - _gamma_p_series(a, x)
+        q = _gamma_q_contfrac(a, x)
+        return 1.0 - q, q
+    p = _gamma_p_series(a, x)
+    return p, 1.0 - p
+
+
+def regularized_gamma_q(shape, rate_point) -> float:
+    """Regularized upper incomplete gamma Q(shape, rate_point).
+
+    Q(x, s) = integral_s^inf t^(x-1) e^(-t) dt / Gamma(x); for integer n,
+    Q(n, s) = P(A_s <= n-1).  Evaluated by _regularized_gamma_pq.
+    """
+    return _regularized_gamma_pq(shape, rate_point)[1]
 
 
 def normal_tail(mean, variance, point) -> float:

@@ -17,16 +17,16 @@ mod m both halves satisfy all-positive recurrences, exactly:
     S0(w) = ([w < m*y]  + lam*m*S0(w+m)) / w,   S0 = 0 at w >= m*y.
 
 The integers are laid out in rows of m consecutive integers, one residue
-class per column.  One seed row is summed as series by a masked-array
-routine, S1 truncated once a geometric majorant of its tail falls below
-2**-53 * S1, and every row below follows from the one above in one vector
-step.  Going down a row multiplies the seed's relative truncation error by
-lam*m*S1(w+m) / (w*S1(w)) < 1, so every value keeps the seed's certificate and
-the steps add only rounding.  The loop runs once per row, so the seed row is
-at most _RECURRENCE_ROWS rows above the lowest row needed; points above it are
-summed as series to series_tol (at most 1e-14), where the series is short.
-Lattice-only tables and m = 1 need one column, from the first lattice point
-above m*y.
+class per column.  Both halves start from zero J rows above the top row and
+every row below follows from the one above in one vector step; the series cut
+after J terms is exactly this recurrence started from zero J rows up (Miller's
+backward recurrence; Gautschi 1967).  J is the least depth at which a
+geometric majorant of S1's omitted terms, at the top row's lowest point,
+falls below 2**-53 of term 0, found in log space.  The top row lies above m*y,
+so S0 starts exact, and going down a row multiplies S1's relative truncation
+error by lam*m*S1(w+m) / (w*S1(w)) < 1, so every value keeps the top row's
+certificate and the steps add only rounding.  Lattice-only tables and m = 1
+need one column, from the first lattice point above m*y.
 
 For w >= m*y the sum S0 is empty and S1 is the single-signed series T(w); on
 the lattice T(m*j) = D_high(j)/(lam*m) with D_high(j) = lam/j + lam^2/(j(j+1))
@@ -85,7 +85,9 @@ class SteinContext:
 
     lam: Poisson rate (exact rational); lattice_step m and scale_num n are the
     reduced terms of k = n/m; threshold_y is the integer level y of the
-    indicator h(w) = 1{w >= m*y}.
+    indicator h(w) = 1{w >= m*y}.  series_tol is the tolerance stein-check
+    holds the Stein equation residual to (ten times it); solve_stein always
+    evaluates to full precision.
     """
 
     lam: Fraction
@@ -150,9 +152,8 @@ class SteinSolutionTable:
 
     values[w] is NaN where not computed.  residual_max is the worst lattice
     defect |lam*m*f(w+m) - w*f(w) - (h(w) - P)|; truncation_terms[w] is the
-    length of the series values[w] equals (j on lattice points m*j <= m*y),
-    not the work done: a point below a seed row counts the seed's terms plus
-    one per row.
+    length of the series values[w] equals: j on lattice points m*j <= m*y,
+    and Z - (w-1)//m elsewhere, Z the row the recurrence starts from zero.
     """
 
     ctx: SteinContext
@@ -176,96 +177,53 @@ class SteinSolutionTable:
         return self.f(w)
 
 
-def _split_series(ctx: SteinContext, ws: np.ndarray, tol: np.ndarray):
-    """S0, S1 and the series length at every integer w > 0 in ws.
+# ln 2**-53: the depth at which the omitted terms fall below one rounding.
+_LOG_ROUNDING = -53.0 * math.log(2.0)
 
-    S0 holds the terms with w + m*j < m*y, S1 the rest.  S1 stops after term j
-    once the geometric majorant of the terms left, term * ratio / (1 - ratio)
-    with ratio = lam*m / (w + m*(j+1)), falls below tol * S1, tol one relative
-    tolerance per point; the test is written without the division, so it is
-    false whenever ratio >= 1.  A point whose term overflows stops at once
-    with an infinite half.  Points leave the arrays as they finish.
+
+def _depth(lam_m: float, m: int, w: int) -> int:
+    """Least J at which the series at w, cut after J terms, is within 2**-53
+    of its term 0.
+
+    Term l is term 0 times r_1 * ... * r_l with r_l = lam*m / (w + m*l); the
+    ratios fall, so the terms from J on sum to at most term J / (1 - r_J)
+    once r_J < 1.  The products are summed as logarithms: at large lam they
+    pass the float range before the terms start to fall.
     """
-    m = ctx.lattice_step
-    lam_m = float(ctx.lambda_m)
-    s0_out = np.empty(ws.size)
-    s1_out = np.empty(ws.size)
-    counts = np.empty(ws.size, dtype=np.int64)
-    idx = np.arange(ws.size)
-    first_s1 = np.maximum(-((ws - ctx.threshold_point) // m), 0)
-    # From term last_s0 on every point sums into S1, so the masks are skipped:
-    # points above the recurrence rows mostly lie above m*y, and there the
-    # masked sums made tables of 1e5 points up to a third slower.
-    last_s0 = int(first_s1.max(initial=0))
-    w = ws.astype(float)
-    term = 1.0 / w
-    ratio = lam_m / (w + m)
-    s0 = np.where(first_s1 > 0, term, 0.0)
-    s1 = np.where(first_s1 > 0, 0.0, term)
-    j = 0
-    while idx.size:
-        j += 1
-        term *= ratio
-        mixed = j < last_s0
-        if mixed:
-            in_s1 = first_s1 <= j
-            s0 += np.where(in_s1, 0.0, term)
-            s1 += np.where(in_s1, term, 0.0)
-        else:
-            s1 += term
-        ratio = lam_m / (w + m * (j + 1))
-        done = term * ratio < tol * s1 * (1.0 - ratio)
-        if mixed:
-            done &= in_s1
-        done |= np.isinf(term)
-        if done.any():
-            out = idx[done]
-            s0_out[out] = s0[done]
-            s1_out[out] = s1[done]
-            counts[out] = j + 1
-            keep = ~done
-            idx, first_s1, w, term, ratio, s0, s1, tol = (
-                a[keep] for a in (idx, first_s1, w, term, ratio, s0, s1, tol)
-            )
-    return s0_out, s1_out, counts
+    size = 64
+    while True:
+        r = lam_m / (w + m * np.arange(1.0, size + 1.0))
+        # r_l >= 1 makes the bound infinite, never below the target
+        with np.errstate(divide="ignore"):
+            bound = np.cumsum(np.log(r)) - np.log1p(-np.minimum(r, 1.0))
+        done = np.flatnonzero(bound < _LOG_ROUNDING)
+        if done.size:
+            return int(done[0]) + 1
+        size *= 2
 
 
-# Rows carried down by the recurrence below each seed row.  The loop runs once
-# per row, so a larger cap trades series terms for Python steps; points above
-# the recurrence rows are summed as series, where they are short.
-_RECURRENCE_ROWS = 512
-
-# A seed's geometric majorant falls below one rounding of S1.
-_SEED_TOL = 2.0**-53
-
-
-def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int, rel_tol: float):
+def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
     """The points q*m + c (c in cols, q >= low) up to w_max, with S0, S1 and
-    the length of the series each pair equals: the recurrence rows, then the
-    points above them.
+    the length of the series each pair equals.
 
-    Row q holds q*m + c for the columns c, one residue class each.  The seed
-    row, at most _RECURRENCE_ROWS above row low, is summed to full precision,
-    and every row below it follows from the one above by
-    S(w) = ([term 0 of w in S] + lam*m*S(w+m)) / w, all terms positive.
-    Points above the seed row are summed as series to rel_tol.
+    Row q holds q*m + c for the columns c, one residue class each.  Both
+    halves start from zero at row Z = w_max//m + J, J from _depth at the
+    lowest point of row w_max//m, and every row below follows from the one
+    above by S(w) = ([term 0 of w in S] + lam*m*S(w+m)) / w, all terms
+    positive.  Row q then equals the series cut after Z - q terms (Miller's
+    backward recurrence): S0 exactly, since the top rows lie above m*y, and
+    S1 within 2**-53 on row w_max//m; a step down multiplies the relative
+    truncation error by lam*m*S1(w+m) / (w*S1(w)) < 1.
     """
     m = ctx.lattice_step
     lam_m = float(ctx.lambda_m)
     n = cols.size
-    seed = min(w_max // m - 1, low + _RECURRENCE_ROWS)
-    grid = m * np.arange(low, seed + 1)[:, None] + cols
-    above = (m * np.arange(seed + 1, w_max // m + 1)[:, None] + cols).ravel()
-    above = above[above <= w_max]
-    ws = np.concatenate((grid[-1], above))
-    tol = np.full(ws.size, rel_tol)
-    tol[:n] = _SEED_TOL
-    s0_series, s1_series, terms_series = _split_series(ctx, ws, tol)
+    top = w_max // m
+    z = top + _depth(lam_m, m, top * m + int(cols[0]))
+    grid = m * np.arange(low, z)[:, None] + cols
 
-    # the halves side by side, one vector step per row
-    halves = np.empty((grid.shape[0], 2 * n))
-    halves[-1, :n] = s0_series[:n]
-    halves[-1, n:] = s1_series[:n]
+    # the halves side by side, one vector step per row, from the zero row Z
+    halves = np.zeros((grid.shape[0] + 1, 2 * n))
     at_or_above = grid >= ctx.threshold_point
     rows = list(halves)
     firsts = list(np.hstack((~at_or_above, at_or_above)).astype(float))
@@ -275,13 +233,10 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int, rel_tol: 
         np.multiply(rows[q + 1], lam_m, out=row)
         row += firsts[q]
         row /= divisors[q]
-    s0, s1 = halves[:, :n], halves[:, n:]
-    # a row below the seed equals the seed's series one term longer
-    terms = terms_series[:n] + np.arange(grid.shape[0] - 1, -1, -1)[:, None]
-    return (
-        (grid, s0, s1, terms),
-        (above, s0_series[n:], s1_series[n:], terms_series[n:]),
-    )
+    kept = slice(0, top - low + 1)
+    needed = grid[kept] <= w_max
+    terms = np.broadcast_to(z - np.arange(low, top + 1)[:, None], needed.shape)
+    return grid[kept][needed], halves[kept, :n][needed], halves[kept, n:][needed], terms[needed]
 
 
 def solve_stein(
@@ -291,11 +246,11 @@ def solve_stein(
 
     Lattice points at or below m*y use the regrouped all-positive D_low form.
     Every other point (off-lattice integers only when requested) is
-    P*S0 - (1-P)*S1 from _halves: the backward recurrence below a
-    full-precision seed row, or above it the split series with a
-    geometric-majorant truncation certificate.  f(0) is fixed to 0: the Stein
-    equation at w = 0 constrains only f(m), and nothing downstream reads f(0).
-    Raises NumericalRangeError when a computed value is not finite.
+    P*S0 - (1-P)*S1 from _halves: one backward recurrence from a zero row
+    high enough that the series at the top row is cut within 2**-53 of its
+    term 0.  f(0) is fixed to 0: the Stein equation at w = 0 constrains only
+    f(m), and nothing downstream reads f(0).  Raises NumericalRangeError when
+    a computed value is not finite.
     """
     m = ctx.lattice_step
     y = ctx.threshold_y
@@ -306,7 +261,6 @@ def solve_stein(
     lam = float(ctx.lam)
     lam_m = float(ctx.lambda_m)
     p_ge = poisson_tail(lam, y)
-    rel_tol = min(float(ctx.series_tol), 1e-14)
 
     values = np.full(w_max + 1, np.nan)
     counts = np.zeros(w_max + 1, dtype=np.int64)
@@ -320,9 +274,9 @@ def solve_stein(
         cols, low = np.array([m]), y
     # a value out of float range is reported below, not warned about here
     with np.errstate(over="ignore", invalid="ignore"):
-        for points, s0, s1, terms in _halves(ctx, cols, low, w_max, rel_tol):
-            values[points] = p_ge * s0 - (1.0 - p_ge) * s1
-            counts[points] = terms
+        points, s0, s1, terms = _halves(ctx, cols, low, w_max)
+        values[points] = p_ge * s0 - (1.0 - p_ge) * s1
+    counts[points] = terms
 
     # D_low(1) = 1 and D_low(j+1) = 1 + (j/lam) D_low(j): all terms positive.
     d_low = [1.0]

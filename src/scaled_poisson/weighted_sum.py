@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .poisson_core import _poisson_pmf_vector, normal_tail, poisson_tail, regularized_gamma_q
+from .poisson_core import _poisson_pmf_vector, _regularized_gamma_pq, normal_tail, poisson_tail
 
 __all__ = [
     "WeightedPoissonSum",
@@ -334,8 +334,9 @@ def scaled_poisson_tail(m: SumMoments, y, mode: str = "discrete", strict: bool =
 
     discrete mode: P(A_lam > k*y) (strict) or P(A_lam >= k*y), with the
     threshold resolved by exact rational floor/ceil.  continuous mode: the
-    incomplete-gamma relaxation 1 - Q(k*y, lam).  The two modes agree only
-    approximately; both are exposed and neither is canonical.
+    incomplete-gamma relaxation P(k*y, lam) = 1 - Q(k*y, lam), the lower
+    regularized gamma, summed directly where it is small.  The two modes agree
+    only approximately; both are exposed and neither is canonical.
     """
     yq = Fraction(y)
     if yq <= 0:
@@ -344,7 +345,7 @@ def scaled_poisson_tail(m: SumMoments, y, mode: str = "discrete", strict: bool =
     if mode == "discrete":
         return poisson_tail(float(m.lam), _threshold(ky, strict))
     if mode == "continuous":
-        return 1.0 - regularized_gamma_q(float(ky), float(m.lam))
+        return _regularized_gamma_pq(float(ky), float(m.lam))[0]
     raise ValidationError(f"mode must be 'discrete' or 'continuous', got {mode!r}")
 
 

@@ -91,6 +91,24 @@ def mp_stein_halves(lam: Fraction, m: int, y: int, w: int):
     return s0, term * mp.hyp1f1(1, mp.mpf(v) / m + 1, lam_mp)
 
 
+def mp_stein_depth(lam: Fraction, m: int, w: int) -> int:
+    """Least J at which the terms of the series at integer w > 0 from term J
+    on sum to at most 2**-53 of term 0, by the majorant term_J / (1 - r_J).
+
+    Term l is term 0 times r_1 * ... * r_l with r_l = lam*m / (w + m*l); the
+    ratios fall, so the majorant holds once r_J < 1.  High precision.
+    """
+    lam_m = _mp_rate(lam) * m
+    ratios = mp.mpf(1)
+    j = 0
+    while True:
+        j += 1
+        r = lam_m / (w + m * j)
+        ratios *= r
+        if r < 1 and ratios / (1 - r) < mp.mpf(2) ** -53:
+            return j
+
+
 def _mp_rate(rate):
     q = Fraction(rate)
     return mp.mpf(q.numerator) / q.denominator
@@ -252,29 +270,6 @@ def exact_suffix_sums(values) -> list[float]:
         total += num * (scale // den)
         out[t] = total / scale
     return out
-
-
-def stein_split_series_reference(ctx, w: int, p_ge: float, rel_tol: float):
-    """P*S0 - (1-P)*S1 and its series length at one integer w > 0, scalar loop."""
-    m = ctx.lattice_step
-    my = ctx.threshold_point
-    lam_m = float(ctx.lambda_m)
-    j_prime = -((w - my) // m) - 1  # largest j with w + m*j < m*y
-    s0 = 0.0
-    s1 = 0.0
-    term = 1.0 / w
-    j = 0
-    while True:
-        if j <= j_prime:
-            s0 += term
-        else:
-            s1 += term
-            ratio = lam_m / (w + m * (j + 1))
-            if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol * s1:
-                break
-        term *= lam_m / (w + m * (j + 1))
-        j += 1
-    return p_ge * s0 - (1.0 - p_ge) * s1, j + 1
 
 
 def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:

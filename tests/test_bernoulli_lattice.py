@@ -110,6 +110,14 @@ class TestWDistribution:
         assert capped.mass_deficit <= 1e-200
         assert capped.support_max < w_distribution(s).support_max
 
+    def test_nan_epsilon_rejected(self, bench_model):
+        # NaN fails every comparison, so it must fail the range test too
+        s = build_scheme(bench_model, default_trials(bench_model, 50))
+        with pytest.raises(ValidationError, match="epsilon"):
+            w_distribution(s, epsilon=float("nan"))
+        with pytest.raises(ValidationError, match="epsilon"):
+            tail_ratio(s, bench_model, 450, cap=float("nan"))
+
 
 class TestTailRatio:
     def test_small_model_midrange(self, small_model):

@@ -298,6 +298,10 @@ class TestEmpiricalConstant:
         for _, dev, bracket, ratio in res.rows:
             assert bracket > 0 and ratio == pytest.approx(dev / bracket, rel=1e-15)
 
+    def test_nan_w_cap_rejected(self, bench_model):
+        with pytest.raises(ValidationError, match="epsilon"):
+            empirical_constant(bench_model, 52, 55, mstar=50, w_cap=float("nan"))
+
 
 class TestCsvRoundTrip:
     def test_seventeen_digits_round_trip(self, bench_model):

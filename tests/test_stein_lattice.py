@@ -22,14 +22,14 @@ from scaled_poisson import (
     stein_apply,
     verify_f_properties,
 )
-from scaled_poisson.stein_lattice import _RECURRENCE_ROWS, factorial_envelope
+from scaled_poisson.stein_lattice import factorial_envelope
 
 from oracles import (
     mp_d_low,
+    mp_stein_depth,
     mp_stein_halves,
     mp_stein_solution,
     stein_d_high_reference,
-    stein_split_series_reference,
     verify_f_properties_reference,
 )
 
@@ -145,8 +145,8 @@ class TestSolveStein:
 
     @pytest.mark.parametrize("off", [True, False])
     def test_overflowing_series_terms_stop(self, off):
-        # above the recurrence rows the terms pass the float range before
-        # they start to fall, so the series' stopping test is never met
+        # the series terms pass the float range before they start to fall,
+        # so the recurrence's depth must be found in log space
         ctx = SteinContext(lam=Fraction(5000), lattice_step=1, scale_num=1, threshold_y=600)
         with pytest.raises(NumericalRangeError, match="lam = 5000"):
             solve_stein(ctx, 2000, include_off_lattice=off)
@@ -310,36 +310,37 @@ REFERENCE_CASES = {
 }
 
 
-# lam*m = 1500 with m*y = 1800 above the seed row: the seed row and the points
-# just above it have both halves, and all recurrence rows lie below m*y.
+# lam*m = 1500 below m*y = 1800, 700 rows of m = 3: every point below 1800
+# has both halves, and below 1500 its series terms grow before they fall.
 Y600_CTX = SteinContext(lam=Fraction(500), lattice_step=3, scale_num=1, threshold_y=600)
 
 # (context, w_max, off-lattice points) for the checks of the table layout;
-# the last three have points above the recurrence rows.
+# the last three are tall: hundreds of rows above m*y, or below it.
 LAYOUT_CASES = {
     **{case: (ctx, w_max, True) for case, (ctx, w_max, _, _) in REFERENCE_CASES.items()},
     "lattice_only": (BENCH_CTX, 31 * 115, False),
     "coupling_table": (BENCH_CTX, 16728, True),
     "lattice_only_wide": (BENCH_CTX, 31 * 1000, False),
-    "seed_below_threshold": (Y600_CTX, 3 * 700, True),
+    "tall_off_lattice": (Y600_CTX, 3 * 700, True),
 }
+# the distinct tables among them
+TABLE_CASES = sorted(set(LAYOUT_CASES) - {"bench", "bench_grid"})
 
 
 def _layout(ctx, w_max, off):
-    """solve_stein's seed row, the recurrence points below it, and the series
-    points above it.
+    """solve_stein's recurrence points with their rows, and the lowest point
+    of the top row w_max // m.
 
     Row q holds q*m + c for the columns c: 1..m from row 0 with off-lattice
-    points, m alone from row y without them or at m = 1.  The seed row is the
-    last whole row, at most _RECURRENCE_ROWS rows up.
+    points, m alone from row y without them or at m = 1.  The lattice points
+    at or below m*y take D_low values and are left out.
     """
-    m = ctx.lattice_step
+    m, my = ctx.lattice_step, ctx.threshold_point
     cols, low = (range(1, m + 1), 0) if off and m > 1 else ((m,), ctx.threshold_y)
-    seed = min(w_max // m - 1, low + _RECURRENCE_ROWS)
-    seed_row = [seed * m + c for c in cols]
-    rows = [q * m + c for q in range(low, seed) for c in cols]
-    above = [w for w in range(seed * m + m + 1, w_max + 1) if w % m in {c % m for c in cols}]
-    return seed_row, rows, above
+    top = w_max // m
+    points = [(q * m + c, q) for q in range(low, top + 1) for c in cols]
+    recurrence = [(w, q) for w, q in points if w <= w_max and not (w % m == 0 and w <= my)]
+    return recurrence, top * m + cols[0]
 
 
 def _solve_quietly(ctx, w_max, off):
@@ -365,68 +366,34 @@ class TestArrayFormsAgainstScalarReference:
         assert report.checks == tuple(c for c in reference.checks if c.points)
         assert report.all_passed
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "stein_check",
-            "small",
-            "unit_lattice",
-            "y40",
-            "coupling_table",
-            "lattice_only_wide",
-            "seed_below_threshold",
-        ],
-    )
-    def test_split_series_bit_equal_off_lattice(self, case):
-        # The seed row and every point above the recurrence rows are the
-        # scalar series loop's values and lengths, bit for bit, each at its
-        # own tolerance; lattice points at or below m*y take D_low values.
-        ctx, w_max, off = LAYOUT_CASES[case]
-        table = _solve_quietly(ctx, w_max, off)
-        m, my = ctx.lattice_step, ctx.threshold_point
-        p_ge = table.tail_at_threshold
-        rel_tol = min(ctx.series_tol, 1e-14)
-        seed_row, _, above = _layout(ctx, w_max, off)
-        for w, tol in [(w, 2.0**-53) for w in seed_row] + [(w, rel_tol) for w in above]:
-            if w % m == 0 and w <= my:
-                continue
-            value, terms = stein_split_series_reference(ctx, w, p_ge, tol)
-            assert table.values[w] == value, w
-            assert table.truncation_terms[w] == terms, w
-
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "stein_check",
-            "small",
-            "unit_lattice",
-            "y40",
-            "lattice_only",
-            "coupling_table",
-            "lattice_only_wide",
-            "seed_below_threshold",
-        ],
-    )
+    @pytest.mark.parametrize("case", TABLE_CASES)
     def test_recurrence_points_against_mpmath(self, case):
-        # Below the seed row each value is P*S0 - (1-P)*S1 to within 2e-15 of
-        # the halves, against 50-digit halves with the same float P, and its
-        # series is the seed's one term longer per row.
+        # Every value off the D_low points is P*S0 - (1-P)*S1 to within 2e-15
+        # of the halves, against 60-digit halves with the same float P.
         ctx, w_max, off = LAYOUT_CASES[case]
         table = _solve_quietly(ctx, w_max, off)
         m, y = ctx.lattice_step, ctx.threshold_y
         p_mp = mp.mpf(table.tail_at_threshold)
-        seed_row, rows, _ = _layout(ctx, w_max, off)
-        seed_terms = {w % m: table.truncation_terms[w] for w in seed_row}
-        seed_q = (seed_row[0] - 1) // m
         worst = 0.0
-        for w in rows:
-            if w % m == 0 and w <= m * y:
-                continue  # the D_low lattice values
+        for w, _ in _layout(ctx, w_max, off)[0]:
             s0, s1 = mp_stein_halves(ctx.lam, m, y, w)
             err = abs(mp.mpf(table.values[w]) - (p_mp * s0 - (1 - p_mp) * s1))
             worst = max(worst, float(err / (p_mp * s0 + (1 - p_mp) * s1)))
-            assert table.truncation_terms[w] == seed_terms[w % m] + seed_q - (w - 1) // m, w
         assert worst <= 2e-15
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_truncation_terms_count_rows_below_zero_row(self, case):
+        # The recurrence starts from zero at row Z = w_max//m + J, J the least
+        # depth whose omitted-term majorant at the top row's lowest point is
+        # below 2**-53 of term 0, so row q holds the series cut after Z - q
+        # terms.
+        ctx, w_max, off = LAYOUT_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
+        m = ctx.lattice_step
+        recurrence, lowest_top = _layout(ctx, w_max, off)
+        z = w_max // m + mp_stein_depth(ctx.lam, m, lowest_top)
+        for w, q in recurrence:
+            assert table.truncation_terms[w] == z - q, w
 
     @pytest.mark.parametrize("case", ["stein_check", "small", "unit_lattice", "y40"])
     @pytest.mark.parametrize("off", [True, False])
@@ -437,7 +404,7 @@ class TestArrayFormsAgainstScalarReference:
         lam, lam_m = float(ctx.lam), float(ctx.lambda_m)
         p_ge = table.tail_at_threshold
         for j in range(y + 1, w_max // m + 1):
-            # the reference summed past one rounding, not to the table's rel_tol
+            # the reference summed past one rounding
             ref = -(1.0 - p_ge) * stein_d_high_reference(j, lam, 2.0**-53) / lam_m
             assert table.values[m * j] == pytest.approx(ref, rel=1e-14, abs=0.0), j
 

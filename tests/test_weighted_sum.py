@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +321,20 @@ class TestScaledPoissonTail:
         assert got == pytest.approx(0.2015638999712903264, rel=1e-10)
         discrete = scaled_poisson_tail(bench_moments, 450, mode="discrete", strict=True)
         assert abs(got - discrete) < 0.05
+
+    @pytest.mark.parametrize("y", [500, 700, 900, 1250])
+    def test_continuous_against_mpmath_far_tail(self, bench_moments, y):
+        # P(k*y, lam) is summed on its own side: one minus the upper gamma
+        # loses every digit there (it read 0 at y = 1250)
+        ky, lam = bench_moments.k * y, bench_moments.lam
+        truth = mp.gammainc(
+            mp.mpf(ky.numerator) / ky.denominator,
+            0,
+            mp.mpf(lam.numerator) / lam.denominator,
+            regularized=True,
+        )
+        got = scaled_poisson_tail(bench_moments, y, mode="continuous")
+        assert abs(got - truth) <= 1e-12 * truth
 
     def test_strict_vs_nonstrict_thresholds(self, bench_moments):
         # at y = 403, k y = 52 exactly: strict uses 53, non-strict uses 52
