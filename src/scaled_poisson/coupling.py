@@ -39,7 +39,7 @@ from .bernoulli_lattice import (
 from .errors import ValidationError
 from .poisson_core import _poisson_pmf_vector, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
-from .weighted_sum import SumMoments, _convolve_classes, _suffix_at, _suffix_sums, _threshold
+from .weighted_sum import SumMoments, _convolve_classes, _suffix_sums, _threshold
 
 __all__ = [
     "DeltaDistribution",
@@ -418,7 +418,9 @@ def h_decomposition(
         h_values.append(lam_m * float(np.dot(f_shift_m - f_shift_b, joint * lr)))
 
     threshold = _threshold(Fraction(ctx.threshold_point, n))  # nW >= my
-    w_tail = float(_suffix_at(_suffix_sums(w_law), threshold))
+    # The top-down sum never reads below the threshold, so summing from it
+    # alone gives the full table's suffix entry bit for bit.
+    w_tail = float(_suffix_sums(w_law[max(threshold, 0) :])[0])
     tail_diff = w_tail - poisson_tail(float(m.lam), ctx.threshold_y)
     closure = abs(fsum(h_values) - tail_diff)
     return HDecomposition(H=tuple(h_values), tail_diff=tail_diff, closure_error=closure)

@@ -32,7 +32,7 @@ from .weighted_sum import (
     LatticeDistribution,
     SumMoments,
     WeightedPoissonSum,
-    _suffix_at,
+    _tail_sums,
     _threshold,
     _threshold_ratio,
     exact_distribution,
@@ -137,12 +137,12 @@ def eta(w_dist: LatticeDistribution, m: SumMoments, y: int, from_zero: bool = Fa
 def _w_tail_ratios(w_dist: LatticeDistribution, m: SumMoments, r_from: int, r_to: int, var: str):
     """(r, P(nW >= m r), P(A_lam >= r)) for integer r in [r_from, r_to], in order.
 
-    The W tails are one gather from the suffix sums.  Raises
+    The W tails are one _tail_sums lookup.  Raises
     NumericalRangeError at the first r whose Poisson tail underflows, naming
     it as ``var``.
     """
     rs = np.arange(r_from, r_to + 1, dtype=object)
-    nums = _suffix_at(w_dist.suffix, _threshold_ratio(m.k_den * rs, m.k_num)).tolist()
+    nums = _tail_sums(w_dist, _threshold_ratio(m.k_den * rs, m.k_num)).tolist()
     rate = float(m.lam)
     for r, num in zip(rs.tolist(), nums):
         den = poisson_tail(rate, r)
@@ -193,13 +193,13 @@ def _rows(
     the whole range at once.
 
     Thresholds and plateau ids are exact integer array expressions (Python
-    ints, so k_num * y cannot overflow), exact tails one gather from the
-    suffix sums, and the scaled tail one poisson_tail call per distinct
-    plateau, shared by the rows on it.  The per-row floats are those of the
-    scalar evaluation, operation for operation.
+    ints, so k_num * y cannot overflow), exact tails one _tail_sums lookup,
+    and the scaled tail one poisson_tail call per distinct plateau, shared by
+    the rows on it.  The per-row floats are those of the scalar evaluation,
+    operation for operation.
     """
     ys = np.arange(y_from, y_to + 1, dtype=object)
-    exact = _suffix_at(dist.suffix, _threshold_ratio(ys, 1, strict))
+    exact = _tail_sums(dist, _threshold_ratio(ys, 1, strict))
     plateaus = _threshold_ratio(model_moments.k_num * ys, model_moments.k_den, strict).tolist()
     rate = float(model_moments.lam)
     plateau_tail = {t: poisson_tail(rate, t) for t in dict.fromkeys(plateaus)}

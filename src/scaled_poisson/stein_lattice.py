@@ -338,18 +338,27 @@ def g_m_via_recurrence(ctx: SteinContext, table: SteinSolutionTable, w: int) -> 
     return 1.0 / lam_m - (table.f(w) / p_ge) * (w / lam_m - 1.0)
 
 
-def factorial_envelope(ctx: SteinContext, w: int) -> float:
-    """exp(lam) * floor(w/m - 1)! / (m * lam^floor(w/m)), in log space.
+# exp of anything below this stays finite, with room for rounding of the log.
+_LOG_FINITE = 709.0
 
-    The factorial-scale envelope controlling off-lattice differences of f_h
-    below the threshold.
-    """
+
+def _log_factorial_envelope(ctx: SteinContext, w: int) -> float:
+    """The log of factorial_envelope(ctx, w), finite for every w >= m."""
     j = w // ctx.lattice_step
     if j < 1:
         raise ValidationError("envelope needs w >= m")
     lam = float(ctx.lam)
-    log_b = lam + lgamma(j) - j * math.log(lam) - math.log(ctx.lattice_step)
-    return math.exp(log_b) if log_b < 709.0 else math.inf
+    return lam + lgamma(j) - j * math.log(lam) - math.log(ctx.lattice_step)
+
+
+def factorial_envelope(ctx: SteinContext, w: int) -> float:
+    """exp(lam) * floor(w/m - 1)! / (m * lam^floor(w/m)), in log space.
+
+    The factorial-scale envelope controlling off-lattice differences of f_h
+    below the threshold; inf where it is at or above e^709.
+    """
+    log_b = _log_factorial_envelope(ctx, w)
+    return math.exp(log_b) if log_b < _LOG_FINITE else math.inf
 
 
 @dataclass(frozen=True)
@@ -380,6 +389,18 @@ class PropertyReport:
 # the table values are both floats, so exact inequalities are tested with a
 # billionth of headroom.
 _BOUND_SLACK = 1e-9
+
+
+def _exceeds(g: np.ndarray, floor: float, log_bound: np.ndarray) -> np.ndarray:
+    """g > floor + exp(log_bound) * (1 + _BOUND_SLACK), elementwise.
+
+    Decided in log space, so a bound past the float maximum still decides
+    and nothing overflows.  A NaN g exceeds nothing here; the NaN margin it
+    leaves fails the check.
+    """
+    excess = g - floor
+    log_excess = np.log(excess, out=np.full(g.shape, -math.inf), where=excess > 0.0)
+    return log_excess > math.log1p(_BOUND_SLACK) + log_bound
 
 
 def verify_f_properties(
@@ -443,15 +464,28 @@ def verify_f_properties(
     )
 
     # The envelope depends on w only through its lattice cell w // m in 1..y-1.
-    cell_envelope = [factorial_envelope(ctx, m * c) for c in range(1, ctx.threshold_y)]
-    envelope = np.array(cell_envelope)[below // m - 1]
+    # Both envelopes are compared with g in log space; the margins are float
+    # differences, inf where the bound is at or above e^709.
+    cells = range(1, ctx.threshold_y)
+    cell = below // m - 1
+    log_env = np.array([_log_factorial_envelope(ctx, m * c) for c in cells])[cell]
+    envelope = np.array([factorial_envelope(ctx, m * c) for c in cells])[cell]
 
+    # g_m's bound is 1/lam_m + term, term = envelope * dist / lam_m: in floats
+    # where envelope and envelope * dist stay finite, else from its log.
     lam_m = float(ctx.lambda_m)
     f_below = f_at(below)
     g = (f_below - f_at(below + m)) / p_ge
-    bound = 1.0 / lam_m + envelope * np.abs(below - lam_m) / lam_m
-    gm_margin = float((bound - g).min(initial=math.inf))
-    gm_ok = not np.any(g > bound * (1.0 + _BOUND_SLACK) + 1e-12)
+    dist = np.abs(below - lam_m)
+    log_dist = np.log(dist, out=np.full(dist.shape, -math.inf), where=dist > 0.0)
+    log_term = log_env + log_dist - math.log(lam_m)
+    term = np.full(below.size, math.inf)
+    direct = np.maximum(log_env, log_env + log_dist) < _LOG_FINITE
+    term[direct] = envelope[direct] * dist[direct] / lam_m
+    via_log = ~direct & (log_term < _LOG_FINITE)
+    term[via_log] = np.exp(log_term[via_log])
+    gm_margin = float((1.0 / lam_m + term - g).min(initial=math.inf))
+    gm_ok = not np.any(_exceeds(g, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, log_term))
     checks.append(PropertyCheck("g_m_envelope", gm_ok, gm_margin, None, below.size))
 
     gl_margin = math.inf
@@ -461,7 +495,7 @@ def verify_f_properties(
         for l in range(1, m):
             g = np.abs(f_below - f_at(below + l)) / p_ge
             gl_margin = float(np.minimum(gl_margin, (envelope - g).min(initial=math.inf)))
-            gl_ok = gl_ok and not np.any(g > envelope * (1.0 + _BOUND_SLACK) + 1e-12)
+            gl_ok = gl_ok and not np.any(_exceeds(g, 1e-12, log_env))
         n_gl = below.size * (m - 1)
     checks.append(PropertyCheck("g_l_envelope", gl_ok, gl_margin, None, n_gl))
 

@@ -164,24 +164,16 @@ def _threshold_ratio(num, den: int, strict: bool = False):
     return -((-num) // den)
 
 
-def _suffix_at(suffix: np.ndarray, thresholds) -> np.ndarray:
-    """suffix[t] at each integer threshold t (an int or an integer array),
-    clamped to the table: at or below 0 reads the total, at or past the last
-    entry reads its empty sum 0.0.
-
-    The clamp runs on Python ints, so a threshold beyond int64 reads 0.0 too.
-    """
-    t = np.minimum(np.maximum(thresholds, 0, dtype=object), suffix.size - 1, dtype=object)
-    return suffix[np.asarray(t, dtype=np.int64)]
-
-
 def _suffix_sums(probs: np.ndarray) -> np.ndarray:
     """suffix[t] = sum(probs[t:]) for every t in [0, len(probs)], each within
     one ulp of exact; the last entry is the empty sum 0.0.
 
     A running sum from the top index down (cumsum adds strictly in order), the
     exact rounding error of every step by TwoSum, and the running sum of
-    those errors added back.  At most three support-sized arrays are live.
+    those errors added back.  At most three input-sized arrays are live.
+    Adding an exact 0.0 leaves both the running sum and its error term
+    unchanged, so the sums over the nonzero entries alone are the sums over
+    the whole table, bit for bit, at every nonzero entry.
     """
     x = probs[::-1]
     out = np.zeros(x.size + 1)
@@ -207,33 +199,46 @@ class LatticeDistribution:
 
     Entries never exceed the true pmf by more than float rounding; the missing
     mass is at most ``mass_deficit``, so any tail query can be bracketed as
-    [p, p + mass_deficit].  ``suffix`` holds the compensated tail sums of
-    ``probs`` (one more entry, the empty sum 0.0), built once, so every tail
-    query is a lookup.
+    [p, p + mass_deficit].  Entries must be finite and not below -1e-15; the
+    deficit must be a nonnegative float, and an infinite deficit is accepted
+    as the valid but vacuous bracket [p, inf].
+
+    The tail sums are built once, over the nonzero entries only: ``_points``
+    holds their ascending indices and ``_sums`` the compensated suffix sums
+    of their values (one more entry, the empty sum 0.0), so every tail query
+    is a binary search and a lookup, and zero entries cost nothing there.
     """
 
     probs: np.ndarray
     mass_deficit: float
-    suffix: np.ndarray = field(init=False, repr=False)
+    _points: np.ndarray = field(init=False, repr=False)
+    _sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probs must be a nonempty 1-d array")
+        if not np.isfinite(p).all():
+            raise ValidationError("probability table has a non-finite entry")
         if float(p.min()) < -1e-15:
             raise ValidationError("probability table has a negative entry")
-        # suffix is derived from probs once, so probs must not change after.
+        deficit = float(self.mass_deficit)
+        if not deficit >= 0.0:
+            raise ValidationError(f"mass_deficit must be >= 0, got {self.mass_deficit!r}")
+        # the tail sums are derived from probs once, so probs must not change after.
         p.flags.writeable = False
+        points = np.flatnonzero(p != 0)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "mass_deficit", float(self.mass_deficit))
-        object.__setattr__(self, "suffix", _suffix_sums(p))
+        object.__setattr__(self, "mass_deficit", deficit)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_sums", _suffix_sums(p[points]))
 
     @property
     def support_max(self) -> int:
         return self.probs.size - 1
 
     def total_mass(self) -> float:
-        return float(self.suffix[0])
+        return float(_tail_sums(self, 0))
 
     def pmf(self, j: int) -> float:
         if 0 <= j <= self.support_max:
@@ -248,8 +253,20 @@ class LatticeDistribution:
 
         y may be rational; the integer threshold is resolved exactly.
         """
-        lo = float(_suffix_at(self.suffix, _threshold(y, strict)))
+        lo = float(_tail_sums(self, _threshold(y, strict)))
         return (lo, lo + self.mass_deficit)
+
+
+def _tail_sums(dist: LatticeDistribution, thresholds) -> np.ndarray:
+    """sum(dist.probs[t:]) at each integer threshold t (an int or an integer
+    array): at or below 0 the total, past the table the empty sum 0.0.
+
+    The sum at t is that from the first nonzero entry at or above t.  The
+    clamp to [0, size] runs on Python ints, so a threshold beyond int64 reads
+    0.0 too.
+    """
+    t = np.minimum(np.maximum(thresholds, 0, dtype=object), dist.probs.size, dtype=object)
+    return dist._sums[np.searchsorted(dist._points, np.asarray(t, dtype=np.int64))]
 
 
 def _truncation_point(rate: float, tail_budget: float) -> tuple[int, float]:

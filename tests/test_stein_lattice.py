@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from scaled_poisson import (
     stein_apply,
     verify_f_properties,
 )
-from scaled_poisson.stein_lattice import factorial_envelope
+from scaled_poisson.stein_lattice import SteinSolutionTable, factorial_envelope
 
 from oracles import (
     mp_d_low,
@@ -235,6 +236,96 @@ class TestVerifyProperties:
         assert table.residual_max <= 1e-12
         report = verify_f_properties(ctx, table, range(1, 60))
         assert report.all_passed
+
+
+def _mp_g_m_bounds(ctx, table, points):
+    """(w, B(w), g_m(w)) at each point, B the closed g_m envelope in 50 digits
+    and g_m from the table's floats."""
+    m, lam = ctx.lattice_step, mp.mpf(ctx.lam.numerator) / ctx.lam.denominator
+    out = []
+    with mp.workdps(50):
+        lam_m = lam * m
+        p_ge = mp.mpf(table.tail_at_threshold)
+        for w in points:
+            j = w // m
+            envelope = mp.exp(lam) * mp.factorial(j - 1) / (m * lam**j)
+            bound = 1 / lam_m + envelope * abs(w - lam_m) / lam_m
+            g = (mp.mpf(table.values[w]) - mp.mpf(table.values[w + m])) / p_ge
+            out.append((w, bound, g, envelope * abs(w - lam_m)))
+    return out
+
+
+class TestEnvelopesInLogSpace:
+    """The g_m and g_l envelopes decide in log space, past the float range too."""
+
+    @pytest.mark.parametrize("lam, bound_over", [(712, 0), (720, 1)])
+    def test_g_m_envelope_against_mpmath_past_float_range(self, lam, bound_over):
+        # m = 1, y = 900: the envelope near w = 1 is ~exp(lam)/lam, so
+        # envelope * |w - lam*m| passes the float maximum there
+        ctx = SteinContext(lam=Fraction(lam), lattice_step=1, scale_num=1, threshold_y=900)
+        fmax = sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = solve_stein(ctx, 1000)
+            report = verify_f_properties(ctx, table)
+            rows = _mp_g_m_bounds(ctx, table, range(1, 900))
+            over = [r for r in rows if r[3] > fmax]
+            assert over and sum(r[1] > fmax for r in rows) == bound_over
+            for w, bound, g, _ in over:
+                check = verify_f_properties(ctx, table, [w])["g_m_envelope"]
+                assert check.passed and g <= bound
+                if bound - g > fmax:
+                    assert check.worst_margin == math.inf
+                else:
+                    assert check.worst_margin == pytest.approx(float(bound - g), rel=1e-12)
+        check = report["g_m_envelope"]
+        assert check.passed and check.points == 899
+        w, bound, g, _ = min(rows, key=lambda r: r[1] - r[2])
+        assert abs(check.worst_margin - float(bound - g)) <= 8 * np.spacing(float(bound))
+
+    def test_g_m_above_an_overflowing_bound_fails(self):
+        # g_m at w = 1 set to twice its bound, ~2.3e306, whose float form
+        # envelope * |w - lam*m| / (lam*m) once overflowed to inf and passed
+        ctx = SteinContext(lam=Fraction(712), lattice_step=1, scale_num=1, threshold_y=900)
+        table = solve_stein(ctx, 1000)
+        ((_, bound, _, _),) = _mp_g_m_bounds(ctx, table, [1])
+        values = table.values.copy()
+        values[1] = values[2] + 2.0 * float(bound) * table.tail_at_threshold
+        bad = dataclasses.replace(table, values=values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = verify_f_properties(ctx, bad, [1])["g_m_envelope"]
+        assert not check.passed
+        assert check.worst_margin == pytest.approx(-float(bound), rel=1e-12)
+
+    def test_g_l_above_an_infinite_envelope_fails(self):
+        # At lam = 718, m = 7 the envelope of the first cell is ~1.32e308:
+        # factorial_envelope reads inf there, and a g_l of 1.7e308 once
+        # passed against it.
+        ctx = SteinContext(lam=Fraction(718), lattice_step=7, scale_num=1, threshold_y=2)
+        assert factorial_envelope(ctx, 7) == math.inf
+        values = np.zeros(31)
+        values[7] = 1.7e308
+        table = SteinSolutionTable(
+            ctx=ctx,
+            w_max=30,
+            values=values,
+            truncation_terms=np.zeros(31, dtype=np.int64),
+            tail_at_threshold=1.0,
+            has_off_lattice=True,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_f_properties(ctx, table, [7])
+        assert report["g_l_envelope"].points == 6
+        assert not report["g_l_envelope"].passed
+        assert not report["g_m_envelope"].passed
+        # one below the envelope passes
+        values[7] = 1.2e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_f_properties(ctx, table, [7])
+        assert report["g_l_envelope"].passed and report["g_m_envelope"].passed
 
 
 class TestFactorialSandwich:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaled_poisson import (
+    LatticeDistribution,
     ValidationError,
     WeightedPoissonSum,
     exact_distribution,
@@ -17,10 +18,11 @@ from scaled_poisson import (
     normal_approx_tail,
     normalize_weights,
     poisson_tail,
+    relative_error_sweep,
     scaled_poisson_tail,
 )
 
-from scaled_poisson.weighted_sum import _stride_convolve
+from scaled_poisson.weighted_sum import _stride_convolve, _suffix_sums, _tail_sums
 
 from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums, panjer_tail
 
@@ -252,6 +254,106 @@ class TestSuffixSums:
             lo, hi = dist.tail(y, strict=True)
             assert lo == pytest.approx(tail, rel=1e-12)
             assert hi - lo <= 1e-12
+
+
+def _assert_tails_equal_dense_suffix(dist, thresholds):
+    """tail(t, strict=False) and total_mass() bit-equal to the compensated
+    suffix over the whole table, zeros included, clamped to its ends."""
+    dense = _suffix_sums(dist.probs)
+    top = dense.size - 1
+    for t in thresholds:
+        want = dense[min(max(t, 0), top)]
+        assert dist.tail(t, strict=False)[0] == want, t
+    assert dist.total_mass() == dense[0]
+
+
+class TestSparseTailSums:
+    """Tails summed over the nonzero entries only, against the dense suffix."""
+
+    def test_wide_model_every_threshold(self):
+        dist = exact_distribution(WIDE_MODEL, 1e-12)
+        # most of the table cannot be reached, so most entries are exact zeros
+        assert dist.support_max == 314148
+        assert dist._points.size == 65856
+        thresholds = [-1, *range(dist.support_max + 2), 2**70]
+        _assert_tails_equal_dense_suffix(dist, thresholds)
+        dense = _suffix_sums(dist.probs)
+        ts = np.arange(-1, dist.support_max + 3)
+        np.testing.assert_array_equal(
+            _tail_sums(dist, ts), dense[np.clip(ts, 0, dense.size - 1)]
+        )
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 1e-300])
+    def test_bench_model_every_threshold(self, bench_model, epsilon):
+        dist = exact_distribution(bench_model, epsilon)
+        _assert_tails_equal_dense_suffix(dist, [-1, *range(dist.support_max + 2), 2**70])
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.0, 0.0, 0.0, 0.3, 0.2, 0.5],  # leading zeros
+            [0.3, 0.2, 0.5, 0.0, 0.0, 0.0],  # trailing zeros
+            [0.1, 0.0, 0.0, 0.2, 0.0, 0.3, 0.0, 0.0, 0.4, 0.0],  # interior gaps
+            [0.0, 0.0, 1.0, 0.0],  # a single nonzero entry
+            [1.0],
+            [0.0],
+            [0.0, 0.0, 0.0],
+            # -0.0 is no point; -1e-16, accepted as rounding, is one
+            [0.5, -0.0, 0.25, -1e-16, 0.25, 0.0],
+            [1e-300, 0.0, 1e-310, 0.0, 0.5, 1e-17, 0.0, 0.5],  # subnormal, small
+        ],
+    )
+    def test_hand_built_laws(self, probs):
+        dist = LatticeDistribution(probs=probs, mass_deficit=0.0)
+        _assert_tails_equal_dense_suffix(dist, [-1, *range(len(probs) + 2), 2**70])
+        np.testing.assert_array_equal(dist._points, [j for j, p in enumerate(probs) if p != 0])
+
+    @given(
+        size=st.integers(min_value=1, max_value=60),
+        zero_share=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_random_zero_patterns(self, size, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(size) * 10.0 ** rng.integers(-300, 1, size)
+        probs[rng.random(size) < zero_share] = 0.0
+        dist = LatticeDistribution(probs=probs, mass_deficit=0.0)
+        _assert_tails_equal_dense_suffix(dist, range(-1, size + 2))
+
+    def test_wide_model_sweep_rows_read_the_dense_suffix(self):
+        # the exact-tail column of the rows against the full-table suffix
+        dist = exact_distribution(WIDE_MODEL, 1e-12)
+        dense = _suffix_sums(dist.probs)
+        for y_from, y_to in [(1, 400), (20000, 20035), (313848, 314148)]:
+            for strict in (True, False):
+                rows = relative_error_sweep(WIDE_MODEL, y_from, y_to, strict=strict)
+                for row in rows:
+                    t = min(row.y + strict, dense.size - 1)
+                    assert row.exact_tail == dense[t], (row.y, strict)
+
+
+class TestLatticeDistributionValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_refused(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            LatticeDistribution(probs=[0.5, bad], mass_deficit=0.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            LatticeDistribution(probs=[0.0, 0.0, bad, 0.5], mass_deficit=0.0)
+
+    def test_negative_entry_refused(self):
+        with pytest.raises(ValidationError, match="negative"):
+            LatticeDistribution(probs=[0.5, -1e-14], mass_deficit=0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_negative_or_nan_deficit_refused(self, bad):
+        with pytest.raises(ValidationError, match="mass_deficit"):
+            LatticeDistribution(probs=[0.5, 0.5], mass_deficit=bad)
+
+    def test_infinite_deficit_is_a_vacuous_bracket(self):
+        dist = LatticeDistribution(probs=[0.5, 0.5], mass_deficit=math.inf)
+        assert dist.tail(0) == (0.5, math.inf)
+        assert dist.total_mass() == 1.0
 
 
 class TestExactTail:
