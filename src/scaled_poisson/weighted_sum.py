@@ -218,20 +218,22 @@ class LatticeDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probs must be a nonempty 1-d array")
-        if not np.isfinite(p).all():
+        # min and max carry a NaN entry through; an infinite one reaches one of them
+        lo, hi = float(p.min()), float(p.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("probability table has a non-finite entry")
-        if float(p.min()) < -1e-15:
+        if lo < -1e-15:
             raise ValidationError("probability table has a negative entry")
         deficit = float(self.mass_deficit)
         if not deficit >= 0.0:
             raise ValidationError(f"mass_deficit must be >= 0, got {self.mass_deficit!r}")
         # the tail sums are derived from probs once, so probs must not change after.
         p.flags.writeable = False
-        points = np.flatnonzero(p != 0)
+        nonzero = p != 0
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "mass_deficit", deficit)
-        object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_sums", _suffix_sums(p[points]))
+        object.__setattr__(self, "_points", nonzero.nonzero()[0])
+        object.__setattr__(self, "_sums", _suffix_sums(p[nonzero]))
 
     @property
     def support_max(self) -> int:
