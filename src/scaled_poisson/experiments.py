@@ -90,13 +90,20 @@ class BoundParams:
         return self._brackets((y,))[0]
 
     def _brackets(self, ys) -> list[float]:
-        """bracket(y) for every y, with the float constants converted once."""
+        """bracket(y) for every y, with the float constants converted once;
+        one past the float range raises NumericalRangeError."""
         lam = float(self.lam)
         scale = 1.0 + float(self.correction_sum)
-        return [
-            (1.0 + (y - lam) ** 2 / (2.0 * lam)) * scale + lam * (1.0 + math.log(y))
-            for y in ys
-        ]
+        out = []
+        for y in ys:
+            try:
+                b = (1.0 + (y - lam) ** 2 / (2.0 * lam)) * scale + lam * (1.0 + math.log(y))
+            except OverflowError:
+                b = math.inf
+            if b == math.inf:
+                raise NumericalRangeError(f"the bound bracket at y={y} is past the float range")
+            out.append(b)
+        return out
 
 
 def bound_params(model: WeightedPoissonSum, m: SumMoments) -> BoundParams:

@@ -1,9 +1,12 @@
 """Numerically stable scalar primitives for Poisson and Gaussian tails.
 
-Everything here is a pure function of its arguments.  Mass accumulation is
-done on the side of the distribution where terms are small, so tails far
-below the underflow threshold of a naive linear sum (down to ~1e-300) keep
-full relative accuracy.  Log-gamma is the only special function required.
+One kernel, _regularized_gamma_pq(a, x), sums every Poisson and
+incomplete-gamma tail: P(A_x >= t) = P(t, x) and P(A_x <= k) = Q(k + 1, x).
+It sums one side of the pair, P by an all-positive ratio series where
+a > x + 1 or x < 1, Q by a continued fraction elsewhere, and returns the other
+as one minus it.  Both carry the one prefactor _log_pmf, so a small summed
+side neither cancels nor underflows down to ~1e-300; its relative error is
+that of the prefactor's lgamma, which grows with the rate (README).
 
 Thread safety: no module state, safe for unrestricted concurrent use.
 """
@@ -30,6 +33,7 @@ __all__ = [
 # 1e-12 / 1e-10 relative-error contracts hold with headroom.
 _SERIES_EPS = 1e-17
 _MAX_ITER = 100_000
+_TINY = 1e-300
 
 
 def _as_positive_rate(rate) -> float:
@@ -37,6 +41,69 @@ def _as_positive_rate(rate) -> float:
     if not math.isfinite(r) or r <= 0.0:
         raise ValidationError(f"rate must be a positive finite number, got {rate!r}")
     return r
+
+
+def _log_pmf(x: float, a) -> float:
+    """log(x^a e^-x / Gamma(a + 1)) for real a >= 0; the Poisson log-pmf at
+    integer a."""
+    return -x + a * math.log(x) - lgamma(a + 1)
+
+
+def _regularized_gamma_pq(a, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for real a >= 0 and finite x > 0, unvalidated.
+
+    P = pmf * (1 + x/(a+1) + x^2/((a+1)(a+2)) + ...) for a > x + 1 or x < 1;
+    Q = a * pmf * CF elsewhere, CF the Lentz continued fraction; pmf =
+    exp(_log_pmf(x, a)).  The other is one minus it, so only the side that
+    was summed keeps full relative accuracy when it is small.  An a past the
+    float range gives (0, 1); past Gamma(a + 1)'s, a > 2.5e305, the pmf is 0.
+    """
+    try:
+        a = float(a)
+    except OverflowError:
+        return 0.0, 1.0
+    if a == 0.0:
+        return 1.0, 0.0
+    try:
+        pmf = math.exp(_log_pmf(x, a))
+    except OverflowError:
+        pmf = 0.0
+    if a > x + 1.0 or x < 1.0:
+        acc = 1.0
+        term = 1.0
+        for i in range(1, _MAX_ITER):
+            term *= x / (a + i)
+            acc += term
+            if term < _SERIES_EPS * acc:
+                break
+        else:
+            raise NumericalRangeError(f"incomplete gamma series at ({a}, {x}) failed to converge")
+        p = pmf * acc
+        return p, 1.0 - p
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+    h = d
+    for i in range(1, _MAX_ITER):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _SERIES_EPS:
+            break
+    else:
+        raise NumericalRangeError(
+            f"incomplete gamma continued fraction at ({a}, {x}) failed to converge"
+        )
+    q = a * pmf * h
+    return 1.0 - q, q
 
 
 def poisson_log_pmf(rate, count: int) -> float:
@@ -49,7 +116,7 @@ def poisson_log_pmf(rate, count: int) -> float:
     k = int(count)
     if k != count or k < 0:
         raise ValidationError(f"count must be a nonnegative integer, got {count!r}")
-    return -r + k * math.log(r) - lgamma(k + 1)
+    return _log_pmf(r, k)
 
 
 def poisson_pmf(rate, count: int) -> float:
@@ -57,56 +124,14 @@ def poisson_pmf(rate, count: int) -> float:
     return math.exp(poisson_log_pmf(rate, count))
 
 
-def _cdf_below(rate: float, j: int) -> float:
-    """P(A_rate <= j), accurate when this is the smaller side (j < rate).
-
-    Factored as pmf(j) * (1 + j/rate + j(j-1)/rate^2 + ...), an all-positive
-    ratio series, so there is no cancellation; the prefactor carries the
-    scale in log space.
-    """
-    if j < 0:
-        return 0.0
-    acc = 1.0
-    term = 1.0
-    i = j
-    while i >= 1:
-        term *= i / rate
-        acc += term
-        if term < _SERIES_EPS * acc:
-            break
-        i -= 1
-    return math.exp(poisson_log_pmf(rate, j)) * acc
-
-
 def poisson_tail(rate, threshold: int) -> float:
-    """P(A_rate >= threshold).
-
-    For threshold <= rate the complement 1 - P(A <= threshold-1) is returned,
-    with the cdf summed on its own small side.  For threshold > rate the tail
-    is summed directly: pmf(threshold) * (1 + q1 + q1*q2 + ...) with
-    q_i = rate/(threshold+i) < 1, which preserves relative accuracy even for
-    results near 1e-300.
-    """
+    """P(A_rate >= threshold) = P(threshold, rate), the lower regularized
+    incomplete gamma; 0.0 for a threshold past the float range."""
     r = _as_positive_rate(rate)
     t = int(threshold)
     if t != threshold or t < 0:
         raise ValidationError(f"threshold must be a nonnegative integer, got {threshold!r}")
-    if t == 0:
-        return 1.0
-    if t <= r:
-        return 1.0 - _cdf_below(r, t - 1)
-    acc = 1.0
-    term = 1.0
-    i = 1
-    while True:
-        term *= r / (t + i)
-        acc += term
-        if term < _SERIES_EPS * acc:
-            break
-        i += 1
-        if i > _MAX_ITER:  # pragma: no cover - geometric ratio < 1 guarantees exit
-            raise NumericalRangeError("poisson_tail series failed to converge")
-    return math.exp(poisson_log_pmf(r, t)) * acc
+    return _regularized_gamma_pq(t, r)[0]
 
 
 def _poisson_pmf_vector(rate: float, n_max: int) -> np.ndarray:
@@ -124,82 +149,15 @@ def _poisson_pmf_vector(rate: float, n_max: int) -> np.ndarray:
 
 
 def poisson_cdf(rate, count: int) -> float:
-    """P(A_rate <= count)."""
+    """P(A_rate <= count) = Q(count + 1, rate); 1.0 for a count past the
+    float range."""
     r = _as_positive_rate(rate)
     k = int(count)
     if k != count:
         raise ValidationError(f"count must be an integer, got {count!r}")
     if k < 0:
         return 0.0
-    if k + 1 <= r:
-        return _cdf_below(r, k)
-    return 1.0 - poisson_tail(r, k + 1)
-
-
-def _gamma_p_series(shape: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(shape, x) by power series."""
-    term = 1.0 / shape
-    total = term
-    n = 1
-    while True:
-        term *= x / (shape + n)
-        total += term
-        if abs(term) < abs(total) * _SERIES_EPS:
-            break
-        n += 1
-        if n > _MAX_ITER:  # pragma: no cover
-            raise NumericalRangeError("incomplete gamma series failed to converge")
-    log_prefix = shape * math.log(x) - x - lgamma(shape)
-    return math.exp(log_prefix) * total
-
-
-def _gamma_q_contfrac(shape: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(shape, x) by Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _SERIES_EPS:
-            break
-    else:  # pragma: no cover
-        raise NumericalRangeError("incomplete gamma continued fraction failed to converge")
-    log_prefix = shape * math.log(x) - x - lgamma(shape)
-    return math.exp(log_prefix) * h
-
-
-def _regularized_gamma_pq(shape, rate_point) -> tuple[float, float]:
-    """Lower and upper regularized incomplete gamma (P, Q), each on its own side.
-
-    The continued fraction gives Q on and right of the switch line
-    shape = rate_point + 1; the power series gives P elsewhere and for
-    rate_point < 1, where the fraction is ill-conditioned.  The other is one
-    minus it, so only the side that was summed keeps full relative accuracy
-    when it is small.
-    """
-    a = float(shape)
-    x = float(rate_point)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValidationError(f"shape must be positive, got {shape!r}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValidationError(f"rate_point must be positive, got {rate_point!r}")
-    if x >= 1.0 and x >= a - 1.0:
-        q = _gamma_q_contfrac(a, x)
-        return 1.0 - q, q
-    p = _gamma_p_series(a, x)
-    return p, 1.0 - p
+    return _regularized_gamma_pq(k + 1, r)[1]
 
 
 def regularized_gamma_q(shape, rate_point) -> float:
@@ -208,13 +166,24 @@ def regularized_gamma_q(shape, rate_point) -> float:
     Q(x, s) = integral_s^inf t^(x-1) e^(-t) dt / Gamma(x); for integer n,
     Q(n, s) = P(A_s <= n-1).  Evaluated by _regularized_gamma_pq.
     """
-    return _regularized_gamma_pq(shape, rate_point)[1]
+    a = float(shape)
+    x = float(rate_point)
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValidationError(f"shape must be positive, got {shape!r}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValidationError(f"rate_point must be positive, got {rate_point!r}")
+    return _regularized_gamma_pq(a, x)[1]
 
 
 def normal_tail(mean, variance, point) -> float:
-    """P(Z > point) for Z ~ N(mean, variance), via the complementary error function."""
+    """P(Z > point) for Z ~ N(mean, variance), via the complementary error
+    function; 0.0 or 1.0 for a point past the float range."""
     v = float(variance)
     if not (math.isfinite(v) and v > 0.0):
         raise ValidationError(f"variance must be positive, got {variance!r}")
-    z = (float(point) - float(mean)) / math.sqrt(v)
+    try:
+        p = float(point)
+    except OverflowError:  # a point past the float range
+        return 0.0 if point > 0 else 1.0
+    z = (p - float(mean)) / math.sqrt(v)
     return 0.5 * math.erfc(z / math.sqrt(2.0))

@@ -403,6 +403,18 @@ def _exceeds(g: np.ndarray, floor: float, log_bound: np.ndarray) -> np.ndarray:
     return log_excess > math.log1p(_BOUND_SLACK) + log_bound
 
 
+def _worst_margin(
+    bound: np.ndarray, g: np.ndarray, floor: float, log_bound: np.ndarray, exceeded: np.ndarray
+) -> float:
+    """min(bound - g), bound = floor + exp(log_bound) read as inf at or above
+    e^709.  Where g exceeds it the bound is below g, so finite: that margin is
+    taken from exp(log_bound), and a failed check reports a finite margin."""
+    margin = bound - g
+    past = exceeded & (margin == math.inf)
+    margin[past] = floor + np.exp(log_bound[past]) - g[past]
+    return float(margin.min(initial=math.inf))
+
+
 def verify_f_properties(
     ctx: SteinContext, table: SteinSolutionTable, grid=None
 ) -> PropertyReport:
@@ -465,7 +477,7 @@ def verify_f_properties(
 
     # The envelope depends on w only through its lattice cell w // m in 1..y-1.
     # Both envelopes are compared with g in log space; the margins are float
-    # differences, inf where the bound is at or above e^709.
+    # differences, inf where the bound is at or above e^709 and g is below it.
     cells = range(1, ctx.threshold_y)
     cell = below // m - 1
     log_env = np.array([_log_factorial_envelope(ctx, m * c) for c in cells])[cell]
@@ -484,8 +496,9 @@ def verify_f_properties(
     term[direct] = envelope[direct] * dist[direct] / lam_m
     via_log = ~direct & (log_term < _LOG_FINITE)
     term[via_log] = np.exp(log_term[via_log])
-    gm_margin = float((1.0 / lam_m + term - g).min(initial=math.inf))
-    gm_ok = not np.any(_exceeds(g, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, log_term))
+    exceeded = _exceeds(g, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, log_term)
+    gm_margin = _worst_margin(1.0 / lam_m + term, g, 1.0 / lam_m, log_term, exceeded)
+    gm_ok = not exceeded.any()
     checks.append(PropertyCheck("g_m_envelope", gm_ok, gm_margin, None, below.size))
 
     gl_margin = math.inf
@@ -494,8 +507,10 @@ def verify_f_properties(
     if table.has_off_lattice and m > 1:
         for l in range(1, m):
             g = np.abs(f_below - f_at(below + l)) / p_ge
-            gl_margin = float(np.minimum(gl_margin, (envelope - g).min(initial=math.inf)))
-            gl_ok = gl_ok and not np.any(_exceeds(g, 1e-12, log_env))
+            exceeded = _exceeds(g, 1e-12, log_env)
+            worst = _worst_margin(envelope, g, 0.0, log_env, exceeded)
+            gl_margin = float(np.minimum(gl_margin, worst))
+            gl_ok = gl_ok and not exceeded.any()
         n_gl = below.size * (m - 1)
     checks.append(PropertyCheck("g_l_envelope", gl_ok, gl_margin, None, n_gl))
 

@@ -354,7 +354,8 @@ def scaled_poisson_tail(m: SumMoments, y, mode: str = "discrete", strict: bool =
     discrete mode: P(A_lam > k*y) (strict) or P(A_lam >= k*y), with the
     threshold resolved by exact rational floor/ceil.  continuous mode: the
     incomplete-gamma relaxation P(k*y, lam) = 1 - Q(k*y, lam), the lower
-    regularized gamma, summed directly where it is small.  The two modes agree
+    regularized gamma, summed directly where it is small; a k*y past the
+    float range reads 0, one that rounds to 0 reads 1.  The two modes agree
     only approximately; both are exposed and neither is canonical.
     """
     yq = Fraction(y)
@@ -364,7 +365,7 @@ def scaled_poisson_tail(m: SumMoments, y, mode: str = "discrete", strict: bool =
     if mode == "discrete":
         return poisson_tail(float(m.lam), _threshold(ky, strict))
     if mode == "continuous":
-        return _regularized_gamma_pq(float(ky), float(m.lam))[0]
+        return _regularized_gamma_pq(ky, float(m.lam))[0]
     raise ValidationError(f"mode must be 'discrete' or 'continuous', got {mode!r}")
 
 

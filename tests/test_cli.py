@@ -50,7 +50,7 @@ _COUPLING_EXHAUSTIVE = (
 )
 _EMPIRICAL_CONSTANT = (
     "y,deviation,bracket,ratio\r\n"
-    "52,0.053110680586331949,256.54951450742851,0.00020701922078591228\r\n"
+    "52,0.053110680586392012,256.54951450742851,0.00020701922078614641\r\n"
     "53,0.062278407801068303,257.54983465107722,0.00024181109603677945\r\n"
     "54,0.072000982454001994,258.55115240331736,0.00027847867543706286\r\n"
     "55,0.082208321975283383,259.55414222167593,0.00031672899253933767\r\n"
@@ -406,6 +406,28 @@ class TestExitCodes:
         )
         assert code == 3
         assert "range" in err
+
+    @pytest.mark.parametrize(
+        "argv, code, value",
+        [
+            (["approx-tail", "--y", "1e400"], 0, "0"),
+            (["approx-tail", "--y", "1e400", "--mode", "continuous"], 0, "0"),
+            (["approx-tail", "--y", "1e-400", "--mode", "continuous"], 0, "1"),
+            (["bound", "--y", "1" + "0" * 160], 3, None),
+            (["sweep-scaling", "--y", "1" + "0" * 160, "--n-values", "1"], 3, None),
+        ],
+    )
+    def test_past_the_float_range(self, argv, code, value):
+        # a tail past the float range reads 0 or 1; a bracket there exits 3
+        got, out, err = run_cli(argv)
+        assert got == code
+        if value is None:
+            assert out == ""
+            assert err.startswith("numerical range error: the bound bracket at y=1000")
+        else:
+            header, rows = parse_csv(out)
+            assert dict(zip(header, rows[0]))["value"] == value
+            assert err == ""
 
     def test_seventeen_digit_round_trip(self):
         _, out, _ = run_cli(["approx-tail", "--y", "450", "--mode", "continuous"])

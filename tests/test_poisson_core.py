@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath as mp
+
 from scaled_poisson import (
     ValidationError,
     normal_tail,
@@ -14,6 +16,8 @@ from scaled_poisson import (
     poisson_tail,
     regularized_gamma_q,
 )
+
+from scaled_poisson.poisson_core import _regularized_gamma_pq
 
 from oracles import mp_gamma_q, mp_normal_tail, mp_poisson_pmf, mp_poisson_tail
 
@@ -172,6 +176,118 @@ class TestRegularizedGammaQ:
             regularized_gamma_q(0, 1)
         with pytest.raises(ValidationError):
             regularized_gamma_q(1, 0)
+
+
+# The kernel's relative error is that of its prefactor's log,
+# -x + a*log(x) - lgamma(a + 1), whose terms sum to S = x + |a log x| +
+# lgamma(a + 1) in magnitude: eps * S, which grows with the rate and, in the
+# deep tails, with a.  The per-rate bounds hold over t = lam + d*sqrt(lam);
+# past them a point may use eps * S.
+GRID_BOUNDS = {
+    Fraction(1, 10): 1e-14,
+    Fraction(1): 1e-14,
+    Fraction(1600, 31): 3e-13,
+    Fraction(100): 3e-13,
+    Fraction(800): 2e-12,
+    Fraction(5000): 2e-11,
+}
+GRID_D = [-30, -8, -3, -1, -0.5, 0, 0.5, 1, 3, 8, 30, 60]
+# thresholds whose upper tail is about 1e-100, 1e-200 and 1e-300, and for the
+# two largest rates, lower tails P(A <= t - 1) of about 1e-100 and 1e-300
+DEEP = {
+    Fraction(1, 10): [44, 80, 113],
+    Fraction(1): [69, 120, 166],
+    Fraction(1600, 31): [269, 393, 499],
+    Fraction(100): [379, 531, 660],
+    Fraction(800): [27, 281, 1473, 1796, 2057],
+    Fraction(5000): [2622, 3574, 6578, 7283, 7839],
+}
+_MP_FLOOR = mp.mpf("1e-300")
+
+
+def _grid(rate):
+    lam = float(rate)
+    ts = {max(1, math.ceil(lam + d * math.sqrt(lam))) for d in GRID_D}
+    # the band (lam, lam + 1], summed by the continued fraction
+    return sorted(ts | {math.floor(lam) + 1} | set(DEEP[rate]))
+
+
+def _bound(rate, a) -> float:
+    x = float(rate)
+    return max(GRID_BOUNDS[rate], 2.0**-52 * (x + abs(a * math.log(x)) + math.lgamma(a + 1)))
+
+
+def _assert_close(got, truth, rate, a):
+    """got within _bound(rate, a) of an mpmath truth at or above 1e-300."""
+    if truth >= _MP_FLOOR:
+        assert abs(got / truth - 1) <= _bound(rate, a), (rate, a, got, truth)
+
+
+class TestKernelAgainstMpmath:
+    """poisson_tail, poisson_cdf, the continuous kernel and the log-pmf
+    against 50-digit mpmath over rates 0.1 .. 5000, tails down to 1e-300."""
+
+    @pytest.mark.parametrize("rate", list(GRID_BOUNDS))
+    def test_tail_and_cdf(self, rate):
+        with mp.workdps(50):
+            lam = mp.mpf(rate.numerator) / rate.denominator
+            for t in _grid(rate):
+                p = mp.gammainc(t, 0, lam, regularized=True)
+                q = mp.gammainc(t, lam, mp.inf, regularized=True)
+                _assert_close(poisson_tail(rate, t), p, rate, t)
+                _assert_close(poisson_cdf(rate, t - 1), q, rate, t)
+
+    @pytest.mark.parametrize("rate", list(GRID_BOUNDS))
+    def test_continuous_shapes(self, rate):
+        # real shapes a = t - 1/2, both sides of the pair
+        x = float(rate)
+        with mp.workdps(50):
+            for t in _grid(rate):
+                a = t - 0.5
+                p, q = _regularized_gamma_pq(a, x)
+                _assert_close(p, mp.gammainc(a, 0, x, regularized=True), rate, a)
+                _assert_close(q, mp.gammainc(a, x, mp.inf, regularized=True), rate, a)
+
+    @pytest.mark.parametrize("rate", list(GRID_BOUNDS))
+    def test_log_pmf(self, rate):
+        # the pmf's relative error is the log-pmf's absolute error
+        with mp.workdps(50):
+            lam = mp.mpf(rate.numerator) / rate.denominator
+            for t in _grid(rate):
+                truth = -lam + t * mp.log(lam) - mp.loggamma(t + 1)
+                if mp.exp(truth) >= _MP_FLOOR:
+                    assert abs(poisson_log_pmf(rate, t) - truth) <= _bound(rate, t), (rate, t)
+
+    @pytest.mark.parametrize("rate", [Fraction(1), Fraction(1600, 31), Fraction(100), Fraction(800)])
+    def test_branch_rule(self, rate):
+        # Q is summed, and P is one minus it, on and right of a = x + 1;
+        # P is summed left of it
+        x = float(rate)
+        for a in [x + 0.25, x + 0.5, x + 0.75, x + 1.0, math.floor(x) + 1.0]:
+            p, q = _regularized_gamma_pq(a, x)
+            assert p == 1.0 - q, a
+        for a in [x + 1.25, x + 1.5, x + 2.0, x + 3.0]:
+            p, q = _regularized_gamma_pq(a, x)
+            assert q == 1.0 - p, a
+
+
+class TestPastTheFloatRange:
+    def test_tail_and_cdf_read_0_and_1(self):
+        for t in (10**306, 10**309, 10**400):
+            assert poisson_tail(1.0, t) == 0.0
+            assert poisson_cdf(1.0, t) == 1.0
+            assert poisson_tail(Fraction(1600, 31), t) == 0.0
+
+    def test_kernel_at_shape_0_and_past_the_float_range(self):
+        assert _regularized_gamma_pq(0.0, 51.6) == (1.0, 0.0)
+        assert _regularized_gamma_pq(Fraction(1, 10**400), 0.5) == (1.0, 0.0)
+        assert _regularized_gamma_pq(Fraction(10**400, 3), 51.6) == (0.0, 1.0)
+        assert _regularized_gamma_pq(1e306, 1e300) == (0.0, 1.0)
+
+    def test_normal_tail_reads_0_and_1(self):
+        assert normal_tail(0, 1, 10**400) == 0.0
+        assert normal_tail(0, 1, -(10**400)) == 1.0
+        assert normal_tail(400, 3100, Fraction(10**400, 3)) == 0.0
 
 
 class TestNormalTail:

@@ -320,6 +320,18 @@ class TestEnvelopesInLogSpace:
         assert report["g_l_envelope"].points == 6
         assert not report["g_l_envelope"].passed
         assert not report["g_m_envelope"].passed
+        # the margins are finite: the bound is below g, so inside the float range
+        with mp.workdps(50):
+            envelope = mp.e**718 / (7 * 718)
+            truths = {
+                "g_l_envelope": envelope - mp.mpf(1.7e308),
+                "g_m_envelope": 1 / mp.mpf(7 * 718) + envelope * (7 * 718 - 7) / (7 * 718)
+                - mp.mpf(1.7e308),
+            }
+            for name, truth in truths.items():
+                margin = report[name].worst_margin
+                assert math.isfinite(margin) and margin < 0.0
+                assert abs(margin / truth - 1) <= 1e-11, name
         # one below the envelope passes
         values[7] = 1.2e308
         with warnings.catch_warnings():
