@@ -33,7 +33,6 @@ __all__ = [
 # 1e-12 / 1e-10 relative-error contracts hold with headroom.
 _SERIES_EPS = 1e-17
 _MAX_ITER = 100_000
-_TINY = 1e-300
 
 
 def _as_positive_rate(rate) -> float:
@@ -80,19 +79,20 @@ def _regularized_gamma_pq(a, x: float) -> tuple[float, float]:
             raise NumericalRangeError(f"incomplete gamma series at ({a}, {x}) failed to converge")
         p = pmf * acc
         return p, 1.0 - p
+    tiny = 1e-300
     b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if abs(d) < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if abs(c) < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
