@@ -1,11 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import mpmath as mp
 
 from scaled_poisson import (
     ValidationError,
@@ -16,7 +15,6 @@ from scaled_poisson import (
     poisson_tail,
     regularized_gamma_q,
 )
-
 from scaled_poisson.poisson_core import _regularized_gamma_pq
 
 from oracles import mp_gamma_q, mp_normal_tail, mp_poisson_pmf, mp_poisson_tail
@@ -180,9 +178,9 @@ class TestRegularizedGammaQ:
 
 # The kernel's relative error is that of its prefactor's log,
 # -x + a*log(x) - lgamma(a + 1), whose terms sum to S = x + |a log x| +
-# lgamma(a + 1) in magnitude: eps * S, which grows with the rate and, in the
-# deep tails, with a.  The per-rate bounds hold over t = lam + d*sqrt(lam);
-# past them a point may use eps * S.
+# lgamma(a + 1) in magnitude: about eps * S, which grows with the rate and,
+# in the deep tails, with a.  Each point is held to the larger of its rate's
+# bound, set near the mean, and eps * S.
 GRID_BOUNDS = {
     Fraction(1, 10): 1e-14,
     Fraction(1): 1e-14,

@@ -64,22 +64,19 @@ def capture(src: str, path: str) -> None:
     Path(path).write_text(json.dumps(records, indent=1))
 
 
-def diff(old_path: str, new_path: str) -> int:
+def diff(old_path: str, new_path: str) -> None:
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
-    changed = 0
-    for key in dict.fromkeys([*old, *new]):
+    keys = dict.fromkeys([*old, *new])
+    changed = [k for k in keys if old.get(k) != new.get(k)]
+    for key in changed:
         a, b = old.get(key, {}), new.get(key, {})
-        if a == b:
-            continue
-        changed += 1
         print(f"## {key}: exit {a.get('exit')} -> {b.get('exit')}")
         for field in ("stdout", "stderr"):
-            lines = difflib.unified_diff(
-                a.get(field, "").splitlines(), b.get(field, "").splitlines(), field, field, n=0, lineterm=""
-            )
-            print(*(line for line in lines if not line.startswith("@@")), sep="\n")
-    print(f"{changed} of {len({*old, *new})} argvs changed")
-    return 0
+            lines = difflib.unified_diff(a.get(field, "").splitlines(), b.get(field, "").splitlines(), n=0)
+            for line in lines:
+                if line[:1] in "+-" and line[:3] not in ("+++", "---"):
+                    print(f"{field} {line}")
+    print(f"{len(changed)} of {len(keys)} argvs changed")
 
 
 if __name__ == "__main__":
