@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .weighted_sum import (
     LatticeDistribution,
     WeightedPoissonSum,
     _convolve_classes,
+    _mode_table,
     _suffix_sums,
     exact_distribution,
 )
@@ -112,48 +112,18 @@ def second_order_sum(scheme: BernoulliScheme) -> Fraction:
     )
 
 
-def _binomial_shape(trials: int, p: Fraction) -> np.ndarray:
-    """pmf(0..trials) of Binomial(trials, p) up to one common factor.
-
-    Anchored at the mode floor((trials+1) p) in log space (lgamma) and built
-    outward both ways by cumulative ratio products, after Loader (2000), "Fast
-    and Accurate Computation of Binomial Probabilities".  The mode's pmf is at
-    least ~1/(trials+1), so no rate underflows the anchor; the relative shape
-    error stays at ~trials * eps.  Far tails underflow to exact zeros.
-    """
-    if p == 1:
-        out = np.zeros(trials + 1)
-        out[trials] = 1.0
-        return out
-    pf = float(p)
-    odds = pf / (1.0 - pf)
-    mode = math.floor((trials + 1) * p)
-    out = np.empty(trials + 1)
-    out[mode] = math.exp(
-        math.lgamma(trials + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(trials - mode + 1)
-        + mode * math.log(pf)
-        + (trials - mode) * math.log1p(-pf)
-    )
-    # pmf(j) / pmf(j - 1) = (trials - j + 1) / j * odds, for j above and at/below the mode
-    up = np.arange(mode + 1.0, trials + 1.0)
-    out[mode + 1 :] = np.cumprod((trials - up + 1.0) / up * odds) * out[mode]
-    down = np.arange(mode, 0.0, -1.0)
-    out[:mode] = np.cumprod(down / (trials - down + 1.0) / odds)[::-1] * out[mode]
-    return out
-
-
 def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
     """pmf(0..trials) of Binomial(trials, p), normalized to unit mass.
 
-    The uniform normalization removes the anchor's error.  Zeros add nothing
-    to an fsum, so only the window from the first to the last nonzero entry
-    is summed.
+    Built outward from the mode floor((trials+1) p) by _mode_table, with
+    pmf(j) / pmf(j-1) = (trials - j + 1) * odds / j; p = 1 (infinite odds)
+    puts all the mass at trials.
     """
-    out = _binomial_shape(trials, p)
-    nonzero = np.flatnonzero(out)
-    return out / fsum(out[nonzero[0] : nonzero[-1] + 1].tolist())
+    pf = float(p)
+    odds = pf / (1.0 - pf) if pf < 1.0 else math.inf
+    j = np.arange(1.0, trials + 1.0)
+    mode = min(math.floor((trials + 1) * p), trials)
+    return _mode_table((trials + 1.0 - j) * odds, j, mode, 1.0)
 
 
 def _cap_upper_tail(pmf: np.ndarray, budget: float) -> tuple[np.ndarray, float]:

@@ -37,9 +37,15 @@ from .bernoulli_lattice import (
     scheme_moments,
 )
 from .errors import ValidationError
-from .poisson_core import _poisson_pmf_vector, poisson_tail
+from .poisson_core import _regularized_gamma_pq, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable
-from .weighted_sum import SumMoments, _convolve_classes, _suffix_sums, _threshold
+from .weighted_sum import (
+    SumMoments,
+    _convolve_classes,
+    _poisson_pmf_vector,
+    _suffix_sums,
+    _threshold,
+)
 
 __all__ = [
     "DeltaDistribution",
@@ -464,9 +470,10 @@ def g_expectation_ratio(
         float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.tolist()) if pw > 0.0
     )
     rate = float(ctx.lam)
-    pmf = _poisson_pmf_vector(rate, ctx.threshold_y - 1)
+    tail, below = _regularized_gamma_pq(ctx.threshold_y, rate)
+    pmf = _poisson_pmf_vector(rate, ctx.threshold_y - 1, below)
     terms = [p * g_clamped(mm * j) for j, p in enumerate(pmf.tolist())]
-    terms.append(poisson_tail(rate, ctx.threshold_y) * g_clamped(my))
+    terms.append(tail * g_clamped(my))
     rhs = fsum(terms)
     ratio = lhs / rhs if rhs != 0.0 else math.inf
     return GExpectationRatio(lhs=lhs, rhs=rhs, ratio=ratio)

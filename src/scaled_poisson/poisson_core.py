@@ -14,9 +14,8 @@ Thread safety: no module state, safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from math import lgamma
-
-import numpy as np
 
 from .errors import NumericalRangeError, ValidationError
 
@@ -110,13 +109,23 @@ def poisson_log_pmf(rate, count: int) -> float:
     """Natural log of P(A_rate = count), computed via log-gamma.
 
     The result is always <= 0.  Satisfies the one-step recurrence
-    rate * pmf(count - 1) = count * pmf(count) to ~1e-13 relative.
+    rate * pmf(count - 1) = count * pmf(count) to ~1e-13 relative.  A count
+    past the float range gives -inf.  Where a term overflows (log-gamma past
+    count ~2.5e305) NumericalRangeError is raised: the log-pmf may be finite.
     """
     r = _as_positive_rate(rate)
     k = int(count)
     if k != count or k < 0:
         raise ValidationError(f"count must be a nonnegative integer, got {count!r}")
-    return _log_pmf(r, k)
+    if k > sys.float_info.max:
+        return -math.inf
+    try:
+        out = _log_pmf(r, k)
+    except OverflowError:
+        out = math.inf
+    if out == math.inf:
+        raise NumericalRangeError(f"log-pmf terms at ({r}, {k:.6g}) overflow")
+    return out
 
 
 def poisson_pmf(rate, count: int) -> float:
@@ -132,20 +141,6 @@ def poisson_tail(rate, threshold: int) -> float:
     if t != threshold or t < 0:
         raise ValidationError(f"threshold must be a nonnegative integer, got {threshold!r}")
     return _regularized_gamma_pq(t, r)[0]
-
-
-def _poisson_pmf_vector(rate: float, n_max: int) -> np.ndarray:
-    """pmf(0..n_max) by cumulative products from pmf(0); relative drift ~n*eps."""
-    log_p0 = -rate
-    if log_p0 < -700.0:
-        raise ValidationError(f"rate {rate} too large for a dense pmf table")
-    ratios = rate / np.arange(1.0, n_max + 1.0)
-    out = np.empty(n_max + 1)
-    out[0] = math.exp(log_p0)
-    if n_max:
-        np.cumprod(ratios, out=out[1:])
-        out[1:] *= out[0]
-    return out
 
 
 def poisson_cdf(rate, count: int) -> float:

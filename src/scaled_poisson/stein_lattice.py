@@ -62,7 +62,8 @@ from math import fsum, lgamma
 import numpy as np
 
 from .errors import NumericalRangeError, ValidationError
-from .poisson_core import _poisson_pmf_vector, poisson_tail
+from .poisson_core import _regularized_gamma_pq, poisson_tail
+from .weighted_sum import _poisson_pmf_vector
 
 __all__ = [
     "SteinContext",
@@ -135,12 +136,12 @@ def operator_zero_mean(ctx: SteinContext, f, trunc: int) -> float:
 
     Caller picks trunc so the Poisson tail beyond it is negligible for the
     growth of f (a few hundred covers polynomially bounded f comfortably).
-    Rates above ~700 raise ValidationError: pmf(0) would underflow.
     """
     if trunc < 0:
         raise ValidationError("trunc must be nonnegative")
     m = ctx.lattice_step
-    pmf = _poisson_pmf_vector(float(ctx.lam), trunc)
+    lam = float(ctx.lam)
+    pmf = _poisson_pmf_vector(lam, trunc, _regularized_gamma_pq(trunc + 1, lam)[1])
     return fsum(stein_apply(ctx, f, m * j) * p for j, p in enumerate(pmf.tolist()))
 
 

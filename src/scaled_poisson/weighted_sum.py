@@ -8,9 +8,9 @@ that exactness.
 
 The exact law of S (the ground-truth oracle for every experiment) is a
 truncated convolution over the integer lattice with a certified mass deficit.
-The stride convolution, the compensated tail sum and the integer threshold
-rule defined here are shared by every lattice law in the package.  All types
-are immutable values; operations are pure.
+The mode-anchored class table, the stride convolution, the compensated tail
+sum and the integer threshold rule defined here are shared by every lattice
+law in the package.  All types are immutable values; operations are pure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .poisson_core import _poisson_pmf_vector, _regularized_gamma_pq, normal_tail, poisson_tail
+from .poisson_core import _regularized_gamma_pq, normal_tail, poisson_tail
 
 __all__ = [
     "WeightedPoissonSum",
@@ -191,6 +191,30 @@ def _suffix_sums(probs: np.ndarray) -> np.ndarray:
     return out[::-1]
 
 
+def _mode_table(num: np.ndarray, den: np.ndarray, mode: int, mass: float) -> np.ndarray:
+    """pmf(0..len(num)) of the law with pmf(j) / pmf(j-1) = num[j-1] / den[j-1],
+    scaled to hold ``mass`` in all.
+
+    1.0 at the mode and cumulative ratio products outward both ways, after
+    Loader (2000), "Fast and Accurate Computation of Binomial Probabilities".
+    With mode the law's mode, or the table end nearest it, every ratio taken
+    away from it is at most 1: nothing overflows, no anchor pmf is computed,
+    and entries far out underflow to exact zeros.  One scale by the
+    compensated sum sets the mass.
+    """
+    out = np.empty(num.size + 1)
+    out[mode] = 1.0
+    np.cumprod(num[mode:] / den[mode:], out=out[mode + 1 :])
+    np.cumprod(den[:mode][::-1] / num[:mode][::-1], out=out[:mode][::-1])
+    out *= mass / _suffix_sums(out)[0]
+    return out
+
+
+def _poisson_pmf_vector(rate: float, n: int, mass: float) -> np.ndarray:
+    """pmf(0..n) of Poisson(rate), given its mass P(A_rate <= n)."""
+    return _mode_table(np.full(n, rate), np.arange(1.0, n + 1.0), min(int(rate), n), mass)
+
+
 # eq=False: a generated == or hash() would raise on the array fields, so
 # tables compare by identity.
 @dataclass(frozen=True, eq=False)
@@ -323,7 +347,7 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
     for b, nu in zip(model.weights, model.rates):
         rate = float(nu)
         n, tail = _truncation_point(rate, budget)
-        classes.append((_poisson_pmf_vector(rate, n), b))
+        classes.append((_poisson_pmf_vector(rate, n, 1.0 - tail), b))
         dropped.append(tail)
     return LatticeDistribution(
         probs=_convolve_classes(classes), mass_deficit=math.nextafter(fsum(dropped), math.inf)
@@ -373,7 +397,8 @@ def normal_approx_tail(m: SumMoments, y, continuity_correction: bool = False) ->
     """Moment-matched normal tail P(Z > y), Z ~ N(mu, sigma^2).
 
     The plain uncorrected form is the reference baseline; the half-integer
-    correction is available for exploration only.
+    correction is available for exploration only.  The point reaches
+    normal_tail exact, so one past the float range reads 0 or 1.
     """
-    point = float(y) + (0.5 if continuity_correction else 0.0)
+    point = y + Fraction(1, 2) if continuity_correction else y
     return normal_tail(float(m.mu), float(m.sigma_sq), point)

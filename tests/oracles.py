@@ -36,13 +36,18 @@ def mp_poisson_pmf(rate, j: int):
     return mp.e ** (-lam) * lam**j / mp.factorial(j)
 
 
-def mp_poisson_tail(rate, threshold: int, extra: int = 4000) -> float:
-    """P(A >= threshold) by direct high-precision summation."""
+def _mp_poisson_tail(lam, threshold: int):
+    """P(A_lam >= threshold) = P(threshold, lam), the regularized lower
+    incomplete gamma, at working precision; 1 at threshold 0."""
+    if threshold <= 0:
+        return mp.mpf(1)
+    return mp.gammainc(threshold, 0, lam, regularized=True)
+
+
+def mp_poisson_tail(rate, threshold: int) -> float:
+    """P(A >= threshold) in high precision."""
     lam = mp.mpf(rate.numerator) / rate.denominator if isinstance(rate, Fraction) else mp.mpf(rate)
-    total = mp.mpf(0)
-    for j in range(threshold, threshold + extra):
-        total += mp.e ** (-lam) * lam**j / mp.factorial(j)
-    return float(total)
+    return float(_mp_poisson_tail(lam, threshold))
 
 
 def mp_gamma_q(shape, point) -> float:
@@ -59,9 +64,7 @@ def mp_stein_solution(lam: Fraction, m: int, y: int, w: int, terms: int = 4000) 
     lam_mp = mp.mpf(lam.numerator) / lam.denominator
     lam_m = lam_mp * m
     my = m * y
-    p_ge = mp.mpf(mp_poisson_tail(lam, y, extra=6000))
-    # recompute tail in mp precision for consistency
-    p_ge = sum(mp.e ** (-lam_mp) * lam_mp**j / mp.factorial(j) for j in range(y, y + 5000))
+    p_ge = _mp_poisson_tail(lam_mp, y)
     s = mp.mpf(0)
     prod = mp.mpf(w)
     for j in range(terms):
@@ -121,12 +124,17 @@ def panjer_tail(weights, rates, y: int, strict: bool = True) -> float:
     with p(0) = exp(-sum nu_r); every term is positive.  The tail is one minus
     the cdf below the threshold, at 60 digits.
     """
+    return panjer_tails(weights, rates, [y], strict)[0]
+
+
+def panjer_tails(weights, rates, ys, strict: bool = True) -> list[float]:
+    """panjer_tail at every y in ys, from one pass of the recursion."""
     nus = [_mp_rate(v) for v in rates]
-    top = y if strict else y - 1
+    tops = [y if strict else y - 1 for y in ys]
     p = [mp.e ** (-mp.fsum(nus))]
-    for s in range(1, top + 1):
+    for s in range(1, max(tops) + 1):
         p.append(mp.fsum(nu * b * p[s - b] for b, nu in zip(weights, nus) if b <= s) / s)
-    return float(1 - mp.fsum(p[: top + 1]))
+    return [float(1 - mp.fsum(p[: top + 1])) for top in tops]
 
 
 def mp_d_low(lam, y: int) -> list:

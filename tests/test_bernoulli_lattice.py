@@ -216,32 +216,3 @@ class TestBinomialPmfVector:
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
         assert mean == pytest.approx(float(mean_exact), rel=1e-12)
         assert var == pytest.approx(float(var_exact), rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "trials,p",
-        [
-            (5000, Fraction(1, 50)),
-            (5000, Fraction(3, 500)),
-            (10000, Fraction(1, 100)),
-            (8000, Fraction(1, 10)),
-            (80000, Fraction(1, 100)),
-            (6, Fraction(1, 2)),
-            (1, Fraction(1, 3)),
-            (20, Fraction(1)),
-        ],
-    )
-    def test_normalization_over_nonzero_window_is_bit_equal(self, trials, p):
-        # the fsum runs over the nonzero window only; zeros change no fsum,
-        # so the table must be == to the full-vector normalization
-        from math import fsum
-
-        import numpy as np
-
-        from scaled_poisson.bernoulli_lattice import _binomial_shape, binomial_pmf_vector
-
-        shape = _binomial_shape(trials, p)
-        full = shape / fsum(shape.tolist())
-        pmf = binomial_pmf_vector(trials, p)
-        assert pmf.dtype == full.dtype and pmf.shape == full.shape
-        assert np.array_equal(pmf, full)
-        assert pmf.tobytes() == full.tobytes()

@@ -11,6 +11,8 @@ import pytest
 from scaled_poisson import cli
 from scaled_poisson.cli import build_parser, main
 
+from oracles import panjer_tail
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -31,11 +33,11 @@ def parse_csv(text):
 _COUPLING_EXACT_ROWS = (
     "field,value\r\n"
     "trials_per_class,5000\r\n"
-    "H_0,-0.0023581311069418723\r\n"
-    "H_1,-0.063115342720437395\r\n"
+    "H_0,-0.0023581311069418714\r\n"
+    "H_1,-0.063115342720437367\r\n"
     "H_2,0.053008121297458868\r\n"
-    "tail_diff,-0.012465352529919399\r\n"
-    "closure_error,9.9920072216264089e-16\r\n"
+    "tail_diff,-0.012465352529919357\r\n"
+    "closure_error,1.0130785099704553e-15\r\n"
 )
 _COUPLING_EXHAUSTIVE = (
     "field,value\r\n"
@@ -50,35 +52,35 @@ _COUPLING_EXHAUSTIVE = (
 )
 _EMPIRICAL_CONSTANT = (
     "y,deviation,bracket,ratio\r\n"
-    "52,0.053110680586392012,256.54951450742851,0.00020701922078614641\r\n"
-    "53,0.062278407801068303,257.54983465107722,0.00024181109603677945\r\n"
-    "54,0.072000982454001994,258.55115240331736,0.00027847867543706286\r\n"
-    "55,0.082208321975283383,259.55414222167593,0.00031672899253933767\r\n"
-    "56,0.073140612622163981,260.55944210245934,0.00028070605322144887\r\n"
-    "57,0.082823376143781102,261.56765616242842,0.00031664226899808055\r\n"
-    "58,0.092811472046341548,262.57935699594418,0.00035346065703015304\r\n"
-    "59,0.10304138100726734,263.59508783061779,0.00039090781947150765\r\n"
-    "60,0.088349989550792096,264.61536450178579,0.00033388079984371372\r\n"
-    "61,0.09767753136976387,265.6406772637838,0.00036770547483873909\r\n"
-    "62,0.10711290514469696,266.67149245394017,0.00040166612546032693\r\n"
-    "63,0.11660581763450184,267.70825402343394,0.00043557049841389916\r\n"
-    "64,0.095568480236023268,268.75138494759597,0.00035560181486937541\r\n"
-    "65,0.10390242879732858,269.80128852687159,0.00038510723712492623\r\n"
+    "52,0.053110680586391901,256.54951450742851,0.00020701922078614598\r\n"
+    "53,0.062278407801068081,257.54983465107722,0.00024181109603677861\r\n"
+    "54,0.072000982454001883,258.55115240331736,0.00027847867543706243\r\n"
+    "55,0.082208321975283161,259.55414222167593,0.00031672899253933681\r\n"
+    "56,0.073140612622163759,260.55944210245934,0.00028070605322144801\r\n"
+    "57,0.08282337614378088,261.56765616242842,0.00031664226899807968\r\n"
+    "58,0.092811472046341326,262.57935699594418,0.00035346065703015223\r\n"
+    "59,0.10304138100726701,263.59508783061779,0.0003909078194715064\r\n"
+    "60,0.088349989550791874,264.61536450178579,0.0003338807998437129\r\n"
+    "61,0.097677531369763759,265.6406772637838,0.00036770547483873871\r\n"
+    "62,0.10711290514469674,266.67149245394017,0.00040166612546032606\r\n"
+    "63,0.11660581763450162,267.70825402343394,0.00043557049841389829\r\n"
+    "64,0.095568480236023157,268.75138494759597,0.00035560181486937498\r\n"
+    "65,0.10390242879732847,269.80128852687159,0.00038510723712492585\r\n"
     "66,0.11220016701797375,270.85834958846067,0.00041423927742471114\r\n"
     "67,0.12042368058218356,271.92293559759821,0.00044285959298553268\r\n"
     "68,0.092398824995417628,272.99539768650874,0.00033846294032224968\r\n"
-    "69,0.099272791421293083,274.07607160824563,0.00036220889637965186\r\n"
-    "70,0.10600550169255485,275.16527862190242,0.00038524301548312098\r\n"
+    "69,0.099272791421292972,274.07607160824563,0.00036220889637965148\r\n"
+    "70,0.10600550169255474,275.16527862190242,0.00038524301548312055\r\n"
     "71,0.11256809556555825,276.26332631503561,0.00040746666257537108\r\n"
     "72,0.076810860451629881,277.37050936857054,0.00027692511589097398\r\n"
     "73,0.081847586061634781,278.48711026894921,0.00029390080561570835\r\n"
     "74,0.086660606977052468,279.61339997182813,0.00030993009271295215\r\n"
-    "75,0.09122695728399266,280.74963852122892,0.00032494060460595934\r\n"
-    "76,0.046741621265592226,281.89607562768157,0.00016581153590561833\r\n"
+    "75,0.091226957283992882,280.74963852122892,0.00032494060460596015\r\n"
+    "76,0.046741621265592337,281.89607562768157,0.00016581153590561874\r\n"
     "77,0.049577242066556448,283.05295120857721,0.00017515182885347754\r\n"
-    "78,0.052114748805741518,284.22049589365628,0.00018336027682268463\r\n"
-    "79,0.054334184379072226,285.39893149829783,0.00019037977505320929\r\n"
-    "80,0.00025829394897436408,286.58847146703903,9.0127124671890666e-07\r\n"
+    "78,0.052114748805741629,284.22049589365628,0.00018336027682268503\r\n"
+    "79,0.054334184379072559,285.39893149829783,0.00019037977505321046\r\n"
+    "80,0.00025829394897414204,286.58847146703903,9.0127124671813194e-07\r\n"
 )
 
 class TestMoments:
@@ -117,6 +119,16 @@ class TestTails:
         lo = float(dict(zip(header, rows[0]))["tail_lo"])
         assert lo == pytest.approx(1 - 2 * math.exp(-2), rel=1e-12)
 
+    def test_exact_tail_at_rate_800(self):
+        code, out, err = run_cli(["exact-tail", "--y", "1300", "--strict", "--rates", "800,30"])
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        lo, hi = float(row["tail_lo"]), float(row["tail_hi"])
+        truth = panjer_tail((1, 10), (800, 30), 1300)
+        slack = 4 * 2.0**-52 * truth
+        assert lo - slack <= truth <= hi + slack
+
     def test_approx_tail_modes_agree_roughly(self):
         _, out_d, _ = run_cli(["approx-tail", "--y", "450", "--mode", "discrete", "--strict"])
         _, out_c, _ = run_cli(["approx-tail", "--y", "450", "--mode", "continuous"])
@@ -150,6 +162,18 @@ class TestSweeps:
         assert "N=8" in err
         _, rows = parse_csv(out)
         assert len(rows) == 2
+
+    def test_sweep_scaling_past_rate_700(self):
+        # N = 8..11 scale the class rates to 800..1100; N = 12 has lam' > y
+        code, out, err = run_cli(["sweep-scaling", "--y", "600", "--n-values", "8,9,10,11,12"])
+        assert code == 0
+        assert err == "note: N=12 excluded: lam' = 19200/31 exceeds y = 600\n"
+        header, rows = parse_csv(out)
+        assert [r[header.index("scale_n")] for r in rows] == ["8", "9", "10", "11"]
+        for row in rows:
+            n = int(row[header.index("scale_n")])
+            truth = panjer_tail((1, 10), (100 * n, 30 * n), 600)
+            assert abs(float(row[header.index("exact_tail")]) - truth) <= 4 * 2.0**-52 * truth
 
     def test_compare_normal_summary(self):
         code, out, err = run_cli(["compare-normal", "--y-from", "505", "--y-to", "520"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaled_poisson import (
+    NumericalRangeError,
     ValidationError,
     normal_tail,
     poisson_cdf,
@@ -281,6 +282,29 @@ class TestPastTheFloatRange:
         assert _regularized_gamma_pq(Fraction(1, 10**400), 0.5) == (1.0, 0.0)
         assert _regularized_gamma_pq(Fraction(10**400, 3), 51.6) == (0.0, 1.0)
         assert _regularized_gamma_pq(1e306, 1e300) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "rate, count, expected",
+        [
+            (1.0, 10**400, -math.inf),
+            (1e306, 10**400, -math.inf),
+            (1.0, 10**309, -math.inf),
+            # log-gamma overflows where the log-pmf may be finite: about -353
+            # at rate = count = 1e306
+            (1.0, 10**306, NumericalRangeError),
+            (1e306, 10**306, NumericalRangeError),
+            (1.7e308, int(2.54e305), NumericalRangeError),  # count * log(rate) overflows
+        ],
+    )
+    def test_log_pmf_at_huge_counts(self, rate, count, expected):
+        if expected is NumericalRangeError:
+            with pytest.raises(NumericalRangeError):
+                poisson_log_pmf(rate, count)
+            with pytest.raises(NumericalRangeError):
+                poisson_pmf(rate, count)
+        else:
+            assert poisson_log_pmf(rate, count) == expected
+            assert poisson_pmf(rate, count) == 0.0
 
     def test_normal_tail_reads_0_and_1(self):
         assert normal_tail(0, 1, 10**400) == 0.0

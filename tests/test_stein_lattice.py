@@ -82,11 +82,12 @@ class TestOperator:
         val = operator_zero_mean(ctx, lambda _: 1.0, 200)
         assert abs(val) <= 1e-10 * (1 + 6 + 3 * 200)
 
-    def test_zero_mean_refuses_rate_whose_pmf_zero_underflows(self):
-        # exp(-800) underflows: the truncated mean would silently read 0
+    def test_zero_mean_at_rate_whose_pmf_zero_underflows(self):
+        # exp(-800) underflows; the mode-anchored table needs no pmf(0)
         ctx = SteinContext(lam=Fraction(800), lattice_step=1, scale_num=1, threshold_y=2)
-        with pytest.raises(ValidationError):
-            operator_zero_mean(ctx, lambda _: 1.0, 1000)
+        for f in (lambda _: 1.0, lambda w: float(w)):
+            vals = [abs(stein_apply(ctx, f, j)) for j in range(1001)]
+            assert abs(operator_zero_mean(ctx, f, 1000)) <= 1e-10 * (1 + max(vals))
 
     def test_zero_mean_linear_and_indicator(self):
         ctx = SteinContext(lam=Fraction(9, 5), lattice_step=5, scale_num=3, threshold_y=3)

@@ -22,9 +22,17 @@ from scaled_poisson import (
     scaled_poisson_tail,
 )
 
-from scaled_poisson.weighted_sum import _stride_convolve, _suffix_sums, _tail_sums
+from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
+from scaled_poisson.poisson_core import _regularized_gamma_pq
+from scaled_poisson.weighted_sum import (
+    _poisson_pmf_vector,
+    _stride_convolve,
+    _suffix_sums,
+    _tail_sums,
+    _truncation_point,
+)
 
-from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums, panjer_tail
+from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums, panjer_tail, panjer_tails
 
 WIDE_MODEL = WeightedPoissonSum((1, 100, 10000), (Fraction(5), Fraction(3), Fraction(1)))
 
@@ -181,6 +189,74 @@ class TestExactDistribution:
             exact_distribution(small_model, 0.0)
         with pytest.raises(ValidationError):
             exact_distribution(small_model, 1e-2)
+
+
+def _poisson_table(rate):
+    """The class table exact_distribution builds at epsilon 1e-12, and its mass."""
+    n, _ = _truncation_point(float(rate), 1e-12)
+    mass = _regularized_gamma_pq(n + 1, float(rate))[1]
+    return _poisson_pmf_vector(float(rate), n, mass), mass
+
+
+class TestModeTable:
+    """Every class table comes from one mode-anchored recurrence."""
+
+    @pytest.mark.parametrize("rate", [Fraction(1600, 31), 100, 690, 800, 5000, 10**5])
+    def test_poisson_table_against_mpmath(self, rate):
+        # no rate ceiling: pmf(0) = exp(-800) underflows, the mode does not
+        table, _ = _poisson_table(rate)
+        r = float(rate)
+        points = {0, table.size - 1}
+        for d in (-30, -12, -8, -3, -1, 0, 1, 3, 8, 12):
+            k = math.floor(r + d * math.sqrt(r))
+            if 0 <= k < table.size:
+                points.add(k)
+        with mp.workdps(50):
+            lam = mp.mpf(r)
+            for k in sorted(points):
+                truth = mp.exp(-lam + k * mp.log(lam) - mp.loggamma(k + 1))
+                if truth < 1e-300:
+                    assert table[k] < 1e-290, (k, table[k])
+                    continue
+                assert abs(table[k] - truth) <= 1e-14 * truth, (k, table[k], truth)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (5000, Fraction(1, 50)),
+            (5000, Fraction(3, 500)),
+            (10000, Fraction(1, 100)),
+            (8000, Fraction(1, 10)),
+            (80000, Fraction(1, 100)),
+            (6, Fraction(1, 2)),
+            (1, Fraction(1, 3)),
+            (20, Fraction(1)),
+            Fraction(1, 10),
+            1,
+            Fraction(1600, 31),
+            800,
+            5000,
+            10**5,
+        ],
+    )
+    def test_table_mass_within_one_ulp(self, case):
+        # one scale by the compensated sum sets each table's mass: the
+        # binomial's 1, the Poisson's P(A <= n)
+        if isinstance(case, tuple):
+            table, mass = binomial_pmf_vector(*case), 1.0
+        else:
+            table, mass = _poisson_table(case)
+        assert abs(math.fsum(table.tolist()) - mass) <= math.ulp(mass)
+
+    def test_rate_800_brackets_hold_panjer_truth(self):
+        # exact-tail --rates 800,30 exited 2 under the pmf(0) recurrence
+        model = WeightedPoissonSum((1, 10), (Fraction(800), Fraction(30)))
+        dist = exact_distribution(model, 1e-12)
+        ys = range(1000, 1501)
+        for y, truth in zip(ys, panjer_tails((1, 10), (800, 30), ys)):
+            lo, hi = dist.tail(y, strict=True)
+            slack = 4 * 2.0**-52 * truth
+            assert lo - slack <= truth <= hi + slack, (y, lo, truth, hi)
 
 
 @given(
@@ -465,6 +541,12 @@ class TestNormalApprox:
         assert normal_approx_tail(bench_moments, 600) == pytest.approx(
             0.00016400815750676422, rel=1e-12
         )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_point_past_the_float_range(self, bench_moments, sign, corrected):
+        got = normal_approx_tail(bench_moments, sign * 10**400, continuity_correction=corrected)
+        assert got == (0.0 if sign > 0 else 1.0)
 
     def test_continuity_correction_option(self, bench_moments):
         plain = normal_approx_tail(bench_moments, 500)

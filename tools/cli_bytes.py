@@ -25,7 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 _HUGE = "1" + "0" * 160
 
-# Thresholds past the float range, and the sweeps whose tails sit at t <= lam + 1.
+# Thresholds past the float range, the sweeps whose tails sit at t <= lam + 1,
+# and class rates past 700.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -34,6 +35,8 @@ EDGE_ARGVS = [
     ["sweep-scaling", "--y", _HUGE, "--n-values", "1"],
     ["sweep-relerr", "--y-from", "401", "--y-to", "700", "--non-strict"],
     ["sweep-scaling", "--y", "600"],
+    ["sweep-scaling", "--y", "600", "--n-values", "8,9,10,11"],
+    ["exact-tail", "--y", "1300", "--strict", "--rates", "800,30"],
 ]
 
 
