@@ -46,6 +46,8 @@ from .weighted_sum import (
 
 _DEFAULT_WEIGHTS = "1,10"
 _DEFAULT_RATES = "100,30"
+_Y_HELP = "threshold on S (not on B*S, the integer-weight model of rational weights)"
+_INT_Y_HELP = "integer threshold on S; integer weights only"
 
 
 def _fmt(x) -> str:
@@ -77,9 +79,11 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _on_model(handler):
+def _on_model(handler, integer_y: bool = False):
     """handler(args, model, scale_B) as a command handler of args alone; the
-    model of --weights and --rates is parsed here for every command."""
+    model of --weights and --rates is parsed here for every command.  A
+    command whose thresholds are integers on S (integer_y) refuses rational
+    weights (B > 1), naming the integer weights of B*S."""
 
     @functools.wraps(handler)
     def run(args):
@@ -87,9 +91,19 @@ def _on_model(handler):
             _parse(args.weights, "rational list", _fractions),
             _parse(args.rates, "rational list", _fractions),
         )
+        if integer_y and scale_b > 1:
+            weights, rates = (",".join(map(str, v)) for v in (model.weights, model.rates))
+            raise ValidationError(
+                f"{args.command} needs integer weights; these scale to {scale_b}*S, "
+                f"whose integer weights are {weights} (pass --weights {weights} "
+                f"--rates {rates} and thresholds times {scale_b})"
+            )
         return handler(args, model, scale_b)
 
     return run
+
+
+_on_integer_model = functools.partial(_on_model, integer_y=True)
 
 
 def _emit(header, rows, out_path: str | None) -> None:
@@ -114,20 +128,20 @@ def _moments(args, model, scale_b):
 
 
 @_on_model
-def _exact_tail(args, model, _):
+def _exact_tail(args, model, scale_b):
     y = _parse(args.y, "--y")
-    lo, hi = exact_tail(model, y, strict=args.strict, epsilon=args.eps)
+    lo, hi = exact_tail(model, scale_b * y, strict=args.strict, epsilon=args.eps)
     return ("y", "tail_lo", "tail_hi", "strict"), [(args.y, lo, hi, args.strict)]
 
 
 @_on_model
-def _approx_tail(args, model, _):
+def _approx_tail(args, model, scale_b):
     y = _parse(args.y, "--y")
-    val = scaled_poisson_tail(moments(model), y, mode=args.mode, strict=args.strict)
+    val = scaled_poisson_tail(moments(model), scale_b * y, mode=args.mode, strict=args.strict)
     return ("y", "mode", "strict", "value"), [(args.y, args.mode, args.strict, val)]
 
 
-@_on_model
+@_on_integer_model
 def _sweep_relerr(args, model, _):
     rows = relative_error_sweep(
         model, args.y_from, args.y_to, epsilon=args.eps, strict=not args.non_strict
@@ -135,7 +149,7 @@ def _sweep_relerr(args, model, _):
     return ExperimentRow.csv_fields, map(_experiment_values, rows)
 
 
-@_on_model
+@_on_integer_model
 def _sweep_scaling(args, model, _):
     n_values = _parse(args.n_values, "integer list", _ints)
     result = scaling_sweep(model, args.y, n_values, epsilon=args.eps)
@@ -144,7 +158,7 @@ def _sweep_scaling(args, model, _):
     return ExperimentRow.csv_fields, map(_experiment_values, result.rows)
 
 
-@_on_model
+@_on_integer_model
 def _compare_normal(args, model, _):
     result = compare_normal(model, args.y_from, args.y_to, epsilon=args.eps)
     print(
@@ -174,7 +188,7 @@ def _stein_check(args):
     return ("property", "passed", "worst_margin", "observed_constant", "points"), rows
 
 
-@_on_model
+@_on_integer_model
 def _coupling_check(args, model, _):
     m = moments(model)
     trials = default_trials(model, args.mstar)
@@ -199,7 +213,7 @@ def _coupling_check(args, model, _):
     return ("field", "value"), rows
 
 
-@_on_model
+@_on_integer_model
 def _bound(args, model, _):
     m = moments(model)
     params = bound_params(model, m)
@@ -209,7 +223,7 @@ def _bound(args, model, _):
     return header, [(args.y, m.lam, bracket, params.r_star, params.correction_sum, deltas, ks)]
 
 
-@_on_model
+@_on_integer_model
 def _empirical_constant(args, model, _):
     result = empirical_constant(model, args.y_from, args.y_to, mstar=args.mstar)
     print(f"note: C_hat = {result.c_hat:.17g}", file=sys.stderr)
@@ -240,29 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "moments", _moments, "exact mu, sigma^2, k, lambda")
 
     p = _add_command(sub, "exact-tail", _exact_tail, "bracketed exact tail of S")
-    p.add_argument("--y", required=True)
+    p.add_argument("--y", required=True, help=_Y_HELP)
     p.add_argument("--strict", action="store_true", help="P(S > y) instead of P(S >= y)")
     p.add_argument("--eps", type=float, default=1e-12)
 
     p = _add_command(sub, "approx-tail", _approx_tail, "scaled Poisson tail at y")
-    p.add_argument("--y", required=True)
+    p.add_argument("--y", required=True, help=_Y_HELP)
     p.add_argument("--mode", choices=("discrete", "continuous"), default="discrete")
     p.add_argument("--strict", action="store_true")
 
     p = _add_command(sub, "sweep-relerr", _sweep_relerr, "relative error over a y range")
-    p.add_argument("--y-from", type=int, required=True)
-    p.add_argument("--y-to", type=int, required=True)
+    p.add_argument("--y-from", type=int, required=True, help=_INT_Y_HELP)
+    p.add_argument("--y-to", type=int, required=True, help=_INT_Y_HELP)
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--non-strict", action="store_true", help="use P(S >= y) tails")
 
     p = _add_command(sub, "sweep-scaling", _sweep_scaling, "relative error vs rate scale N at fixed y")
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--y", type=int, required=True, help=_INT_Y_HELP)
     p.add_argument("--n-values", default="1,2,3,4,5,6,7")
     p.add_argument("--eps", type=float, default=1e-12)
 
     p = _add_command(sub, "compare-normal", _compare_normal, "absolute error against the normal baseline")
-    p.add_argument("--y-from", type=int, required=True)
-    p.add_argument("--y-to", type=int, required=True)
+    p.add_argument("--y-from", type=int, required=True, help=_INT_Y_HELP)
+    p.add_argument("--y-to", type=int, required=True, help=_INT_Y_HELP)
     p.add_argument("--eps", type=float, default=1e-12)
 
     p = sub.add_parser("stein-check", help="solution-property report for one lattice context")
@@ -278,17 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "coupling-check", _coupling_check, "size-bias identity and H-closure")
     p.add_argument("--mstar", type=int, default=100, help="trials factor: M* = mstar * ceil(max rate)")
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--y", type=int, required=True, help=_INT_Y_HELP)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=7)
 
     p = _add_command(sub, "bound", _bound, "moderate-deviation bracket and its parameters")
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--y", type=int, required=True, help=_INT_Y_HELP)
 
     p = _add_command(sub, "empirical-constant", _empirical_constant, "observed constant over a y grid")
-    p.add_argument("--y-from", type=int, required=True)
-    p.add_argument("--y-to", type=int, required=True)
+    p.add_argument("--y-from", type=int, required=True, help=_INT_Y_HELP)
+    p.add_argument("--y-to", type=int, required=True, help=_INT_Y_HELP)
     p.add_argument("--mstar", type=int, default=100)
 
     return ap

@@ -14,7 +14,9 @@ which this module evaluates exactly (desk-scale supports make exact summation
 over the joint law of (W, Delta) feasible, so the decomposition doubles as a
 crisp numerical identity check).  Leave-one-trial-out laws are reused once per
 class: all copies inside a class are exchangeable, so the N* per-index terms
-collapse to R convolutions.
+collapse to R convolutions.  Every law here, float or exact, is the stride
+convolution of the class binomial tables: the exhaustive size-bias check
+convolves tables of Fractions, so its laws are exact rationals.
 
 Exact computations are pure; Monte Carlo sampling splits its budget across
 spawned child generators with a fixed merge order, so results are a
@@ -105,59 +107,27 @@ def delta_distribution(scheme: BernoulliScheme, m: SumMoments) -> DeltaDistribut
     return DeltaDistribution(support=tuple(support), probs=tuple(probs), delta_bounds=deltas)
 
 
-# configurations enumerated per array block; bounds memory at the 2^20 limit
-_ENUM_BLOCK = 1 << 16
+def _exact_w_law(class_trials: list[tuple[int, Fraction, int]]) -> dict[int, Fraction]:
+    """Exact law of sum_r b_r * Binomial(c_r, p_r) over its nonzero entries,
+    from (c_r, p_r, b_r) per class.
 
-
-def _enumerate_w_law(class_trials: list[tuple[int, Fraction, int]]) -> dict[int, Fraction]:
-    """Exact law of sum_r b_r * (successes among the listed trials).
-
-    Enumerates every one of the 2^(total trials) outcome configurations: per
-    block of configurations, each class's success count is the bit count of
-    its c bits (shift and add; np.bitwise_count needs numpy >= 2), the counts
-    form one mixed-radix key, and bincount tallies how many configurations
-    share each count tuple.  The exact Fraction probability is then formed
-    once per distinct tuple.
+    Each class's table C(c, a) p^a (1-p)^(c-a) is an object array of
+    Fractions, and _convolve_classes convolves the tables exactly.
     """
-    counts = [c for c, _, _ in class_trials]
-    total = sum(counts)
-    if total > _EXHAUSTIVE_LIMIT:
-        raise ValidationError(
-            f"{total} trials is too large to enumerate exhaustively "
-            f"(limit {_EXHAUSTIVE_LIMIT}); use size_bias_sample instead"
-        )
-    radices = np.cumprod([1] + [c + 1 for c in counts]).tolist()
-    tally = np.zeros(radices[-1], dtype=np.int64)
-    for start in range(0, 1 << total, _ENUM_BLOCK):
-        config = np.arange(start, min(start + _ENUM_BLOCK, 1 << total), dtype=np.int64)
-        key = np.zeros_like(config)
-        shift = 0
-        for c, radix in zip(counts, radices):
-            successes = np.zeros_like(config)
-            for i in range(shift, shift + c):
-                successes += (config >> i) & 1
-            key += successes * radix
-            shift += c
-        tally += np.bincount(key, minlength=tally.size)
-    law: dict[int, Fraction] = {}
-    for key, multiplicity in enumerate(tally.tolist()):
-        if not multiplicity:
-            continue
-        w = 0
-        prob = Fraction(multiplicity)
-        for (c, p, b), radix in zip(class_trials, radices):
-            a = key // radix % (c + 1)
-            w += b * a
-            prob *= p**a * (1 - p) ** (c - a)
-        law[w] = law.get(w, Fraction(0)) + prob
-    return law
+    tables = []
+    for c, p, b in class_trials:
+        pmf = [math.comb(c, a) * p**a * (1 - p) ** (c - a) for a in range(c + 1)]
+        tables.append((np.array(pmf, dtype=object), b))
+    law = _convolve_classes(tables)
+    return {w: prob for w, prob in enumerate(law.tolist()) if prob}
 
 
 def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[float, float]:
-    """Both sides of lam*m*E[f(n W^s)] = E[n W f(n W)] by exhaustive enumeration.
+    """Both sides of lam*m*E[f(n W^s)] = E[n W f(n W)] over the exact laws.
 
-    Feasible only for R * M* <= 20 underlying trials; larger instances are
-    refused with a pointer to the sampling variant.
+    The law of W and the R leave-one-trial-out laws are exact rationals;
+    instances past R * M* = 20 underlying trials are refused with a pointer
+    to the sampling variant.
     """
     m_star = scheme.trials_per_class
     n = m.k_num
@@ -168,14 +138,14 @@ def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[fl
             f"exhaustive check needs R*M* <= {_EXHAUSTIVE_LIMIT}, got "
             f"{m_star * scheme.class_count}; use size_bias_sample"
         )
-    w_law = _enumerate_w_law(full)
+    w_law = _exact_w_law(full)
     rhs = fsum(float(prob) * (n * w) * float(f(n * w)) for w, prob in sorted(w_law.items()))
 
     deltas = _class_deltas(scheme, m)
     lhs_terms = []
     for r, b_r in enumerate(scheme.replication):
         reduced = [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
-        loo_law = _enumerate_w_law(reduced)
+        loo_law = _exact_w_law(reduced)
         e_r = fsum(
             float(prob) * float(f(n * (w + b_r))) for w, prob in sorted(loo_law.items())
         )
@@ -287,6 +257,8 @@ def size_bias_sample(
     n_samples = int(samples)
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     tables = _tables(scheme, 1e-250)
     full, reduced = tables.full, tables.reduced
     deltas = np.array([float(d) for d in _class_deltas(scheme)])

@@ -311,9 +311,10 @@ def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
     array of zeros is ever multiplied.  Either each residue class of acc is
     convolved with pmf on its own (one np.convolve when b == 1), or one
     shifted slice is added per pmf entry, whichever makes fewer calls:
-    min(b, len(acc), len(pmf)) in all.
+    min(b, len(acc), len(pmf)) in all.  The law keeps the common dtype of
+    its inputs, so object arrays of Fractions convolve exactly.
     """
-    out = np.zeros(acc.size + b * (pmf.size - 1))
+    out = np.zeros(acc.size + b * (pmf.size - 1), dtype=np.result_type(acc, pmf))
     if min(b, acc.size) <= pmf.size:
         for c in range(min(b, acc.size)):
             out[c::b] = np.convolve(acc[c::b], pmf)
@@ -324,8 +325,9 @@ def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
 
 
 def _convolve_classes(classes: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Law of sum_r b_r X_r from (pmf of X_r, b_r) pairs, in the given order."""
-    acc = np.array([1.0])
+    """Law of sum_r b_r X_r from (pmf of X_r, b_r) pairs, in the given order,
+    in the tables' dtype: float tables give the float law, Fraction the exact."""
+    acc = np.ones(1, dtype=np.int64)
     for pmf, b in classes:
         acc = _stride_convolve(acc, pmf, b)
     return acc
@@ -342,6 +344,10 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
     if not (0.0 < eps <= 1e-3):
         raise ValidationError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
     budget = eps / model.class_count
+    if not budget > 0.0:
+        raise ValidationError(
+            f"per-class budget epsilon/R = {epsilon!r}/{model.class_count} rounds to 0"
+        )
     classes = []
     dropped = []
     for b, nu in zip(model.weights, model.rates):

@@ -198,7 +198,8 @@ def enumerate_w_law_reference(class_trials) -> dict[int, Fraction]:
     each class's success count is the bit count of its slice.  A
     configuration's probability is prod_r u_r^a (d_r - u_r)^(c_r - a) over the
     common denominator prod_r d_r^c_r (p_r = u_r / d_r), so the loop sums
-    integers and divides once per value of W at the end.
+    integers and divides once per value of W at the end.  Values of W that
+    only zero-probability configurations reach (p_r = 1) are left out.
     """
     tables = []
     denominator = 1
@@ -219,7 +220,7 @@ def enumerate_w_law_reference(class_trials) -> dict[int, Fraction]:
             w += b * a
             num *= table[a]
         numerators[w] = numerators.get(w, 0) + num
-    return {w: Fraction(num, denominator) for w, num in numerators.items()}
+    return {w: Fraction(num, denominator) for w, num in numerators.items() if num}
 
 
 def enumerate_size_bias_rhs(weights, probs: list[Fraction], trials: int, n: int, f) -> float:

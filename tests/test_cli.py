@@ -129,6 +129,31 @@ class TestTails:
         slack = 4 * 2.0**-52 * truth
         assert lo - slack <= truth <= hi + slack
 
+    def test_rational_weights_read_y_on_s(self):
+        # S = A(1)/2 + A(2)/3, so 6S = 3 A(1) + 2 A(2) and P(S > 1) = P(6S > 6)
+        code, out, err = run_cli(
+            ["exact-tail", "--y", "1", "--strict", "--weights", "1/2,1/3", "--rates", "1,2"]
+        )
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["y"] == "1"
+        assert float(row["tail_lo"]) == pytest.approx(panjer_tail((2, 3), (2, 1), 6), rel=1e-14)
+        _, scaled, _ = run_cli(
+            ["exact-tail", "--y", "6", "--strict", "--weights", "3,2", "--rates", "1,2"]
+        )
+        assert parse_csv(scaled)[1][0][1:] == rows[0][1:]
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_rational_weights_approx_tail_reads_y_on_s(self, mode):
+        base = ["approx-tail", "--strict", "--mode", mode]
+        code, out, _ = run_cli(base + ["--y", "1/2", "--weights", "1/2,1/3", "--rates", "1,2"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][0] == "1/2"
+        _, scaled, _ = run_cli(base + ["--y", "3", "--weights", "2,3", "--rates", "2,1"])
+        assert parse_csv(scaled)[1][0][1:] == rows[0][1:]
+
     def test_approx_tail_modes_agree_roughly(self):
         _, out_d, _ = run_cli(["approx-tail", "--y", "450", "--mode", "discrete", "--strict"])
         _, out_c, _ = run_cli(["approx-tail", "--y", "450", "--mode", "continuous"])
@@ -418,6 +443,43 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-relerr", "--y-from", "1", "--y-to", "3"],
+            ["sweep-scaling", "--y", "2", "--n-values", "1"],
+            ["compare-normal", "--y-from", "1", "--y-to", "3"],
+            ["bound", "--y", "4"],
+            ["coupling-check", "--y", "2", "--mstar", "2", "--exhaustive"],
+            ["empirical-constant", "--y-from", "2", "--y-to", "4", "--mstar", "2"],
+        ],
+    )
+    def test_integer_grid_refuses_rational_weights(self, argv):
+        code, out, err = run_cli(argv + ["--weights", "1/2,1/3", "--rates", "1,2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[0]} needs integer weights")
+        assert "6*S" in err and "--weights 2,3 --rates 2,1" in err
+
+    def test_negative_seed_is_2(self):
+        argv = ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "5",
+                "--samples", "10000", "--seed", "-1"]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+    def test_epsilon_below_the_class_budget_is_2(self):
+        code, out, err = run_cli(["exact-tail", "--y", "500", "--eps", "5e-324"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: per-class budget epsilon/R = 5e-324/2 rounds to 0\n"
+        code, out, err = run_cli(["exact-tail", "--y", "500", "--eps", "1e-323"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        _, default_rows = parse_csv(run_cli(["exact-tail", "--y", "500"])[1])
+        assert float(rows[0][1]) == pytest.approx(float(default_rows[0][1]), rel=1e-15)
 
     def test_bound_below_lambda_is_2(self):
         code, _, _ = run_cli(["bound", "--y", "40"])

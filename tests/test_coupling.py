@@ -141,17 +141,31 @@ class TestEnumerationReference:
 
     @pytest.mark.parametrize("weights,rates,trials", CASES)
     def test_laws_equal_reference(self, weights, rates, trials):
-        from scaled_poisson.coupling import _enumerate_w_law
+        from scaled_poisson.coupling import _exact_w_law
 
         _, full = self._class_trials(weights, rates, trials)
-        assert _enumerate_w_law(full) == enumerate_w_law_reference(full)
+        assert _exact_w_law(full) == enumerate_w_law_reference(full)
         if trials * len(weights) <= 16:
             # the leave-one-trial-out laws the lhs enumerates
             for r in range(len(full)):
                 reduced = [
                     (c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)
                 ]
-                assert _enumerate_w_law(reduced) == enumerate_w_law_reference(reduced)
+                assert _exact_w_law(reduced) == enumerate_w_law_reference(reduced)
+
+    @pytest.mark.parametrize("weights,rates,trials", CASES)
+    def test_laws_are_exact_and_sum_to_one(self, weights, rates, trials):
+        from scaled_poisson.coupling import _exact_w_law
+
+        _, full = self._class_trials(weights, rates, trials)
+        laws = [full] + [
+            [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
+            for r in range(len(full))
+        ]
+        for class_trials in laws:
+            law = _exact_w_law(class_trials)
+            assert all(type(prob) in (Fraction, int) for prob in law.values())
+            assert sum(law.values()) == 1
 
     @pytest.mark.parametrize("weights,rates,trials", CASES[:-1])
     def test_check_equals_check_through_reference(self, weights, rates, trials, monkeypatch):
@@ -160,15 +174,11 @@ class TestEnumerationReference:
         scheme, _ = self._class_trials(weights, rates, trials)
         m = moments(WeightedPoissonSum(weights, rates))
         got = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
-        monkeypatch.setattr(coupling, "_enumerate_w_law", enumerate_w_law_reference)
+        monkeypatch.setattr(coupling, "_exact_w_law", enumerate_w_law_reference)
         want = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
         assert got == want
 
     def test_refusal_above_limit_names_sampler(self):
-        from scaled_poisson.coupling import _enumerate_w_law
-
-        with pytest.raises(ValidationError, match="size_bias_sample"):
-            _enumerate_w_law([(11, Fraction(1, 2), 1), (10, Fraction(1, 3), 2)])
         model = WeightedPoissonSum((1, 2, 3), (Fraction(1), Fraction(1), Fraction(1)))
         with pytest.raises(ValidationError, match="size_bias_sample"):
             size_bias_check_exact(build_scheme(model, 7), lambda x: 1.0, moments(model))
@@ -264,6 +274,11 @@ class TestSizeBiasSample:
         scheme = build_scheme(small_model, 20)
         with pytest.raises(ValidationError):
             size_bias_sample(scheme, lambda x: 1.0, 100, seed=1)
+
+    def test_negative_seed_refused(self, small_model):
+        scheme = build_scheme(small_model, 20)
+        with pytest.raises(ValidationError, match="seed"):
+            size_bias_sample(scheme, lambda x: 1.0, 10_000, seed=-1)
 
     def test_each_side_against_its_exact_value(self, bench_model, bench_moments):
         # the benchmark workload's configuration; both sides are checked on

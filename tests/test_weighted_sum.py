@@ -25,6 +25,7 @@ from scaled_poisson import (
 from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
 from scaled_poisson.poisson_core import _regularized_gamma_pq
 from scaled_poisson.weighted_sum import (
+    _convolve_classes,
     _poisson_pmf_vector,
     _stride_convolve,
     _suffix_sums,
@@ -189,6 +190,13 @@ class TestExactDistribution:
             exact_distribution(small_model, 0.0)
         with pytest.raises(ValidationError):
             exact_distribution(small_model, 1e-2)
+        # 5e-324 / 2 rounds to 0.0, and no tail is below a zero budget
+        with pytest.raises(ValidationError, match="rounds to 0"):
+            exact_distribution(small_model, 5e-324)
+        # 1e-323 / 2 is the least subnormal, 5e-324: the tails are cut where they underflow
+        dist = exact_distribution(small_model, 1e-323)
+        assert 0.0 <= dist.mass_deficit <= 1e-323
+        assert dist.tail(2) == pytest.approx(exact_distribution(small_model).tail(2), rel=1e-15)
 
 
 def _poisson_table(rate):
@@ -280,6 +288,18 @@ def test_property_stride_convolve_matches_zero_filled_convolve(b, n_acc, n_pmf, 
     terms = min(n_acc, n_pmf)
     eps = np.finfo(float).eps
     np.testing.assert_allclose(got, want, rtol=2 * terms * eps, atol=0.0)
+
+
+def test_convolution_keeps_the_tables_dtype():
+    # float tables give a float64 law; Fraction tables an exact object-array law
+    half = [Fraction(1, 2), Fraction(1, 2)]
+    third = [Fraction(2, 3), Fraction(1, 3)]
+    exact = _convolve_classes([(np.array(half, dtype=object), 1), (np.array(third, dtype=object), 3)])
+    assert exact.dtype == object
+    assert exact.tolist() == [Fraction(1, 3), Fraction(1, 3), 0, Fraction(1, 6), Fraction(1, 6)]
+    floats = _convolve_classes([(np.array([0.5, 0.5]), 1), (np.array([2 / 3, 1 / 3]), 3)])
+    assert floats.dtype == np.float64
+    assert floats.tolist() == [float(x) for x in exact.tolist()]
 
 
 class TestSuffixSums:

@@ -25,8 +25,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 _HUGE = "1" + "0" * 160
 
+_RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
+
 # Thresholds past the float range, the sweeps whose tails sit at t <= lam + 1,
-# and class rates past 700.
+# class rates past 700, exhaustive checks at R = 3 and at and past the 20-trial
+# limit, rational weights on every command that reads a threshold, a negative
+# seed, and epsilons whose per-class budget is and is not 0.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -37,6 +41,21 @@ EDGE_ARGVS = [
     ["sweep-scaling", "--y", "600"],
     ["sweep-scaling", "--y", "600", "--n-values", "8,9,10,11"],
     ["exact-tail", "--y", "1300", "--strict", "--rates", "800,30"],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "10", "--y", "5", "--exhaustive"],
+    ["coupling-check", "--weights", "1,3,5", "--rates", "1,2,1", "--mstar", "2", "--y", "3", "--exhaustive"],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "11", "--y", "5", "--exhaustive"],
+    ["exact-tail", "--y", "1", "--strict", *_RATIONAL],
+    ["approx-tail", "--y", "1", "--strict", *_RATIONAL],
+    ["sweep-relerr", "--y-from", "1", "--y-to", "3", *_RATIONAL],
+    ["sweep-scaling", "--y", "2", "--n-values", "1", *_RATIONAL],
+    ["compare-normal", "--y-from", "1", "--y-to", "3", *_RATIONAL],
+    ["bound", "--y", "4", *_RATIONAL],
+    ["coupling-check", "--y", "2", "--mstar", "2", "--exhaustive", *_RATIONAL],
+    ["empirical-constant", "--y-from", "2", "--y-to", "4", "--mstar", "2", *_RATIONAL],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "5",
+     "--samples", "10000", "--seed", "-1"],
+    ["exact-tail", "--y", "500", "--eps", "5e-324"],
+    ["exact-tail", "--y", "500", "--eps", "1e-323"],
 ]
 
 
