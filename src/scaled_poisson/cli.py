@@ -123,8 +123,11 @@ _experiment_values = operator.attrgetter(*ExperimentRow.csv_fields)
 @_on_model
 def _moments(args, model, scale_b):
     m = moments(model, scale_B=scale_b)
+    # the moments of S = (B*S) / B; lambda = k * mu is scale-free
+    k = m.k * scale_b
     header = ("mu", "sigma_sq", "k_num", "k_den", "lambda", "scale_B")
-    return header, [(m.mu, m.sigma_sq, m.k_num, m.k_den, m.lam, m.scale_B)]
+    row = (m.mu / scale_b, m.sigma_sq / scale_b**2, k.numerator, k.denominator, m.lam, m.scale_B)
+    return header, [row]
 
 
 @_on_model

@@ -18,15 +18,18 @@ collapse to R convolutions.  Every law here, float or exact, is the stride
 convolution of the class binomial tables: the exhaustive size-bias check
 convolves tables of Fractions, so its laws are exact rationals.
 
-Exact computations are pure; Monte Carlo sampling splits its budget across
-spawned child generators with a fixed merge order, so results are a
-deterministic function of (seed, samples).
+Exact computations are pure.  The Monte Carlo check draws each side's tally
+by value as one multinomial over that side's law, in O(support) per chunk
+whatever the sample count; it splits its budget across spawned child
+generators with a fixed merge order, so results are a deterministic function
+of (seed, samples, chunk).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -177,40 +180,25 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
     return np.asarray([float(f(v)) for v in arr.tolist()], dtype=float)
 
 
-def _table_draw(
-    g: np.random.Generator, pmf: np.ndarray, size: int, shuffle: bool = True
-) -> np.ndarray:
-    """size i.i.d. draws of an index from the table pmf, exactly.
-
-    Multinomial counts per index, laid out in a uniformly random order, or in
-    sorted order when shuffle is False; any mass the table dropped off its
-    top lands on its last entry.
-    """
-    draws = np.repeat(np.arange(pmf.size), g.multinomial(size, pmf))
-    if shuffle:
-        g.shuffle(draws)
-    return draws
-
-
 class _CouplingTables:
-    """The class tables and laws every coupling check of one scheme reads.
+    """The laws every coupling check of one scheme reads.
 
-    Per class, the capped tables of Binomial(M*, p_r) (``full``) and of
-    Binomial(M* - 1, p_r) (``reduced``), each upper tail within cap / R; the
-    law of W; and per class r the law of W with one class-r trial removed
-    (``loo``).  Read-only once built: _tables shares one instance between
-    the checks of a command.
+    From the capped tables of Binomial(M*, p_r) and of Binomial(M* - 1, p_r)
+    per class, each upper tail within cap / R: the law of W (``w_law``), and
+    per class r the law of W with one class-r trial removed (``loo``).
+    Read-only once built: _tables shares one instance between the checks of
+    a command.
     """
 
     def __init__(self, scheme: BernoulliScheme, cap: float):
         if not 0.0 <= cap < 1.0:
             raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
         budget = cap / scheme.class_count
-        self.full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
-        self.reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
-        self.w_law = _convolve_classes(self.full)
+        full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
+        reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
+        self.w_law = _convolve_classes(full)
         self.loo = [
-            _convolve_classes([self.reduced[r]] + self.full[:r] + self.full[r + 1 :])
+            _convolve_classes([reduced[r]] + full[:r] + full[r + 1 :])
             for r in range(scheme.class_count)
         ]
 
@@ -237,30 +225,30 @@ def size_bias_sample(
 ) -> SizeBiasSample:
     """Monte Carlo estimates of both sides of the coupling identity.
 
-    Each sample draws the index class with probability delta_r (the flat
-    index within a class is exchangeable, so only the class matters), forces
-    that copy-group to one by replacing its binomial with 1 + Binomial(M*-1),
-    and keeps every other class independent.  Binomial values are drawn from
-    the exact class tables (upper tails capped within 1e-250 overall, as in
-    the leave-one-out laws), and W and W^s from separate draws, so the two
-    sides are independent.  Deterministic given (seed, samples): the budget
-    is split into fixed-size chunks, each drawn from a spawned child
-    generator, and merged in index order.
+    Each side's samples are i.i.d. draws from its law, so the tally of a
+    chunk of them by value is one multinomial draw over that law.  W is
+    drawn from the law of W.  W^s draws the index class r with probability
+    delta_r (the flat index within a class is exchangeable, so only the class
+    matters) and forces that copy-group to one: in class block r it is b_r
+    plus a draw from the leave-one-out law of class r.  Both are the capped
+    laws of _tables (upper tails within 1e-250 overall); the mass a law
+    drops lands on its last entry.  The two sides are drawn separately, so
+    they are independent.  The cost is O(support) per chunk, whatever the
+    sample count, and f runs once over the distinct values.
 
-    Per side the first class keeps its draws in sorted order and the others
-    are shuffled against it: both sums see only which values of the classes
-    share a sample.  W^s is drawn per index-class block: in block r, class r
-    from its reduced table plus one and every other class from its full
-    table, each draw of the block's own size.  The samples of each side are
-    tallied by value, and f runs once over the distinct values.
+    Deterministic given (seed, samples, chunk): the budget is split into
+    chunks of chunk samples, each drawn from a spawned child generator, and
+    merged in index order.
     """
     n_samples = int(samples)
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValidationError(f"chunk must be a positive integer, got {chunk!r}")
     tables = _tables(scheme, 1e-250)
-    full, reduced = tables.full, tables.reduced
+    w_law, loo = tables.w_law, tables.loo
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
     mu_q, s2_q = scheme_moments(scheme)
@@ -268,28 +256,19 @@ def size_bias_sample(
     n = k.numerator
     lam_m = float(k * mu_q * k.denominator)
 
-    # largest value either side can take, plus one
-    top = 1 + sum(b * max(pmf.size - 1, loo.size) for (pmf, b), (loo, _) in zip(full, reduced))
-    tally_w = np.zeros(top, dtype=np.int64)
+    tally_w = np.zeros(w_law.size, dtype=np.int64)
+    # largest value W^s can take, plus one
+    top = max(b + lr.size for lr, b in zip(loo, scheme.replication))
     tally_s = np.zeros(top, dtype=np.int64)
-    root = np.random.default_rng(seed)
-    n_chunks = (n_samples + chunk - 1) // chunk
-    children = root.spawn(n_chunks)
+    children = np.random.default_rng(seed).spawn(-(-n_samples // chunk))
     done = 0
     for g in children:
         size = min(chunk, n_samples - done)
         done += size
-        w = np.zeros(size, dtype=np.int64)
-        for s, (pmf, b) in enumerate(full):
-            w += b * _table_draw(g, pmf, size, shuffle=s > 0)
-        tally_w += np.bincount(w, minlength=top)
-        for r, picked in enumerate(g.multinomial(size, deltas).tolist()):
-            ws = np.zeros(picked, dtype=np.int64)
-            for s, ((pmf, b), (loo, _)) in enumerate(zip(full, reduced)):
-                forced = s == r
-                table = loo if forced else pmf
-                ws += b * (forced + _table_draw(g, table, picked, shuffle=s > 0))
-            tally_s += np.bincount(ws, minlength=top)
+        tally_w += g.multinomial(size, w_law)
+        blocks = g.multinomial(size, deltas).tolist()
+        for picked, lr, b in zip(blocks, loo, scheme.replication):
+            tally_s[b : b + lr.size] += g.multinomial(picked, lr)
     sum_l, sumsq_l = _count_sums(tally_s, lambda v: lam_m * _apply(f, n * v))
     sum_r, sumsq_r = _count_sums(tally_w, lambda v: (n * v) * _apply(f, n * v))
     mean_l = sum_l / n_samples

@@ -108,6 +108,17 @@ class TestMoments:
         header, rows = parse_csv(out)
         assert dict(zip(header, rows[0]))["scale_B"] == "2"
 
+    def test_rational_weights_print_the_moments_of_s(self):
+        # S = A(1)/2 + 3A(1)/2: mu 2, sigma^2 1/4 + 9/4 = 5/2, k = mu/sigma^2
+        # = 4/5 and lambda = k*mu = 8/5, not the moments 4, 10, 2/5 of B*S
+        _, out, _ = run_cli(["moments", "--weights", "1/2,3/2", "--rates", "1,1"])
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["mu"], row["sigma_sq"]) == ("2", "2.5")
+        assert (row["k_num"], row["k_den"]) == ("4", "5")
+        assert float(row["lambda"]) == 8 / 5
+        assert row["scale_B"] == "2"
+
 
 class TestTails:
     def test_exact_tail_strict(self):

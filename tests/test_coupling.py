@@ -184,38 +184,29 @@ class TestEnumerationReference:
             size_bias_check_exact(build_scheme(model, 7), lambda x: 1.0, moments(model))
 
 
-class TestTableDraw:
-    def test_binomial_law_from_a_million_draws(self):
-        import numpy as np
+def _exact_sides(scheme, m, f):
+    """(lhs, rhs) of the coupling identity in float from the laws the sampler
+    draws from: rhs over the law of W, lhs over each class block's
+    leave-one-out law shifted by b_r."""
+    from scaled_poisson.coupling import _class_deltas, _tables
 
-        from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
-        from scaled_poisson.coupling import _table_draw
+    n = m.k_num
+    tables = _tables(scheme, 1e-250)
+    rhs = math.fsum(
+        float(p) * (n * w) * f(n * w) for w, p in enumerate(tables.w_law.tolist())
+    )
+    lhs = float(m.lambda_m) * math.fsum(
+        float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
+        for d, lr, b in zip(_class_deltas(scheme), tables.loo, scheme.replication)
+    )
+    return lhs, rhs
 
-        trials, p = 5000, Fraction(3, 500)
-        pmf = binomial_pmf_vector(trials, p)
-        size = 1_000_000
-        x = _table_draw(np.random.default_rng(2024), pmf, size)
-        assert x.shape == (size,) and x.min() >= 0 and x.max() <= trials
-        counts = np.bincount(x, minlength=pmf.size)
-        expected = size * pmf
-        bins = expected >= 25
-        assert bins.sum() > 30
-        sigma = np.sqrt(expected * (1 - pmf))
-        assert np.all(np.abs(counts - expected)[bins] <= 5 * sigma[bins])
-        # exact binomial moments: mean np, variance npq, 4th central npq(1 + 3(n-2)pq)
-        mean, var = float(trials * p), float(trials * p * (1 - p))
-        mu4 = float(trials * p * (1 - p) * (1 + 3 * (trials - 2) * p * (1 - p)))
-        assert abs(x.mean() - mean) <= 4 * math.sqrt(var / size)
-        assert abs(x.var() - var) <= 4 * math.sqrt((mu4 - var**2) / size)
 
-    def test_draws_are_in_random_order(self):
-        import numpy as np
-
-        from scaled_poisson.coupling import _table_draw
-
-        x = _table_draw(np.random.default_rng(5), np.array([0.5, 0.5]), 10_000)
-        # sorted multinomial counts would give a single change point
-        assert np.count_nonzero(np.diff(x)) > 4000
+def _bench_sampled_check(model):
+    """The scheme and f of the benchmark's sampled coupling-check: M* factor
+    50 and f = 1{x >= m*y} at y = 60, m = 31."""
+    scheme = build_scheme(model, default_trials(model, 50))
+    return scheme, lambda x: (x >= 31 * 60) * 1.0
 
 
 class TestSizeBiasSample:
@@ -275,6 +266,18 @@ class TestSizeBiasSample:
         with pytest.raises(ValidationError):
             size_bias_sample(scheme, lambda x: 1.0, 100, seed=1)
 
+    @pytest.mark.parametrize("chunk", [0, -5, 2.5, "100"])
+    def test_chunk_must_be_a_positive_integer(self, small_model, chunk):
+        scheme = build_scheme(small_model, 20)
+        with pytest.raises(ValidationError, match="chunk"):
+            size_bias_sample(scheme, lambda x: 1.0, 10_000, seed=1, chunk=chunk)
+
+    def test_numpy_integer_chunk_runs(self, small_model):
+        scheme = build_scheme(small_model, 20)
+        a = size_bias_sample(scheme, lambda x: x * 1.0, 10_000, seed=1, chunk=np.int64(4_000))
+        b = size_bias_sample(scheme, lambda x: x * 1.0, 10_000, seed=1, chunk=4_000)
+        assert a == b
+
     def test_negative_seed_refused(self, small_model):
         scheme = build_scheme(small_model, 20)
         with pytest.raises(ValidationError, match="seed"):
@@ -284,38 +287,55 @@ class TestSizeBiasSample:
         # the benchmark workload's configuration; both sides are checked on
         # their own, so a sampler drawing a wrong law on one side is caught
         # even if the two sides still agree
-        import numpy as np
-
-        from scaled_poisson.coupling import _class_deltas, _tables
-
-        scheme = build_scheme(bench_model, default_trials(bench_model, 50))
+        scheme, f = _bench_sampled_check(bench_model)
         n = bench_moments.k_num
-        threshold = 31 * 60
-
-        def f(x):
-            return (x >= threshold) * 1.0
-
         res = size_bias_sample(scheme, f, 200_000, seed=11)
         w_law = w_distribution(scheme).probs
         rhs_exact = math.fsum(
             float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.tolist())
         )
-        loo = _tables(scheme, 1e-250).loo
-        lhs_exact = float(bench_moments.lambda_m) * math.fsum(
-            float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
-            for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
-        )
+        lhs_exact, rhs_tables = _exact_sides(scheme, bench_moments, f)
+        assert rhs_tables == pytest.approx(rhs_exact, rel=1e-12)
         assert abs(res.rhs - rhs_exact) <= 4 * res.stderr_rhs
         assert abs(res.lhs - lhs_exact) <= 4 * res.stderr_lhs
         assert lhs_exact == pytest.approx(rhs_exact, rel=1e-12)
 
+    def test_stated_stderr_is_calibrated_over_seeds(self, bench_model, bench_moments):
+        # the benchmark workload's configuration at 1000 seeds: each side's
+        # z-score against its exact value should be close to standard normal,
+        # so the stated standard error is neither too small nor too large
+        scheme, f = _bench_sampled_check(bench_model)
+        lhs_exact, rhs_exact = _exact_sides(scheme, bench_moments, f)
+        seeds = 1000
+        z = np.array(
+            [
+                ((r.lhs - lhs_exact) / r.stderr_lhs, (r.rhs - rhs_exact) / r.stderr_rhs)
+                for r in (size_bias_sample(scheme, f, 200_000, seed=s) for s in range(seeds))
+            ]
+        )
+        # mean of z^2 over 1000 chi-square(1) draws: sd sqrt(2/1000) ~ 0.045
+        assert np.all(np.abs(np.mean(z**2, axis=0) - 1.0) <= 4 * math.sqrt(2 / seeds))
+        # P(|z| > 2) = 4.55% for a standard normal, within 4 binomial sd
+        p = math.erfc(2 / math.sqrt(2))
+        share = np.mean(np.abs(z) > 2, axis=0)
+        assert np.all(np.abs(share - p) <= 4 * math.sqrt(p * (1 - p) / seeds))
+
+    def test_hundred_million_samples_against_exact(self, bench_model, bench_moments):
+        # cost O(support) per chunk: 400 chunks of the default size; at this
+        # stderr a law off by more than ~1e-4 relative on either side shows
+        scheme, f = _bench_sampled_check(bench_model)
+        lhs_exact, rhs_exact = _exact_sides(scheme, bench_moments, f)
+        res = size_bias_sample(scheme, f, 100_000_000, seed=3)
+        assert abs(res.lhs - lhs_exact) <= 4 * res.stderr_lhs
+        assert abs(res.rhs - rhs_exact) <= 4 * res.stderr_rhs
+
     def test_pairing_at_three_classes(self):
-        # Per side one class keeps its sorted draws and the others are
-        # shuffled against it.  A second class left sorted, or class 0 drawn
-        # once sorted and split across the W^s blocks, pairs the classes'
-        # values wrongly.  With f(x) = x the lhs is linear in W^s, so the
-        # pairing shows only in its spread: each side's mean and sample
-        # variance are checked against their exact values.
+        # Each side's values must follow the law of a sum over all three
+        # classes: W^s in block r is b_r plus class r's leave-one-out law.  A
+        # block tallied at the wrong shift or from the wrong law, or W drawn
+        # from a law missing a class, moves a side's spread even where the
+        # means agree (with f(x) = x the lhs is linear in W^s): each side's
+        # mean and sample variance are checked against their exact values.
         import numpy as np
 
         from scaled_poisson import scheme_moments

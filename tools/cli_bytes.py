@@ -29,8 +29,9 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 
 # Thresholds past the float range, the sweeps whose tails sit at t <= lam + 1,
 # class rates past 700, exhaustive checks at R = 3 and at and past the 20-trial
-# limit, rational weights on every command that reads a threshold, a negative
-# seed, and epsilons whose per-class budget is and is not 0.
+# limit, rational weights on `moments` and on every command that reads a
+# threshold, a negative seed, epsilons whose per-class budget is and is not 0,
+# and sampled checks at 1e8 samples on the benchmark model and at R = 3.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -44,6 +45,7 @@ EDGE_ARGVS = [
     ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "10", "--y", "5", "--exhaustive"],
     ["coupling-check", "--weights", "1,3,5", "--rates", "1,2,1", "--mstar", "2", "--y", "3", "--exhaustive"],
     ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "11", "--y", "5", "--exhaustive"],
+    ["moments", "--weights", "1/2,3/2", "--rates", "1,1"],
     ["exact-tail", "--y", "1", "--strict", *_RATIONAL],
     ["approx-tail", "--y", "1", "--strict", *_RATIONAL],
     ["sweep-relerr", "--y-from", "1", "--y-to", "3", *_RATIONAL],
@@ -56,6 +58,9 @@ EDGE_ARGVS = [
      "--samples", "10000", "--seed", "-1"],
     ["exact-tail", "--y", "500", "--eps", "5e-324"],
     ["exact-tail", "--y", "500", "--eps", "1e-323"],
+    ["coupling-check", "--mstar", "50", "--y", "60", "--samples", "100000000", "--seed", "7"],
+    ["coupling-check", "--weights", "1,2,5", "--rates", "4,3,2", "--mstar", "40", "--y", "5",
+     "--samples", "200000", "--seed", "7"],
 ]
 
 
