@@ -122,11 +122,11 @@ _experiment_values = operator.attrgetter(*ExperimentRow.csv_fields)
 
 @_on_model
 def _moments(args, model, scale_b):
-    m = moments(model, scale_B=scale_b)
+    m = moments(model)
     # the moments of S = (B*S) / B; lambda = k * mu is scale-free
     k = m.k * scale_b
     header = ("mu", "sigma_sq", "k_num", "k_den", "lambda", "scale_B")
-    row = (m.mu / scale_b, m.sigma_sq / scale_b**2, k.numerator, k.denominator, m.lam, m.scale_B)
+    row = (m.mu / scale_b, m.sigma_sq / scale_b**2, k.numerator, k.denominator, m.lam, scale_b)
     return header, [row]
 
 

@@ -19,17 +19,14 @@ convolution of the class binomial tables: the exhaustive size-bias check
 convolves tables of Fractions, so its laws are exact rationals.
 
 Exact computations are pure.  The Monte Carlo check draws each side's tally
-by value as one multinomial over that side's law, in O(support) per chunk
-whatever the sample count; it splits its budget across spawned child
-generators with a fixed merge order, so results are a deterministic function
-of (seed, samples, chunk).
+by value as one multinomial over that side's law, in O(support) whatever the
+sample count, so results are a deterministic function of (seed, samples).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -220,33 +217,28 @@ def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
     return float(np.dot(c, vals)), float(np.dot(c, vals**2))
 
 
-def size_bias_sample(
-    scheme: BernoulliScheme, f, samples: int, seed: int, chunk: int = 250_000
-) -> SizeBiasSample:
+def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> SizeBiasSample:
     """Monte Carlo estimates of both sides of the coupling identity.
 
-    Each side's samples are i.i.d. draws from its law, so the tally of a
-    chunk of them by value is one multinomial draw over that law.  W is
-    drawn from the law of W.  W^s draws the index class r with probability
-    delta_r (the flat index within a class is exchangeable, so only the class
-    matters) and forces that copy-group to one: in class block r it is b_r
-    plus a draw from the leave-one-out law of class r.  Both are the capped
-    laws of _tables (upper tails within 1e-250 overall); the mass a law
-    drops lands on its last entry.  The two sides are drawn separately, so
-    they are independent.  The cost is O(support) per chunk, whatever the
-    sample count, and f runs once over the distinct values.
+    Each side's samples are i.i.d. draws from its law, so their tally by
+    value is one multinomial draw over that law.  W is drawn from the law
+    of W.  W^s draws the index class r with probability delta_r (the flat
+    index within a class is exchangeable, so only the class matters) and
+    forces that copy-group to one: in class block r it is b_r plus a draw
+    from the leave-one-out law of class r.  Both are the capped laws of
+    _tables (upper tails within 1e-250 overall); the mass a law drops lands
+    on its last entry.  The two sides are drawn separately, so they are
+    independent.  The cost is O(support), whatever the sample count, and f
+    runs once over the distinct values.
 
-    Deterministic given (seed, samples, chunk): the budget is split into
-    chunks of chunk samples, each drawn from a spawned child generator, and
-    merged in index order.
+    Deterministic given (seed, samples): every draw comes from one
+    generator seeded with seed, in a fixed order.
     """
     n_samples = int(samples)
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(chunk, numbers.Integral) or chunk < 1:
-        raise ValidationError(f"chunk must be a positive integer, got {chunk!r}")
     tables = _tables(scheme, 1e-250)
     w_law, loo = tables.w_law, tables.loo
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
@@ -256,19 +248,14 @@ def size_bias_sample(
     n = k.numerator
     lam_m = float(k * mu_q * k.denominator)
 
-    tally_w = np.zeros(w_law.size, dtype=np.int64)
+    g = np.random.default_rng(seed)
+    tally_w = g.multinomial(n_samples, w_law)
     # largest value W^s can take, plus one
     top = max(b + lr.size for lr, b in zip(loo, scheme.replication))
     tally_s = np.zeros(top, dtype=np.int64)
-    children = np.random.default_rng(seed).spawn(-(-n_samples // chunk))
-    done = 0
-    for g in children:
-        size = min(chunk, n_samples - done)
-        done += size
-        tally_w += g.multinomial(size, w_law)
-        blocks = g.multinomial(size, deltas).tolist()
-        for picked, lr, b in zip(blocks, loo, scheme.replication):
-            tally_s[b : b + lr.size] += g.multinomial(picked, lr)
+    blocks = g.multinomial(n_samples, deltas).tolist()
+    for picked, lr, b in zip(blocks, loo, scheme.replication):
+        tally_s[b : b + lr.size] += g.multinomial(picked, lr)
     sum_l, sumsq_l = _count_sums(tally_s, lambda v: lam_m * _apply(f, n * v))
     sum_r, sumsq_r = _count_sums(tally_w, lambda v: (n * v) * _apply(f, n * v))
     mean_l = sum_l / n_samples

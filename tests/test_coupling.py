@@ -266,18 +266,6 @@ class TestSizeBiasSample:
         with pytest.raises(ValidationError):
             size_bias_sample(scheme, lambda x: 1.0, 100, seed=1)
 
-    @pytest.mark.parametrize("chunk", [0, -5, 2.5, "100"])
-    def test_chunk_must_be_a_positive_integer(self, small_model, chunk):
-        scheme = build_scheme(small_model, 20)
-        with pytest.raises(ValidationError, match="chunk"):
-            size_bias_sample(scheme, lambda x: 1.0, 10_000, seed=1, chunk=chunk)
-
-    def test_numpy_integer_chunk_runs(self, small_model):
-        scheme = build_scheme(small_model, 20)
-        a = size_bias_sample(scheme, lambda x: x * 1.0, 10_000, seed=1, chunk=np.int64(4_000))
-        b = size_bias_sample(scheme, lambda x: x * 1.0, 10_000, seed=1, chunk=4_000)
-        assert a == b
-
     def test_negative_seed_refused(self, small_model):
         scheme = build_scheme(small_model, 20)
         with pytest.raises(ValidationError, match="seed"):
@@ -321,8 +309,8 @@ class TestSizeBiasSample:
         assert np.all(np.abs(share - p) <= 4 * math.sqrt(p * (1 - p) / seeds))
 
     def test_hundred_million_samples_against_exact(self, bench_model, bench_moments):
-        # cost O(support) per chunk: 400 chunks of the default size; at this
-        # stderr a law off by more than ~1e-4 relative on either side shows
+        # cost O(support), whatever the sample count; at this stderr a law
+        # off by more than ~1e-4 relative on either side shows
         scheme, f = _bench_sampled_check(bench_model)
         lhs_exact, rhs_exact = _exact_sides(scheme, bench_moments, f)
         res = size_bias_sample(scheme, f, 100_000_000, seed=3)
@@ -346,7 +334,7 @@ class TestSizeBiasSample:
         n = m.k_num
         scheme = build_scheme(model, 40)
         samples = 200_000
-        res = size_bias_sample(scheme, lambda x: x * 1.0, samples, seed=21, chunk=75_000)
+        res = size_bias_sample(scheme, lambda x: x * 1.0, samples, seed=21)
 
         # rhs = E[(nW)^2] = n^2 (Var W + mu^2), exact
         mu, _ = scheme_moments(scheme)
@@ -381,14 +369,11 @@ class TestSizeBiasSample:
             mu4 = float(np.dot(law, (values - exact) ** 4))
             assert abs(stderr**2 * samples - var) <= 4 * math.sqrt((mu4 - var**2) / samples)
 
-    def test_deterministic_when_samples_not_a_multiple_of_chunk(self, small_model):
+    def test_seed_alone_determines_the_result(self, small_model):
         scheme = build_scheme(small_model, 20)
-        runs = [
-            size_bias_sample(scheme, lambda x: x * 1.0, 25_001, seed=9, chunk=10_000)
-            for _ in range(2)
-        ]
+        runs = [size_bias_sample(scheme, lambda x: x * 1.0, 25_001, seed=9) for _ in range(2)]
         assert runs[0] == runs[1]
-        assert runs[0] != size_bias_sample(scheme, lambda x: x * 1.0, 25_001, seed=10, chunk=10_000)
+        assert runs[0] != size_bias_sample(scheme, lambda x: x * 1.0, 25_001, seed=10)
 
     def test_rate_800_runs_and_sides_agree(self):
         model = WeightedPoissonSum((1, 3), (Fraction(800), Fraction(5)))
