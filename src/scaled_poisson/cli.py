@@ -1,11 +1,15 @@
 """Command-line harness: every experiment as a CSV emitter.
 
-Each subcommand is one handler ``args -> (header, rows)``, bound to its
+Each subcommand is one handler ``args -> (columns, rows)``, bound to its
 parser with ``set_defaults(run=...)``; ``main`` writes what it returns.
-
-All numeric fields are decimal with 17 significant digits, which round-trips
-float64 exactly.  Exit codes: 0 success, 2 validation error, 3 numerical
-range failure.
+``columns`` names each column with its kind, and every cell of a column
+is written by that kind: ``float`` and ``Fraction`` cells with 17
+significant digits (``%.17g``, which round-trips float64 exactly), ``int``
+and ``bool`` cells as exact integers (``%d``; a bool is 1 or 0), and
+``str`` cells as given, quoted as ``csv.writer`` quotes them.  A column of
+kind ``object`` mixes ints and floats and formats each cell by its own
+type.  Exit codes: 0 success, 2 validation error, 3 numerical range
+failure.
 """
 
 from __future__ import annotations
@@ -48,18 +52,6 @@ _DEFAULT_WEIGHTS = "1,10"
 _DEFAULT_RATES = "100,30"
 _Y_HELP = "threshold on S (not on B*S, the integer-weight model of rational weights)"
 _INT_Y_HELP = "integer threshold on S; integer weights only"
-
-
-def _fmt(x) -> str:
-    if type(x) is float:
-        return format(x, ".17g")
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
 
 
 def _parse(text, what: str, convert=Fraction):
@@ -106,18 +98,45 @@ def _on_model(handler, integer_y: bool = False):
 _on_integer_model = functools.partial(_on_model, integer_y=True)
 
 
-def _emit(header, rows, out_path: str | None) -> None:
+def _quoted(text: str) -> str:
+    """text as csv.writer writes it within a row: in double quotes, each
+    quote doubled, when it holds a comma, a quote or a line break."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text
+
+
+def _mixed(x) -> str:
+    """A cell of an object column, formatted by its own type."""
+    return "%d" % x if isinstance(x, int) else "%.17g" % x
+
+
+_SPEC = {float: "%.17g", Fraction: "%.17g", int: "%d", bool: "%d", str: "%s", object: "%s"}
+_CELL = {str: _quoted, object: _mixed}  # the kinds whose cells are converted first
+
+
+@functools.cache
+def _row_format(kinds: tuple) -> str:
+    """The %-format line of a row of these kinds."""
+    return ",".join(_SPEC[k] for k in kinds) + "\r\n"
+
+
+def _emit(columns, rows, out_path: str | None) -> None:
+    """The header, then one line per row, formatted by the column kinds."""
+    names, kinds = zip(*columns)
+    line = _row_format(kinds)
+    if not _CELL.keys().isdisjoint(kinds):
+        rows = [tuple(_CELL[k](x) if k in _CELL else x for k, x in zip(kinds, row)) for row in rows]
+    body = "".join([line % row for row in rows])
     handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([_fmt(x) for x in row] for row in rows)
+        csv.writer(handle).writerow(names)
+        handle.write(body)
     finally:
         if out_path:
             handle.close()
 
 
 _experiment_values = operator.attrgetter(*ExperimentRow.csv_fields)
+_EXPERIMENT_COLUMNS = tuple(zip(ExperimentRow.csv_fields, ExperimentRow.csv_kinds))
 
 
 @_on_model
@@ -125,23 +144,32 @@ def _moments(args, model, scale_b):
     m = moments(model)
     # the moments of S = (B*S) / B; lambda = k * mu is scale-free
     k = m.k * scale_b
-    header = ("mu", "sigma_sq", "k_num", "k_den", "lambda", "scale_B")
+    columns = (
+        ("mu", Fraction),
+        ("sigma_sq", Fraction),
+        ("k_num", int),
+        ("k_den", int),
+        ("lambda", Fraction),
+        ("scale_B", int),
+    )
     row = (m.mu / scale_b, m.sigma_sq / scale_b**2, k.numerator, k.denominator, m.lam, scale_b)
-    return header, [row]
+    return columns, [row]
 
 
 @_on_model
 def _exact_tail(args, model, scale_b):
     y = _parse(args.y, "--y")
     lo, hi = exact_tail(model, scale_b * y, strict=args.strict, epsilon=args.eps)
-    return ("y", "tail_lo", "tail_hi", "strict"), [(args.y, lo, hi, args.strict)]
+    columns = (("y", str), ("tail_lo", float), ("tail_hi", float), ("strict", bool))
+    return columns, [(args.y, lo, hi, args.strict)]
 
 
 @_on_model
 def _approx_tail(args, model, scale_b):
     y = _parse(args.y, "--y")
     val = scaled_poisson_tail(moments(model), scale_b * y, mode=args.mode, strict=args.strict)
-    return ("y", "mode", "strict", "value"), [(args.y, args.mode, args.strict, val)]
+    columns = (("y", str), ("mode", str), ("strict", bool), ("value", float))
+    return columns, [(args.y, args.mode, args.strict, val)]
 
 
 @_on_integer_model
@@ -149,7 +177,7 @@ def _sweep_relerr(args, model, _):
     rows = relative_error_sweep(
         model, args.y_from, args.y_to, epsilon=args.eps, strict=not args.non_strict
     )
-    return ExperimentRow.csv_fields, map(_experiment_values, rows)
+    return _EXPERIMENT_COLUMNS, map(_experiment_values, rows)
 
 
 @_on_integer_model
@@ -158,7 +186,7 @@ def _sweep_scaling(args, model, _):
     result = scaling_sweep(model, args.y, n_values, epsilon=args.eps)
     for n_scale, reason in result.excluded:
         print(f"note: N={n_scale} excluded: {reason}", file=sys.stderr)
-    return ExperimentRow.csv_fields, map(_experiment_values, result.rows)
+    return _EXPERIMENT_COLUMNS, map(_experiment_values, result.rows)
 
 
 @_on_integer_model
@@ -168,7 +196,7 @@ def _compare_normal(args, model, _):
         f"note: poisson beats normal on {result.poisson_better}/{result.total} rows",
         file=sys.stderr,
     )
-    return ExperimentRow.csv_fields, map(_experiment_values, result.rows)
+    return _EXPERIMENT_COLUMNS, map(_experiment_values, result.rows)
 
 
 def _stein_check(args):
@@ -188,7 +216,14 @@ def _stein_check(args):
     passed = table.residual_max <= 10.0 * ctx.series_tol
     points = table.w_max // ctx.lattice_step
     rows.append(("stein_equation_residual", passed, table.residual_max, math.nan, points))
-    return ("property", "passed", "worst_margin", "observed_constant", "points"), rows
+    columns = (
+        ("property", str),
+        ("passed", bool),
+        ("worst_margin", float),
+        ("observed_constant", float),
+        ("points", int),
+    )
+    return columns, rows
 
 
 @_on_integer_model
@@ -213,7 +248,8 @@ def _coupling_check(args, model, _):
         res = size_bias_sample(scheme, lambda x: (x >= threshold) * 1.0, args.samples, args.seed)
         rows += [("sizebias_lhs", res.lhs), ("sizebias_rhs", res.rhs)]
         rows += [("sizebias_stderr_lhs", res.stderr_lhs), ("sizebias_stderr_rhs", res.stderr_rhs)]
-    return ("field", "value"), rows
+    # the one mixed column: trials_per_class is an int, every other value a float
+    return (("field", str), ("value", object)), rows
 
 
 @_on_integer_model
@@ -222,15 +258,24 @@ def _bound(args, model, _):
     params = bound_params(model, m)
     bracket = moderate_deviation_bound(params, args.y)
     deltas, ks = (";".join(map(str, v)) for v in (params.deltas, params.K))
-    header = ("y", "lambda", "bracket", "r_star", "correction_sum", "deltas", "K")
-    return header, [(args.y, m.lam, bracket, params.r_star, params.correction_sum, deltas, ks)]
+    columns = (
+        ("y", int),
+        ("lambda", Fraction),
+        ("bracket", float),
+        ("r_star", int),
+        ("correction_sum", Fraction),
+        ("deltas", str),
+        ("K", str),
+    )
+    return columns, [(args.y, m.lam, bracket, params.r_star, params.correction_sum, deltas, ks)]
 
 
 @_on_integer_model
 def _empirical_constant(args, model, _):
     result = empirical_constant(model, args.y_from, args.y_to, mstar=args.mstar)
     print(f"note: C_hat = {result.c_hat:.17g}", file=sys.stderr)
-    return ("y", "deviation", "bracket", "ratio"), result.rows
+    columns = (("y", int), ("deviation", float), ("bracket", float), ("ratio", float))
+    return columns, result.rows
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

@@ -217,6 +217,18 @@ def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
     return float(np.dot(c, vals)), float(np.dot(c, vals**2))
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; one that is not integral (1.5, nan, inf, "7") is a
+    ValidationError, where int() would truncate it or raise something else."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> SizeBiasSample:
     """Monte Carlo estimates of both sides of the coupling identity.
 
@@ -234,7 +246,7 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
     Deterministic given (seed, samples): every draw comes from one
     generator seeded with seed, in a fixed order.
     """
-    n_samples = int(samples)
+    n_samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
     if n_samples < 10_000:
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
     if seed < 0:

@@ -20,7 +20,7 @@ are returned ordered by y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +185,8 @@ class ExperimentRow:
         "scale_n",
         "underflow",
     )
+    # the kind of each csv_fields column, which sets how the CLI writes it
+    csv_kinds = (int, float, float, float, float, float, float, float, int, int, bool)
 
 
 def _rows(
@@ -279,6 +281,8 @@ def scaling_sweep(
     """Relative error at fixed y while all rates scale by N (k, delta, K, r*
     are invariant; lam scales to N*lam).
 
+    The moments and bound parameters are taken once and scaled by N in exact
+    arithmetic: mu, sigma^2 and lam scale by N, k, delta, K and r* do not.
     Scales with N*lam > y fall outside the bound's range and are excluded,
     each with a note.  An empty n_values is a ValidationError.
     """
@@ -286,6 +290,7 @@ def scaling_sweep(
     if not n_values:
         raise ValidationError("n_values must list at least one scale N")
     base = moments(model)
+    base_params = bound_params(model, base)
     rows: list[ExperimentRow] = []
     excluded: list[tuple[int, str]] = []
     for n_scale in n_values:
@@ -296,10 +301,9 @@ def scaling_sweep(
         if lam_scaled > y:
             excluded.append((n_scale, f"lam' = {lam_scaled} exceeds y = {y}"))
             continue
-        scaled_model = model.scale_rates(n_scale)
-        m = moments(scaled_model)
-        params = bound_params(scaled_model, m)
-        dist = exact_distribution(scaled_model, epsilon)
+        m = replace(base, mu=base.mu * n_scale, sigma_sq=base.sigma_sq * n_scale, lam=lam_scaled)
+        params = replace(base_params, lam=lam_scaled)
+        dist = exact_distribution(model.scale_rates(n_scale), epsilon)
         rows.extend(_rows(m, params, dist, y, y, strict, scale_n=n_scale))
     return ScalingSweepResult(rows=rows, excluded=excluded)
 

@@ -85,7 +85,6 @@ class SumMoments:
     k_num: int
     k_den: int
     lam: Fraction
-    scale_B: int = 1
 
     @property
     def k(self) -> Fraction:
@@ -126,7 +125,7 @@ def normalize_weights(
     return model, B
 
 
-def moments(model: WeightedPoissonSum, scale_B: int = 1) -> SumMoments:
+def moments(model: WeightedPoissonSum) -> SumMoments:
     """Exact rational mu, sigma^2, k = n/m in lowest terms, and lam = k*mu."""
     mu = sum((Fraction(b) * v for b, v in zip(model.weights, model.rates)), Fraction(0))
     sigma_sq = sum(
@@ -139,7 +138,6 @@ def moments(model: WeightedPoissonSum, scale_B: int = 1) -> SumMoments:
         k_num=k.numerator,
         k_den=k.denominator,
         lam=k * mu,
-        scale_B=int(scale_B),
     )
 
 

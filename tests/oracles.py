@@ -5,11 +5,14 @@ arbitrary precision for scalar special functions and series, the Panjer
 recursion and literal exhaustive enumeration for distribution laws.  Oracles
 are slow and simple on purpose.  The scalar Stein and sweep references at the
 end are the point-by-point loops that the library's array forms replaced;
-they do the same float arithmetic one point at a time.
+they do the same float arithmetic one point at a time, and the CSV reference
+formats each cell by its own type, as the CLI did before column kinds.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -440,3 +443,27 @@ def empirical_constant_rows_reference(w_dist, m, params, y_from: int, y_to: int)
         bracket = bracket_reference(params, y)
         rows.append((y, deviation, bracket, deviation / bracket))
     return rows
+
+
+def _reference_cell(x) -> str:
+    """One CSV cell by the type of x: 17 significant digits for floats and
+    anything else numeric, exact digits for ints, 1/0 for bools."""
+    if type(x) is float:
+        return format(x, ".17g")
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".17g")
+
+
+def reference_csv(header, rows) -> str:
+    """The CSV text of header and rows, each cell formatted by its own type
+    and written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_reference_cell(x) for x in row] for row in rows)
+    return buf.getvalue()

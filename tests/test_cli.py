@@ -2,16 +2,20 @@ import csv
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from scaled_poisson import cli
 from scaled_poisson.cli import build_parser, main
 
-from oracles import panjer_tail
+from oracles import panjer_tail, reference_csv
 
 
 def run_cli(argv):
@@ -536,6 +540,102 @@ class TestExitCodes:
 
         m = sp.moments(sp.WeightedPoissonSum((1, 10), (Fraction(100), Fraction(30))))
         assert float(text) == sp.scaled_poisson_tail(m, 450, mode="continuous")
+
+
+# One row per edge value of each kind; the object column mixes ints and floats.
+_EDGE_COLUMNS = (
+    ("f", float),
+    ("n", int),
+    ("b", bool),
+    ("q", Fraction),
+    ("s", str),
+    ("mixed", object),
+)
+_EDGE_ROWS = [
+    (math.nan, 2**63, True, Fraction(1, 3), "plain", 2**64 + 1),
+    (math.inf, -(2**64) - 1, False, Fraction(-7, 2), "a,b", 7514894054169240.0),
+    (-math.inf, 0, True, Fraction(10**20), 'say "hi"', math.nan),
+    (-0.0, 10**30, False, Fraction(0), " 500\n", -0.0),
+    (5e-324, -1, True, Fraction(1, 10**400), "line\rbreak", 5e-324),
+    (0.0, 1, False, Fraction(2**70 + 1), "", 0),
+    (7514894054169240.0, 2**53 + 1, True, Fraction(5, 3), "x" * 40, False),
+    (1e16, 10**19, False, Fraction(-1, 7), '"', 1e300),
+]
+
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README_ARGVS = [
+    shlex.split(line)[1:]
+    for line in re.findall(r"^scaled-poisson .*$", _README.replace("\\\n", " "), re.M)
+]
+
+
+def _cell_matches(kind, x) -> bool:
+    """Whether x is a cell that its column's kind writes without loss: an
+    int column takes Python ints (a bool is one), never numpy integers or
+    floats, and an object column takes ints and floats alone."""
+    if kind is object:
+        return isinstance(x, (int, float))
+    return isinstance(x, kind)
+
+
+class TestEmitter:
+    """_emit writes each cell by its column's kind; every byte must be the
+    text that formatting each cell by its own type would write."""
+
+    def test_stdout_matches_the_reference(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._emit(_EDGE_COLUMNS, _EDGE_ROWS, None)
+        names = [n for n, _ in _EDGE_COLUMNS]
+        assert out.getvalue() == reference_csv(names, _EDGE_ROWS)
+
+    def test_out_file_matches_the_reference(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        cli._emit(_EDGE_COLUMNS, iter(_EDGE_ROWS), str(path))
+        names = [n for n, _ in _EDGE_COLUMNS]
+        assert path.read_bytes() == reference_csv(names, _EDGE_ROWS).encode()
+
+    def test_quoted_cell_stays_one_cell(self):
+        code, out, _ = run_cli(["exact-tail", "--y", " 500\n", "--strict"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 1 and rows[0][0] == " 500\n"
+        assert len(rows[0]) == len(header)
+
+    def test_readme_covers_every_command(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert {argv[0] for argv in README_ARGVS} == set(commands)
+
+    @pytest.mark.parametrize(
+        "argv",
+        README_ARGVS
+        + [
+            ["moments", "--weights", "1/2,3/2", "--rates", "1,1"],
+            ["exact-tail", "--y", " 500\n", "--strict"],
+            ["sweep-relerr", "--y-from", "1266", "--y-to", "1270"],
+        ],
+        ids=shlex.join,
+    )
+    def test_every_cell_matches_its_declared_kind(self, argv):
+        args = cli._parser().parse_args(argv)
+        with redirect_stderr(io.StringIO()):
+            columns, rows = args.run(args)
+        rows = list(rows)
+        assert rows
+        for row in rows:
+            assert len(row) == len(columns)
+            for (name, kind), x in zip(columns, row):
+                assert _cell_matches(kind, x), (name, kind, type(x), x)
+
+    @pytest.mark.parametrize(
+        "kind, x",
+        [(float, 10**20), (float, 1), (int, 2.0), (bool, 1), (str, 1.5), (Fraction, 0.5),
+         (object, "1")],
+    )
+    def test_a_cell_of_another_kind_is_refused(self, kind, x):
+        # the check above is not vacuous: a float column holding 10**20 would
+        # print 1e+20, not the exact digits
+        assert not _cell_matches(kind, x)
 
 
 class TestProcess:

@@ -271,6 +271,31 @@ class TestSizeBiasSample:
         with pytest.raises(ValidationError, match="seed"):
             size_bias_sample(scheme, lambda x: 1.0, 10_000, seed=-1)
 
+    @pytest.mark.parametrize(
+        "samples, seed",
+        [
+            (10_000.7, 1),
+            (math.nan, 1),
+            (math.inf, 1),
+            ("10000", 1),
+            (10_000, 1.5),
+            (10_000, np.float64(2.5)),
+            (10_000, None),
+        ],
+    )
+    def test_non_integer_arguments_refused(self, small_model, samples, seed):
+        # once 10000.7 was truncated to 10000, nan raised ValueError and a
+        # seed of 1.5 raised numpy's TypeError
+        scheme = build_scheme(small_model, 20)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            size_bias_sample(scheme, lambda x: 1.0, samples, seed)
+
+    def test_numpy_integers_accepted(self, small_model):
+        scheme = build_scheme(small_model, 20)
+        f = lambda x: x * 1.0  # noqa: E731
+        got = size_bias_sample(scheme, f, np.int64(10_000), np.uint32(3))
+        assert got == size_bias_sample(scheme, f, 10_000, 3)
+
     def test_each_side_against_its_exact_value(self, bench_model, bench_moments):
         # the benchmark workload's configuration; both sides are checked on
         # their own, so a sampler drawing a wrong law on one side is caught

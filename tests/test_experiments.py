@@ -32,6 +32,7 @@ from scaled_poisson import (
     scaling_sweep,
     w_distribution,
 )
+from scaled_poisson.experiments import _rows
 
 
 class TestBoundParams:
@@ -231,6 +232,21 @@ class TestScalingSweep:
         assert row_scaled.exact_tail == row_plain.exact_tail
         assert row_scaled.scaled_tail == row_plain.scaled_tail
         assert row_scaled.rel_error == row_plain.rel_error
+
+    @pytest.mark.parametrize("y", [400, 430, 600])
+    def test_rows_equal_those_of_each_scaled_model(self, bench_model, y):
+        # the sweep scales mu, sigma^2 and lam by N from one moments call; the
+        # rows equal those built from each scaled model's own moments
+        n_values = list(range(1, 12))
+        expected = []
+        for n_scale in n_values:
+            scaled = bench_model.scale_rates(n_scale)
+            m = moments(scaled)
+            if m.lam <= y:
+                dist = exact_distribution(scaled)
+                expected += _rows(m, bound_params(scaled, m), dist, y, y, True, scale_n=n_scale)
+        assert len(expected) >= 7
+        assert scaling_sweep(bench_model, y, n_values).rows == expected
 
     def test_infeasible_scale_excluded_with_note(self, bench_model):
         result = scaling_sweep(bench_model, 400, [1, 8])

@@ -27,7 +27,9 @@ _HUGE = "1" + "0" * 160
 
 _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 
-# Thresholds past the float range, the sweeps whose tails sit at t <= lam + 1,
+# Thresholds past the float range, sweeps over underflowed exact tails (an
+# exact tail of 0 and a NaN rel_error) and below lam (NaN brackets), a y that
+# csv quoting must keep in one cell, the sweeps whose tails sit at t <= lam + 1,
 # class rates past 700, exhaustive checks at R = 3 and at and past the 20-trial
 # limit, rational weights on `moments` and on every command that reads a
 # threshold, a negative seed, epsilons whose per-class budget is and is not 0,
@@ -37,6 +39,9 @@ EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
     ["approx-tail", "--y", "1e-400", "--mode", "continuous"],
     ["bound", "--y", _HUGE],
+    ["sweep-relerr", "--y-from", "1266", "--y-to", "1270"],
+    ["sweep-relerr", "--y-from", "1", "--y-to", "60"],
+    ["exact-tail", "--y", " 500\n", "--strict"],
     ["sweep-scaling", "--y", _HUGE, "--n-values", "1"],
     ["sweep-relerr", "--y-from", "401", "--y-to", "700", "--non-strict"],
     ["sweep-scaling", "--y", "600"],
