@@ -48,17 +48,6 @@ class BernoulliScheme:
     def class_count(self) -> int:
         return len(self.replication)
 
-    @property
-    def total_vars(self) -> int:
-        """N*, the number of Bernoulli copies across all classes."""
-        return self.trials_per_class * sum(self.replication)
-
-    def index_view(self):
-        """Yield (p_i, b_i) for every flat copy index, row-major, class 1 first."""
-        for p, b in zip(self.class_probs, self.replication):
-            for _ in range(b * self.trials_per_class):
-                yield p, b
-
 
 def build_scheme(model: WeightedPoissonSum, trials: int) -> BernoulliScheme:
     """Scheme with M* = trials per class; requires every nu_r/M* in (0, 1]."""

@@ -6,10 +6,8 @@ parser with ``set_defaults(run=...)``; ``main`` writes what it returns.
 is written by that kind: ``float`` and ``Fraction`` cells with 17
 significant digits (``%.17g``, which round-trips float64 exactly), ``int``
 and ``bool`` cells as exact integers (``%d``; a bool is 1 or 0), and
-``str`` cells as given, quoted as ``csv.writer`` quotes them.  A column of
-kind ``object`` mixes ints and floats and formats each cell by its own
-type.  Exit codes: 0 success, 2 validation error, 3 numerical range
-failure.
+``str`` cells as given, quoted as ``csv.writer`` quotes them.  Exit codes:
+0 success, 2 validation error, 3 numerical range failure.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import argparse
 import csv
 import functools
 import math
-import operator
 import sys
+import typing
 from fractions import Fraction
 
 from .bernoulli_lattice import build_scheme, default_trials
@@ -104,13 +102,7 @@ def _quoted(text: str) -> str:
     return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text
 
 
-def _mixed(x) -> str:
-    """A cell of an object column, formatted by its own type."""
-    return "%d" % x if isinstance(x, int) else "%.17g" % x
-
-
-_SPEC = {float: "%.17g", Fraction: "%.17g", int: "%d", bool: "%d", str: "%s", object: "%s"}
-_CELL = {str: _quoted, object: _mixed}  # the kinds whose cells are converted first
+_SPEC = {float: "%.17g", Fraction: "%.17g", int: "%d", bool: "%d", str: "%s"}
 
 
 @functools.cache
@@ -123,8 +115,8 @@ def _emit(columns, rows, out_path: str | None) -> None:
     """The header, then one line per row, formatted by the column kinds."""
     names, kinds = zip(*columns)
     line = _row_format(kinds)
-    if not _CELL.keys().isdisjoint(kinds):
-        rows = [tuple(_CELL[k](x) if k in _CELL else x for k, x in zip(kinds, row)) for row in rows]
+    if str in kinds:
+        rows = [tuple(_quoted(x) if k is str else x for k, x in zip(kinds, row)) for row in rows]
     body = "".join([line % row for row in rows])
     handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
@@ -135,8 +127,7 @@ def _emit(columns, rows, out_path: str | None) -> None:
             handle.close()
 
 
-_experiment_values = operator.attrgetter(*ExperimentRow.csv_fields)
-_EXPERIMENT_COLUMNS = tuple(zip(ExperimentRow.csv_fields, ExperimentRow.csv_kinds))
+_EXPERIMENT_COLUMNS = tuple(typing.get_type_hints(ExperimentRow).items())
 
 
 @_on_model
@@ -177,7 +168,7 @@ def _sweep_relerr(args, model, _):
     rows = relative_error_sweep(
         model, args.y_from, args.y_to, epsilon=args.eps, strict=not args.non_strict
     )
-    return _EXPERIMENT_COLUMNS, map(_experiment_values, rows)
+    return _EXPERIMENT_COLUMNS, rows
 
 
 @_on_integer_model
@@ -186,7 +177,7 @@ def _sweep_scaling(args, model, _):
     result = scaling_sweep(model, args.y, n_values, epsilon=args.eps)
     for n_scale, reason in result.excluded:
         print(f"note: N={n_scale} excluded: {reason}", file=sys.stderr)
-    return _EXPERIMENT_COLUMNS, map(_experiment_values, result.rows)
+    return _EXPERIMENT_COLUMNS, result.rows
 
 
 @_on_integer_model
@@ -196,7 +187,7 @@ def _compare_normal(args, model, _):
         f"note: poisson beats normal on {result.poisson_better}/{result.total} rows",
         file=sys.stderr,
     )
-    return _EXPERIMENT_COLUMNS, map(_experiment_values, result.rows)
+    return _EXPERIMENT_COLUMNS, result.rows
 
 
 def _stein_check(args):
@@ -233,11 +224,14 @@ def _coupling_check(args, model, _):
     scheme = build_scheme(model, trials)
     ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=args.y)
     # the class tables and laws, built once here and read by both checks
-    support = _tables(scheme, 1e-250).w_law.size - 1
+    w_law, _ = _tables(scheme, 1e-250)
+    support = w_law.size - 1
     w_max = max(_table_w_needed(m, support, scheme.replication), m.k_den * (args.y + 10)) + m.k_den
     table = solve_stein(ctx, w_max, include_off_lattice=True)
     hd = h_decomposition(scheme, m, ctx, table)
-    rows = [("trials_per_class", trials)]
+    # %.17g writes a count up to 2**53 exactly; a larger one never gets here,
+    # as its class tables would need more entries than memory holds
+    rows = [("trials_per_class", float(trials))]
     rows += [(f"H_{i}", h) for i, h in enumerate(hd.H)]
     rows += [("tail_diff", hd.tail_diff), ("closure_error", hd.closure_error)]
     if args.exhaustive:
@@ -248,8 +242,7 @@ def _coupling_check(args, model, _):
         res = size_bias_sample(scheme, lambda x: (x >= threshold) * 1.0, args.samples, args.seed)
         rows += [("sizebias_lhs", res.lhs), ("sizebias_rhs", res.rhs)]
         rows += [("sizebias_stderr_lhs", res.stderr_lhs), ("sizebias_stderr_rhs", res.stderr_rhs)]
-    # the one mixed column: trials_per_class is an int, every other value a float
-    return (("field", str), ("value", object)), rows
+    return (("field", str), ("value", float)), rows
 
 
 @_on_integer_model

@@ -14,9 +14,10 @@ which this module evaluates exactly (desk-scale supports make exact summation
 over the joint law of (W, Delta) feasible, so the decomposition doubles as a
 crisp numerical identity check).  Leave-one-trial-out laws are reused once per
 class: all copies inside a class are exchangeable, so the N* per-index terms
-collapse to R convolutions.  Every law here, float or exact, is the stride
-convolution of the class binomial tables: the exhaustive size-bias check
-convolves tables of Fractions, so its laws are exact rationals.
+collapse to R convolutions.  Every law here, float or exact, comes from one
+builder, _laws, as the stride convolution of the class binomial tables: the
+exhaustive size-bias check convolves tables of Fractions, so its laws are
+exact rationals.
 
 Exact computations are pure.  The Monte Carlo check draws each side's tally
 by value as one multinomial over that side's law, in O(support) whatever the
@@ -107,19 +108,25 @@ def delta_distribution(scheme: BernoulliScheme, m: SumMoments) -> DeltaDistribut
     return DeltaDistribution(support=tuple(support), probs=tuple(probs), delta_bounds=deltas)
 
 
-def _exact_w_law(class_trials: list[tuple[int, Fraction, int]]) -> dict[int, Fraction]:
-    """Exact law of sum_r b_r * Binomial(c_r, p_r) over its nonzero entries,
-    from (c_r, p_r, b_r) per class.
+def _laws(full, reduced) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The law of W, and per class r the law with one class-r trial removed.
 
-    Each class's table C(c, a) p^a (1-p)^(c-a) is an object array of
-    Fractions, and _convolve_classes convolves the tables exactly.
+    full and reduced hold the (pmf, b_r) class tables for M* and for M* - 1
+    trials.  The tables' dtype is kept: float tables give float laws, object
+    arrays of Fractions exact ones.
     """
+    loo = [_convolve_classes([reduced[r]] + full[:r] + full[r + 1 :]) for r in range(len(full))]
+    return _convolve_classes(full), loo
+
+
+def _fraction_tables(scheme: BernoulliScheme, trials: int) -> list[tuple[np.ndarray, int]]:
+    """(pmf of Binomial(trials, p_r), b_r) per class, each table
+    C(trials, a) p^a (1-p)^(trials-a) an object array of exact Fractions."""
     tables = []
-    for c, p, b in class_trials:
-        pmf = [math.comb(c, a) * p**a * (1 - p) ** (c - a) for a in range(c + 1)]
+    for p, b in zip(scheme.class_probs, scheme.replication):
+        pmf = [math.comb(trials, a) * p**a * (1 - p) ** (trials - a) for a in range(trials + 1)]
         tables.append((np.array(pmf, dtype=object), b))
-    law = _convolve_classes(tables)
-    return {w: prob for w, prob in enumerate(law.tolist()) if prob}
+    return tables
 
 
 def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[float, float]:
@@ -131,26 +138,22 @@ def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[fl
     """
     m_star = scheme.trials_per_class
     n = m.k_num
-    lam_m = m.lambda_m
-    full = [(m_star, p, b) for p, b in zip(scheme.class_probs, scheme.replication)]
     if m_star * scheme.class_count > _EXHAUSTIVE_LIMIT:
         raise ValidationError(
             f"exhaustive check needs R*M* <= {_EXHAUSTIVE_LIMIT}, got "
             f"{m_star * scheme.class_count}; use size_bias_sample"
         )
-    w_law = _exact_w_law(full)
-    rhs = fsum(float(prob) * (n * w) * float(f(n * w)) for w, prob in sorted(w_law.items()))
-
-    deltas = _class_deltas(scheme, m)
+    w_law, loo = _laws(_fraction_tables(scheme, m_star), _fraction_tables(scheme, m_star - 1))
+    rhs = fsum(
+        float(prob) * (n * w) * float(f(n * w)) for w, prob in enumerate(w_law.tolist()) if prob
+    )
     lhs_terms = []
-    for r, b_r in enumerate(scheme.replication):
-        reduced = [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
-        loo_law = _exact_w_law(reduced)
+    for delta_r, lr, b_r in zip(_class_deltas(scheme, m), loo, scheme.replication):
         e_r = fsum(
-            float(prob) * float(f(n * (w + b_r))) for w, prob in sorted(loo_law.items())
+            float(prob) * float(f(n * (w + b_r))) for w, prob in enumerate(lr.tolist()) if prob
         )
-        lhs_terms.append(float(deltas[r]) * e_r)
-    lhs = float(lam_m) * fsum(lhs_terms)
+        lhs_terms.append(float(delta_r) * e_r)
+    lhs = float(m.lambda_m) * fsum(lhs_terms)
     return lhs, rhs
 
 
@@ -177,34 +180,21 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
     return np.asarray([float(f(v)) for v in arr.tolist()], dtype=float)
 
 
-class _CouplingTables:
-    """The laws every coupling check of one scheme reads.
-
-    From the capped tables of Binomial(M*, p_r) and of Binomial(M* - 1, p_r)
-    per class, each upper tail within cap / R: the law of W (``w_law``), and
-    per class r the law of W with one class-r trial removed (``loo``).
-    Read-only once built: _tables shares one instance between the checks of
-    a command.
-    """
-
-    def __init__(self, scheme: BernoulliScheme, cap: float):
-        if not 0.0 <= cap < 1.0:
-            raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
-        budget = cap / scheme.class_count
-        full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
-        reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
-        self.w_law = _convolve_classes(full)
-        self.loo = [
-            _convolve_classes([reduced[r]] + full[:r] + full[r + 1 :])
-            for r in range(scheme.class_count)
-        ]
-
-
 @functools.lru_cache(maxsize=1)
-def _tables(scheme: BernoulliScheme, cap: float) -> _CouplingTables:
-    """The coupling tables of scheme at cap, built once for consecutive
-    calls on the same (scheme, cap), as the checks of one command make."""
-    return _CouplingTables(scheme, cap)
+def _tables(scheme: BernoulliScheme, cap: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The laws of _laws from the capped float tables of Binomial(M*, p_r)
+    and Binomial(M* - 1, p_r), each upper tail within cap / R.
+
+    Built once for consecutive calls on the same (scheme, cap), as the
+    checks of one command make; they share the arrays, so they only read
+    them.
+    """
+    if not 0.0 <= cap < 1.0:
+        raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
+    budget = cap / scheme.class_count
+    full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
+    reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
+    return _laws(full, reduced)
 
 
 def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
@@ -251,8 +241,7 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    tables = _tables(scheme, 1e-250)
-    w_law, loo = tables.w_law, tables.loo
+    w_law, loo = _tables(scheme, 1e-250)
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
     mu_q, s2_q = scheme_moments(scheme)
@@ -292,8 +281,7 @@ def conditional_delta_bound(
     Each conditional is bounded by delta_r.
     """
     w = int(w)
-    tables = _tables(scheme, cap)
-    w_law, loo = tables.w_law, tables.loo
+    w_law, loo = _tables(scheme, cap)
     p_w = float(w_law[w]) if 0 <= w < w_law.size else 0.0
     if p_w <= 0.0:
         raise ValidationError(f"P(W = {w}) is zero; conditional undefined")
@@ -336,8 +324,8 @@ def h_decomposition(
     n, mm = m.k_num, m.k_den
     if ctx.lam != m.lam or ctx.lattice_step != mm or ctx.scale_num != n:
         raise ValidationError("Stein context does not match the model's moments")
-    tables = _tables(scheme, cap)
-    support = tables.w_law.size - 1
+    w_law, loo = _tables(scheme, cap)
+    support = w_law.size - 1
     needed = _table_w_needed(m, support, scheme.replication)
     if table.w_max < needed:
         raise ValidationError(
@@ -346,7 +334,6 @@ def h_decomposition(
     if not table.has_off_lattice and mm > 1:
         raise ValidationError("h_decomposition needs a table with off-lattice points")
 
-    w_law, loo = tables.w_law, tables.loo
     lam_m = float(m.lambda_m)
     deltas = _class_deltas(scheme, m)
 
@@ -414,7 +401,7 @@ def g_expectation_ratio(
             return 0.0
         return (table.f(a) - table.f(a + l)) / p_ge
 
-    w_law = _tables(scheme, cap).w_law
+    w_law, _ = _tables(scheme, cap)
     n = m.k_num
     lhs = fsum(
         float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.tolist()) if pw > 0.0

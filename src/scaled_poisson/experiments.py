@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,8 +159,10 @@ def _w_tail_ratios(w_dist: LatticeDistribution, m: SumMoments, r_from: int, r_to
         yield r, num, den
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
+    """One sweep row: its fields are the CSV columns in order, and each
+    annotation is the kind that sets how the CLI writes that column."""
+
     y: int
     exact_tail: float
     scaled_tail: float
@@ -171,22 +174,6 @@ class ExperimentRow:
     plateau_id: int = 0
     scale_n: int = 1
     underflow: bool = False
-
-    csv_fields = (
-        "y",
-        "exact_tail",
-        "scaled_tail",
-        "normal_tail",
-        "rel_error",
-        "abs_error_poisson",
-        "abs_error_normal",
-        "bound_bracket",
-        "plateau_id",
-        "scale_n",
-        "underflow",
-    )
-    # the kind of each csv_fields column, which sets how the CLI writes it
-    csv_kinds = (int, float, float, float, float, float, float, float, int, int, bool)
 
 
 def _rows(

@@ -273,18 +273,17 @@ def solve_stein(
         cols, low = np.arange(1, m + 1), 0
     else:
         cols, low = np.array([m]), y
-    # a value out of float range is reported below, not warned about here
-    with np.errstate(over="ignore", invalid="ignore"):
-        points, s0, s1, terms = _halves(ctx, cols, low, w_max)
-        values[points] = p_ge * s0 - (1.0 - p_ge) * s1
-    counts[points] = terms
-
     # D_low(1) = 1 and D_low(j+1) = 1 + (j/lam) D_low(j): all terms positive.
     d_low = [1.0]
     for j in range(1, y):
         d_low.append(1.0 + j / lam * d_low[-1])
     lattice_low = m * np.arange(1, y + 1)
-    values[lattice_low] = -p_ge * np.array(d_low) / lam_m
+    # a value out of float range is reported below, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, s0, s1, terms = _halves(ctx, cols, low, w_max)
+        values[points] = p_ge * s0 - (1.0 - p_ge) * s1
+        values[lattice_low] = -p_ge * np.array(d_low) / lam_m
+    counts[points] = terms
     counts[lattice_low] = np.arange(1, y + 1)
 
     bad = np.flatnonzero((counts > 0) & ~np.isfinite(values))

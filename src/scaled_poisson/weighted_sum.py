@@ -57,6 +57,11 @@ class WeightedPoissonSum:
             raise ValidationError("weights must be strictly increasing; merge duplicates first")
         if any(v <= 0 for v in rs):
             raise ValidationError(f"rates must be positive, got {self.rates!r}")
+        # sigma^2 bounds mu, lam and every rate, so one check covers them all
+        try:
+            float(sum((Fraction(b * b) * v for b, v in zip(ws, rs)), Fraction(0)))
+        except OverflowError:
+            raise ValidationError("sigma^2 = sum b_r^2 nu_r is past the float range") from None
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "rates", rs)
 

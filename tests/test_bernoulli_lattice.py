@@ -23,12 +23,10 @@ class TestBuildScheme:
     def test_small_model_two_trials(self, small_model):
         s = build_scheme(small_model, 2)
         assert s.class_probs == (Fraction(1, 2), Fraction(1, 2))
-        assert s.total_vars == 6
 
     def test_bench_thousand_trials(self, bench_model):
         s = build_scheme(bench_model, 1000)
         assert s.class_probs == (Fraction(1, 10), Fraction(3, 100))
-        assert s.total_vars == 11000
 
     def test_degenerate_probability_one(self):
         model = WeightedPoissonSum((1,), (Fraction(1),))
@@ -44,14 +42,6 @@ class TestBuildScheme:
     def test_default_trials_factor(self, bench_model, small_model):
         assert default_trials(bench_model, 100) == 10000
         assert default_trials(small_model, 50) == 50
-
-    def test_index_view_row_major(self, small_model):
-        s = build_scheme(small_model, 2)
-        view = list(s.index_view())
-        assert len(view) == 6
-        # class 1 (weight 1) first: two copies; then class 2 (weight 2): four
-        assert view[0] == (Fraction(1, 2), 1)
-        assert view[2] == (Fraction(1, 2), 2)
 
 
 class TestSchemeMoments:

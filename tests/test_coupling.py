@@ -139,42 +139,51 @@ class TestEnumerationReference:
         scheme = build_scheme(WeightedPoissonSum(weights, rates), trials)
         return scheme, [(trials, p, b) for p, b in zip(scheme.class_probs, scheme.replication)]
 
+    @staticmethod
+    def _reduced(full, r):
+        """full's (c_r, p_r, b_r) with one class-r trial removed."""
+        return [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
+
+    @staticmethod
+    def _exact_laws(scheme, trials):
+        """The law of W and the leave-one-out laws the exhaustive check reads."""
+        from scaled_poisson.coupling import _fraction_tables, _laws
+
+        return _laws(_fraction_tables(scheme, trials), _fraction_tables(scheme, trials - 1))
+
     @pytest.mark.parametrize("weights,rates,trials", CASES)
     def test_laws_equal_reference(self, weights, rates, trials):
-        from scaled_poisson.coupling import _exact_w_law
-
-        _, full = self._class_trials(weights, rates, trials)
-        assert _exact_w_law(full) == enumerate_w_law_reference(full)
+        scheme, full = self._class_trials(weights, rates, trials)
+        w_law, loo = self._exact_laws(scheme, trials)
+        assert _nonzero(w_law) == enumerate_w_law_reference(full)
         if trials * len(weights) <= 16:
             # the leave-one-trial-out laws the lhs enumerates
-            for r in range(len(full)):
-                reduced = [
-                    (c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)
-                ]
-                assert _exact_w_law(reduced) == enumerate_w_law_reference(reduced)
+            for r, law in enumerate(loo):
+                assert _nonzero(law) == enumerate_w_law_reference(self._reduced(full, r))
 
     @pytest.mark.parametrize("weights,rates,trials", CASES)
     def test_laws_are_exact_and_sum_to_one(self, weights, rates, trials):
-        from scaled_poisson.coupling import _exact_w_law
-
-        _, full = self._class_trials(weights, rates, trials)
-        laws = [full] + [
-            [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
-            for r in range(len(full))
-        ]
-        for class_trials in laws:
-            law = _exact_w_law(class_trials)
-            assert all(type(prob) in (Fraction, int) for prob in law.values())
-            assert sum(law.values()) == 1
+        scheme, _ = self._class_trials(weights, rates, trials)
+        w_law, loo = self._exact_laws(scheme, trials)
+        for law in [w_law, *loo]:
+            assert all(type(prob) in (Fraction, int) for prob in law.tolist())
+            assert sum(law.tolist()) == 1
 
     @pytest.mark.parametrize("weights,rates,trials", CASES[:-1])
     def test_check_equals_check_through_reference(self, weights, rates, trials, monkeypatch):
         import scaled_poisson.coupling as coupling
 
-        scheme, _ = self._class_trials(weights, rates, trials)
+        scheme, full = self._class_trials(weights, rates, trials)
         m = moments(WeightedPoissonSum(weights, rates))
         got = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
-        monkeypatch.setattr(coupling, "_exact_w_law", enumerate_w_law_reference)
+
+        def enumerated_laws(_full, _reduced):
+            laws = [enumerate_w_law_reference(full)]
+            laws += [enumerate_w_law_reference(self._reduced(full, r)) for r in range(len(full))]
+            dense = [_dense(law) for law in laws]
+            return dense[0], dense[1:]
+
+        monkeypatch.setattr(coupling, "_laws", enumerated_laws)
         want = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
         assert got == want
 
@@ -184,6 +193,19 @@ class TestEnumerationReference:
             size_bias_check_exact(build_scheme(model, 7), lambda x: 1.0, moments(model))
 
 
+def _nonzero(law) -> dict:
+    """The nonzero entries of a law array, by value of W."""
+    return {w: prob for w, prob in enumerate(law.tolist()) if prob}
+
+
+def _dense(law: dict) -> np.ndarray:
+    """A law given by its nonzero entries as an object array from W = 0."""
+    out = np.full(max(law) + 1, Fraction(0), dtype=object)
+    for w, prob in law.items():
+        out[w] = prob
+    return out
+
+
 def _exact_sides(scheme, m, f):
     """(lhs, rhs) of the coupling identity in float from the laws the sampler
     draws from: rhs over the law of W, lhs over each class block's
@@ -191,13 +213,13 @@ def _exact_sides(scheme, m, f):
     from scaled_poisson.coupling import _class_deltas, _tables
 
     n = m.k_num
-    tables = _tables(scheme, 1e-250)
+    w_law, loo = _tables(scheme, 1e-250)
     rhs = math.fsum(
-        float(p) * (n * w) * f(n * w) for w, p in enumerate(tables.w_law.tolist())
+        float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.tolist())
     )
     lhs = float(m.lambda_m) * math.fsum(
         float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
-        for d, lr, b in zip(_class_deltas(scheme), tables.loo, scheme.replication)
+        for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
     )
     return lhs, rhs
 
@@ -372,19 +394,19 @@ class TestSizeBiasSample:
 
         # lhs = lam*m*E[n W^s]; W^s is class r's leave-one-out law shifted by
         # b_r, with probability delta_r
-        tables = _tables(scheme, 1e-250)
-        ws_law = np.zeros(tables.w_law.size + max(scheme.replication))
-        for d, lr, b in zip(_class_deltas(scheme), tables.loo, scheme.replication):
+        w_law, loo = _tables(scheme, 1e-250)
+        ws_law = np.zeros(w_law.size + max(scheme.replication))
+        for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication):
             ws_law[b : b + lr.size] += float(d) * lr
         lam_m = float(m.lambda_m)
         lhs_values = lam_m * n * np.arange(ws_law.size)
         lhs_exact = float(np.dot(ws_law, lhs_values))
         assert lhs_exact == pytest.approx(float(rhs_exact), rel=1e-12)
-        rhs_values = (n * np.arange(tables.w_law.size, dtype=float)) ** 2
+        rhs_values = (n * np.arange(w_law.size, dtype=float)) ** 2
 
         sides = (
             (res.lhs, res.stderr_lhs, float(lhs_exact), ws_law, lhs_values),
-            (res.rhs, res.stderr_rhs, float(rhs_exact), tables.w_law, rhs_values),
+            (res.rhs, res.stderr_rhs, float(rhs_exact), w_law, rhs_values),
         )
         for mean, stderr, exact, law, values in sides:
             assert abs(mean - exact) <= 4 * stderr
@@ -586,7 +608,7 @@ class TestJointLawOracle:
         model = WeightedPoissonSum(weights, rates)
         m = moments(model)
         scheme = build_scheme(model, trials)
-        loo = _tables(scheme, 0.0).loo
+        _, loo = _tables(scheme, 0.0)
         joint_same, joint_flip = enumerate_delta_joint(weights, list(scheme.class_probs), trials)
 
         # flipped-trial branch, per class: delta_r (1 - p_r) P(W_loo_r = w)

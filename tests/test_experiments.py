@@ -324,7 +324,7 @@ class TestCsvRoundTrip:
         rows = relative_error_sweep(bench_model, 440, 470)
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(ExperimentRow.csv_fields)
+        writer.writerow(ExperimentRow._fields)
         for r in rows:
             writer.writerow(
                 [
@@ -344,7 +344,7 @@ class TestCsvRoundTrip:
         buf.seek(0)
         reader = csv.reader(buf)
         header = next(reader)
-        assert header == list(ExperimentRow.csv_fields)
+        assert header == list(ExperimentRow._fields)
         for r, line in zip(rows, reader):
             assert int(line[0]) == r.y
             assert float(line[1]) == r.exact_tail
@@ -370,7 +370,7 @@ def assert_rows_match_reference(model, rows, y_from, y_to, strict, epsilon=1e-12
     assert [r.y for r in rows] == list(range(y_from, y_to + 1))
     for row in rows:
         ref = experiment_row_reference(m, params, dist, row.y, strict)
-        for name in ExperimentRow.csv_fields:
+        for name in ExperimentRow._fields:
             assert _same(getattr(row, name), getattr(ref, name)), (row.y, name)
 
 
@@ -458,7 +458,7 @@ class TestArrayRowsAgainstScalarReference:
             ref = experiment_row_reference(
                 m, bound_params(scaled, m), exact_distribution(scaled), y, True, row.scale_n
             )
-            for name in ExperimentRow.csv_fields:
+            for name in ExperimentRow._fields:
                 assert _same(getattr(row, name), getattr(ref, name)), (row.scale_n, name)
 
     @pytest.mark.parametrize("from_zero", [False, True])

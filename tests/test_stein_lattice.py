@@ -153,6 +153,16 @@ class TestSolveStein:
         with pytest.raises(NumericalRangeError, match="lam = 5000"):
             solve_stein(ctx, 2000, include_off_lattice=off)
 
+    @pytest.mark.parametrize("off", [True, False])
+    def test_overflowing_d_low_raises_without_a_warning(self, off):
+        # P(A >= 1000) underflows to 0 and D_low passes the float range, so
+        # the lattice points below m*y hold 0 * inf: reported, never warned
+        ctx = SteinContext(lam=Fraction(1600, 31), lattice_step=31, scale_num=4, threshold_y=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalRangeError, match="for lam = 1600/31"):
+                solve_stein(ctx, 31 * 1010, include_off_lattice=off)
+
     def test_lattice_only_table(self):
         t = solve_stein(SMALL_CTX, 5 * 40)
         assert t.f(5) < 0

@@ -33,7 +33,9 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # class rates past 700, exhaustive checks at R = 3 and at and past the 20-trial
 # limit, rational weights on `moments` and on every command that reads a
 # threshold, a negative seed, epsilons whose per-class budget is and is not 0,
-# and sampled checks at 1e8 samples on the benchmark model and at R = 3.
+# sampled checks at 1e8 samples on the benchmark model and at R = 3, rates
+# whose sigma^2 is past the float range, and a Stein table whose P(A >= y)
+# underflows while D_low overflows.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -66,6 +68,9 @@ EDGE_ARGVS = [
     ["coupling-check", "--mstar", "50", "--y", "60", "--samples", "100000000", "--seed", "7"],
     ["coupling-check", "--weights", "1,2,5", "--rates", "4,3,2", "--mstar", "40", "--y", "5",
      "--samples", "200000", "--seed", "7"],
+    ["moments", "--weights", "1", "--rates", "1e400"],
+    ["exact-tail", "--y", "5", "--weights", "1", "--rates", "1e400"],
+    ["coupling-check", "--mstar", "2", "--y", "1000", "--samples", "10000"],
 ]
 
 
