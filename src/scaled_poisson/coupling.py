@@ -41,7 +41,7 @@ from .bernoulli_lattice import (
 )
 from .errors import ValidationError
 from .poisson_core import _regularized_gamma_pq, poisson_tail
-from .stein_lattice import SteinContext, SteinSolutionTable
+from .stein_lattice import SteinContext, SteinSolutionTable, _solved_for
 from .weighted_sum import (
     SumMoments,
     _convolve_classes,
@@ -88,10 +88,11 @@ class DeltaDistribution:
 def _class_deltas(scheme: BernoulliScheme, m: SumMoments | None = None) -> tuple[Fraction, ...]:
     """delta_r = b_r M* p_r / mu, the law of the size-biased index's class (exact).
 
-    mu comes from the scheme itself; moments m, when given, must agree with it.
+    mu comes from the scheme itself; moments m, when given, must agree with its
+    mu and sigma^2, and so with its k.
     """
-    mu, _ = scheme_moments(scheme)
-    if m is not None and m.mu != mu:
+    mu, sigma_sq = scheme_moments(scheme)
+    if m is not None and (m.mu, m.sigma_sq) != (mu, sigma_sq):
         raise ValidationError("moments do not match the Bernoulli scheme")
     m_star = scheme.trials_per_class
     return tuple(
@@ -308,6 +309,17 @@ def _table_w_needed(m: SumMoments, support: int, replication) -> int:
     return m.k_num * support + max(m.k_den, m.k_num * max(replication))
 
 
+def _stein_deltas(
+    scheme: BernoulliScheme, m: SumMoments, ctx: SteinContext, table: SteinSolutionTable
+) -> tuple[Fraction, ...]:
+    """The class deltas of scheme, once m is its moments, ctx the Stein problem
+    of m and table solved for ctx; ValidationError otherwise."""
+    if (ctx.lam, ctx.lattice_step, ctx.scale_num) != (m.lam, m.k_den, m.k_num):
+        raise ValidationError("Stein context does not match the model's moments")
+    _solved_for(ctx, table)
+    return _class_deltas(scheme, m)
+
+
 def h_decomposition(
     scheme: BernoulliScheme,
     m: SumMoments,
@@ -322,8 +334,7 @@ def h_decomposition(
     accumulated float rounding.
     """
     n, mm = m.k_num, m.k_den
-    if ctx.lam != m.lam or ctx.lattice_step != mm or ctx.scale_num != n:
-        raise ValidationError("Stein context does not match the model's moments")
+    deltas = _stein_deltas(scheme, m, ctx, table)
     w_law, loo = _tables(scheme, cap)
     support = w_law.size - 1
     needed = _table_w_needed(m, support, scheme.replication)
@@ -335,7 +346,6 @@ def h_decomposition(
         raise ValidationError("h_decomposition needs a table with off-lattice points")
 
     lam_m = float(m.lambda_m)
-    deltas = _class_deltas(scheme, m)
 
     nw = n * np.arange(support + 1)
     f_nw = table.values[nw]
@@ -391,6 +401,7 @@ def g_expectation_ratio(
     """
     if not 1 <= l <= ctx.lattice_step:
         raise ValidationError("l must be in 1..m")
+    _stein_deltas(scheme, m, ctx, table)
     mm = ctx.lattice_step
     my = ctx.threshold_point
     p_ge = table.tail_at_threshold

@@ -55,7 +55,7 @@ series evaluation as a float only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, lgamma
 
@@ -120,9 +120,6 @@ class SteinContext:
     def threshold_point(self) -> int:
         """m*y, the indicator level on the lattice."""
         return self.lattice_step * self.threshold_y
-
-    def indicator(self, w) -> float:
-        return 1.0 if w >= self.threshold_point else 0.0
 
 
 def stein_apply(ctx: SteinContext, f, w) -> float:
@@ -311,6 +308,14 @@ def solve_stein(
     )
 
 
+def _solved_for(ctx: SteinContext, table: SteinSolutionTable) -> None:
+    """Refuse a table solved for another problem: its values and P are that one's."""
+    key = (ctx.lam, ctx.lattice_step, ctx.scale_num, ctx.threshold_y)
+    t = table.ctx
+    if key != (t.lam, t.lattice_step, t.scale_num, t.threshold_y):
+        raise ValidationError("the solution table was solved for another Stein context")
+
+
 def g_l(ctx: SteinContext, table: SteinSolutionTable, w: int, l: int) -> float:
     """Normalized difference (f_h(w) - f_h(w+l)) / P(m*A_lam >= m*y).
 
@@ -318,6 +323,7 @@ def g_l(ctx: SteinContext, table: SteinSolutionTable, w: int, l: int) -> float:
     g_l := 0 applies (the w = 0 point of the series is singular); callers that
     need the clamped extension handle that case themselves.
     """
+    _solved_for(ctx, table)
     if not 1 <= l <= ctx.lattice_step:
         raise ValidationError(f"l must be in 1..m, got {l}")
     if w < ctx.lattice_step:
@@ -333,6 +339,7 @@ def g_m_via_recurrence(ctx: SteinContext, table: SteinSolutionTable, w: int) -> 
     Independent of f(w+m); agreement with direct differencing certifies the
     table against the recurrence the solution must satisfy.
     """
+    _solved_for(ctx, table)
     lam_m = float(ctx.lambda_m)
     p_ge = table.tail_at_threshold
     return 1.0 / lam_m - (table.f(w) / p_ge) * (w / lam_m - 1.0)
@@ -391,28 +398,42 @@ class PropertyReport:
 _BOUND_SLACK = 1e-9
 
 
-def _exceeds(g: np.ndarray, floor: float, log_bound: np.ndarray) -> np.ndarray:
-    """g > floor + exp(log_bound) * (1 + _BOUND_SLACK), elementwise.
+def _envelope(g: np.ndarray, floor: float, bound: np.ndarray, log_bound: np.ndarray):
+    """(bound - g, failed) for g against bound, whose scaled part is exp(log_bound).
 
-    Decided in log space, so a bound past the float maximum still decides
-    and nothing overflows.  A NaN g exceeds nothing here; the NaN margin it
-    leaves fails the check.
+    failed: some g > floor + exp(log_bound) * (1 + _BOUND_SLACK), decided in log
+    space, so a bound past the float maximum still decides and nothing
+    overflows.  Where g fails against a bound read as inf, the bound is below
+    g, so finite: that margin is exp(log_bound) - g.  A NaN g fails nothing
+    here; its NaN margin fails the check.
     """
     excess = g - floor
     log_excess = np.log(excess, out=np.full(g.shape, -math.inf), where=excess > 0.0)
-    return log_excess > math.log1p(_BOUND_SLACK) + log_bound
+    failed = log_excess > math.log1p(_BOUND_SLACK) + log_bound
+    margins = bound - g
+    past = failed & (margins == math.inf)
+    margins[past] = np.exp(log_bound[past]) - g[past]
+    return margins, bool(failed.any())
 
 
-def _worst_margin(
-    bound: np.ndarray, g: np.ndarray, floor: float, log_bound: np.ndarray, exceeded: np.ndarray
-) -> float:
-    """min(bound - g), bound = floor + exp(log_bound) read as inf at or above
-    e^709.  Where g exceeds it the bound is below g, so finite: that margin is
-    taken from exp(log_bound), and a failed check reports a finite margin."""
-    margin = bound - g
-    past = exceeded & (margin == math.inf)
-    margin[past] = floor + np.exp(log_bound[past]) - g[past]
-    return float(margin.min(initial=math.inf))
+def _check(name: str, pieces, rule=None, observed=None) -> PropertyCheck:
+    """One report line from the (margins, failed) pairs of pieces, one per shift.
+
+    The check passes when no piece failed, the least margin is not NaN
+    (np.minimum carries a NaN met anywhere through), and rule, if given, holds
+    for it.  observed, if given, maps margins to values whose largest, from 0,
+    is the observed constant.
+    """
+    least, most, points, failed = math.inf, 0.0, 0, False
+    for margins, bad in pieces:
+        least = np.minimum(least, margins.min(initial=math.inf))
+        if observed is not None:
+            most = np.maximum(most, observed(margins).max(initial=0.0))
+        failed = failed or bad
+        points += margins.size
+    least = float(least)
+    passed = not (failed or math.isnan(least)) and (rule is None or rule(least))
+    return PropertyCheck(name, passed, least, None if observed is None else float(most), points)
 
 
 def verify_f_properties(
@@ -430,8 +451,9 @@ def verify_f_properties(
 
     A check that no grid point reaches is left out of the report: (d) when
     m = 1 or the table is lattice-only, and any check whose region the grid
-    misses.
+    misses.  Each check reads one shift l at a time.
     """
+    _solved_for(ctx, table)
     m = ctx.lattice_step
     my = ctx.threshold_point
     if grid is None:
@@ -446,6 +468,7 @@ def verify_f_properties(
     below = usable[usable < my]
     p_ge = table.tail_at_threshold
     step = 1 if table.has_off_lattice else m
+    # the shifts l; all but the last, m, are off the lattice
     l_values = range(1, m + 1) if table.has_off_lattice else (m,)
 
     def f_at(ws):
@@ -457,86 +480,43 @@ def verify_f_properties(
             )
         return v
 
-    checks = []
     f_tail = f_at(tail)
-    mono_margin = float((f_at(tail + step) - f_tail).min(initial=math.inf))
-    checks.append(
-        PropertyCheck("tail_monotone", bool(mono_margin > 0.0), mono_margin, None, tail.size)
-    )
-
-    jump_min = math.inf
-    c_hat = 0.0
-    for l in l_values:
-        d = f_at(tail + l) - f_tail
-        jump_min = float(np.minimum(jump_min, d.min(initial=math.inf)))
-        c_hat = float(np.maximum(c_hat, (tail * d).max(initial=0.0)))
-    n_jump = tail.size * len(l_values)
-    checks.append(
-        PropertyCheck("tail_jump_positive_c_over_w", bool(jump_min > 0.0), jump_min, c_hat, n_jump)
-    )
-
-    # The envelope depends on w only through its lattice cell w // m in 1..y-1.
-    # Both envelopes are compared with g in log space; the margins are float
-    # differences, inf where the bound is at or above e^709 and g is below it.
-    cells = range(1, ctx.threshold_y)
-    cell = below // m - 1
-    log_env = np.array([_log_factorial_envelope(ctx, m * c) for c in cells])[cell]
-    envelope = np.array([factorial_envelope(ctx, m * c) for c in cells])[cell]
-
-    # g_m's bound is 1/lam_m + term, term = envelope * dist / lam_m: in floats
-    # where envelope and envelope * dist stay finite, else from its log.
-    lam_m = float(ctx.lambda_m)
+    jumps = ((f_at(tail + l) - f_tail, False) for l in l_values)
     f_below = f_at(below)
-    g = (f_below - f_at(below + m)) / p_ge
-    dist = np.abs(below - lam_m)
-    log_dist = np.log(dist, out=np.full(dist.shape, -math.inf), where=dist > 0.0)
-    log_term = log_env + log_dist - math.log(lam_m)
-    term = np.full(below.size, math.inf)
-    direct = np.maximum(log_env, log_env + log_dist) < _LOG_FINITE
-    term[direct] = envelope[direct] * dist[direct] / lam_m
-    via_log = ~direct & (log_term < _LOG_FINITE)
-    term[via_log] = np.exp(log_term[via_log])
-    exceeded = _exceeds(g, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, log_term)
-    gm_margin = _worst_margin(1.0 / lam_m + term, g, 1.0 / lam_m, log_term, exceeded)
-    gm_ok = not exceeded.any()
-    checks.append(PropertyCheck("g_m_envelope", gm_ok, gm_margin, None, below.size))
-
-    gl_margin = math.inf
-    gl_ok = True
-    n_gl = 0
-    if table.has_off_lattice and m > 1:
-        for l in range(1, m):
-            g = np.abs(f_below - f_at(below + l)) / p_ge
-            exceeded = _exceeds(g, 1e-12, log_env)
-            worst = _worst_margin(envelope, g, 0.0, log_env, exceeded)
-            gl_margin = float(np.minimum(gl_margin, worst))
-            gl_ok = gl_ok and not exceeded.any()
-        n_gl = below.size * (m - 1)
-    checks.append(PropertyCheck("g_l_envelope", gl_ok, gl_margin, None, n_gl))
-
+    g_m = (f_below - f_at(below + m)) / p_ge
+    g_ls = (np.abs(f_below - f_at(below + l)) / p_ge for l in l_values[:-1])
     # g_l at m*j for j = 1 .. min(y, w_max // m) - 1; increments from j = 2.
     lattice = m * np.arange(1, min(ctx.threshold_y, table.w_max // m))
     f_lattice = f_at(lattice)
-    inc_margin = math.inf
-    n_inc = 0
-    for l in l_values:
-        g = (f_lattice - f_at(lattice + l)) / p_ge
-        inc = g[1:] - g[:-1]
-        inc_margin = float(np.minimum(inc_margin, inc.min(initial=math.inf)))
-        n_inc += inc.size
-    checks.append(
-        PropertyCheck(
-            "g_l_lattice_increments", bool(inc_margin >= -1e-10), inc_margin, None, n_inc
-        )
-    )
+    g_lattice = ((f_lattice - f_at(lattice + l)) / p_ge for l in l_values)
+    increments = ((g[1:] - g[:-1], False) for g in g_lattice)
 
-    # A check that examined no point certifies nothing, so it is left out.  The
-    # margins carry a NaN from any non-finite value met, and a NaN margin never
-    # passes.
-    return PropertyReport(
-        checks=tuple(
-            replace(c, passed=c.passed and not math.isnan(c.worst_margin))
-            for c in checks
-            if c.points
-        )
+    # The envelope depends on w only through its lattice cell w // m in 1..y-1:
+    # its log is taken once per cell, and its float form is exp of that log,
+    # inf at or above e^709.
+    log_cells = [_log_factorial_envelope(ctx, m * c) for c in range(1, ctx.threshold_y)]
+    cell = below // m - 1
+    log_env = np.array(log_cells)[cell]
+    envelope = np.array([math.exp(b) if b < _LOG_FINITE else math.inf for b in log_cells])[cell]
+    # g_m's bound is 1/lam_m + term, term = envelope * |w - lam_m| / lam_m in
+    # floats, and exp(log_term) where that product overflows.
+    lam_m = float(ctx.lambda_m)
+    dist = np.abs(below - lam_m)
+    with np.errstate(over="ignore", divide="ignore"):
+        log_term = log_env + np.log(dist) - math.log(lam_m)
+        term = envelope * dist / lam_m
+        over = term == math.inf
+        term[over] = np.exp(log_term[over])
+
+    checks = (
+        _check("tail_monotone", [(f_at(tail + step) - f_tail, False)], lambda d: d > 0.0),
+        _check("tail_jump_positive_c_over_w", jumps, lambda d: d > 0.0, lambda d: tail * d),
+        _check(
+            "g_m_envelope",
+            [_envelope(g_m, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, 1.0 / lam_m + term, log_term)],
+        ),
+        _check("g_l_envelope", (_envelope(g, 1e-12, envelope, log_env) for g in g_ls)),
+        _check("g_l_lattice_increments", increments, lambda d: d >= -1e-10),
     )
+    # A check that examined no point certifies nothing, so it is left out.
+    return PropertyReport(checks=tuple(c for c in checks if c.points))

@@ -585,6 +585,38 @@ class TestHDecomposition:
         table = solve_stein(ctx, 31 * 80, include_off_lattice=True)
         with pytest.raises(ValidationError, match="moments"):
             h_decomposition(scheme, small_moments, ctx, table)
+        with pytest.raises(ValidationError, match="moments"):
+            g_expectation_ratio(scheme, small_moments, ctx, table, 1)
+
+    def test_scheme_of_another_model_with_the_same_mu_is_refused(self, bench_model):
+        # weights 1,2 at rates 200,100 share mu = 400 with the benchmark
+        # model, but not sigma^2 = 600 or k = 2/3; the benchmark scheme was
+        # read under their moments, with no error
+        other = moments(WeightedPoissonSum((1, 2), (Fraction(200), Fraction(100))))
+        scheme = build_scheme(bench_model, 200)
+        ctx = SteinContext(
+            lam=other.lam, lattice_step=other.k_den, scale_num=other.k_num, threshold_y=300
+        )
+        table = solve_stein(ctx, 3 * 310, include_off_lattice=True)
+        for check in (
+            lambda: h_decomposition(scheme, other, ctx, table),
+            lambda: g_expectation_ratio(scheme, other, ctx, table, 1),
+            lambda: delta_distribution(scheme, other),
+        ):
+            with pytest.raises(ValidationError, match="do not match"):
+                check()
+
+    def test_table_of_another_context_is_refused(self, bench_model, bench_moments):
+        # a y = 60 table read under y = 70 gave a closure_error of 0.012
+        scheme, ctx, table = _stein_setup(bench_model, bench_moments, y=60, mstar_factor=25)
+        y70 = SteinContext(lam=ctx.lam, lattice_step=31, scale_num=4, threshold_y=70)
+        assert h_decomposition(scheme, bench_moments, ctx, table).closure_error <= 1e-12
+        for check in (
+            lambda: h_decomposition(scheme, bench_moments, y70, table),
+            lambda: g_expectation_ratio(scheme, bench_moments, y70, table, 27),
+        ):
+            with pytest.raises(ValidationError, match="another Stein context"):
+                check()
 
 
 class TestJointLawOracle:

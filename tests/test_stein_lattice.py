@@ -240,6 +240,31 @@ class TestVerifyProperties:
             assert math.isnan(check.worst_margin), check
             assert not check.passed, check
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"lam": Fraction(1601, 31)},
+            {"lattice_step": 29},
+            {"scale_num": 5},
+            {"threshold_y": 70},
+        ],
+    )
+    def test_table_of_another_context_is_refused(self, bench_table, change):
+        # the table's values and P belong to the context it was solved for:
+        # read under y = 70, the y = 60 table failed g_l_lattice_increments
+        ctx = dataclasses.replace(BENCH_CTX, **change)
+        for read in (
+            lambda: verify_f_properties(ctx, bench_table),
+            lambda: g_l(ctx, bench_table, 31, 1),
+            lambda: g_m_via_recurrence(ctx, bench_table, 31),
+        ):
+            with pytest.raises(ValidationError, match="another Stein context"):
+                read()
+
+    def test_context_differing_in_tolerance_only_is_accepted(self, bench_table):
+        ctx = dataclasses.replace(BENCH_CTX, series_tol=1e-8)
+        assert verify_f_properties(ctx, bench_table) == verify_f_properties(BENCH_CTX, bench_table)
+
     def test_degenerate_unit_lattice(self):
         # m = 1 collapses to the classical integer case
         ctx = SteinContext(lam=Fraction(2), lattice_step=1, scale_num=1, threshold_y=4)
@@ -424,6 +449,23 @@ REFERENCE_CASES = {
 }
 
 
+def _edge_case(lam, m, n, y, w_max):
+    ctx = SteinContext(lam=Fraction(lam), lattice_step=m, scale_num=n, threshold_y=y)
+    return ctx, w_max, True, None
+
+
+# Reports whose envelopes pass the float range near w = m, on stein-check's
+# default grid.  At lam 700 and 690 g_l_lattice_increments fails (margins
+# -1.04e6 and -0.024, near the threshold, for l < m); whether the property
+# fails in exact arithmetic there is open, so these cases hold the report to
+# the scalar loops without asserting that it passes.
+FLOAT_EDGE_CASES = {
+    "lam700": _edge_case(700, 7, 1, 900, 6370),
+    "lam690": _edge_case(690, 5, 2, 800, 4500),
+    "lam712": _edge_case(712, 1, 1, 900, 1000),
+}
+
+
 # lam*m = 1500 below m*y = 1800, 700 rows of m = 3: every point below 1800
 # has both halves, and below 1500 its series terms grow before they fall.
 Y600_CTX = SteinContext(lam=Fraction(500), lattice_step=3, scale_num=1, threshold_y=600)
@@ -468,9 +510,9 @@ def _solve_quietly(ctx, w_max, off):
 class TestArrayFormsAgainstScalarReference:
     """The array forms against the scalar loops they replaced."""
 
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES) + sorted(FLOAT_EDGE_CASES))
     def test_report_equals_scalar_loop(self, case):
-        ctx, w_max, off, grid = REFERENCE_CASES[case]
+        ctx, w_max, off, grid = {**REFERENCE_CASES, **FLOAT_EDGE_CASES}[case]
         table = _solve_quietly(ctx, w_max, off)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -478,7 +520,7 @@ class TestArrayFormsAgainstScalarReference:
         # the report leaves out the checks that examined no point
         reference = verify_f_properties_reference(ctx, table, grid)
         assert report.checks == tuple(c for c in reference.checks if c.points)
-        assert report.all_passed
+        assert report.all_passed or case in FLOAT_EDGE_CASES
 
     @pytest.mark.parametrize("case", TABLE_CASES)
     def test_recurrence_points_against_mpmath(self, case):

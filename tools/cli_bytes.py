@@ -34,8 +34,9 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # limit, rational weights on `moments` and on every command that reads a
 # threshold, a negative seed, epsilons whose per-class budget is and is not 0,
 # sampled checks at 1e8 samples on the benchmark model and at R = 3, rates
-# whose sigma^2 is past the float range, and a Stein table whose P(A >= y)
-# underflows while D_low overflows.
+# whose sigma^2 is past the float range, a Stein table whose P(A >= y)
+# underflows while D_low overflows, and Stein reports at lam 700 and 712,
+# whose envelopes pass the float range, and at lam 720, which leaves it.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -71,6 +72,9 @@ EDGE_ARGVS = [
     ["moments", "--weights", "1", "--rates", "1e400"],
     ["exact-tail", "--y", "5", "--weights", "1", "--rates", "1e400"],
     ["coupling-check", "--mstar", "2", "--y", "1000", "--samples", "10000"],
+    ["stein-check", "--lambda-num", "700", "--m", "7", "--n", "1", "--y", "900", "--wmax", "6370"],
+    ["stein-check", "--lambda-num", "712", "--m", "1", "--n", "1", "--y", "900", "--wmax", "1000"],
+    ["stein-check", "--lambda-num", "720", "--m", "7", "--n", "1", "--y", "900", "--wmax", "6370"],
 ]
 
 
