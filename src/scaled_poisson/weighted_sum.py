@@ -15,6 +15,7 @@ law in the package.  All types are immutable values; operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -220,9 +221,9 @@ def _poisson_pmf_vector(rate: float, n: int, mass: float) -> np.ndarray:
 
 # eq=False: a generated == or hash() would raise on the array fields, so
 # tables compare by identity.
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LatticeDistribution:
-    """Probability table on {0, 1, ..., support_max} with a certified deficit.
+    """Probability law on {0, 1, ..., support_max} with a certified deficit.
 
     Entries never exceed the true pmf by more than float rounding; the missing
     mass is at most ``mass_deficit``, so any tail query can be bracketed as
@@ -230,52 +231,91 @@ class LatticeDistribution:
     deficit must be a nonnegative float, and an infinite deficit is accepted
     as the valid but vacuous bracket [p, inf].
 
-    The tail sums are built once, over the nonzero entries only: ``_points``
-    holds their ascending indices and ``_sums`` the compensated suffix sums
-    of their values (one more entry, the empty sum 0.0), so every tail query
-    is a binary search and a lookup, and zero entries cost nothing there.
+    The law is held as its nonzero entries: ``_points`` their ascending
+    indices, and ``_sums`` the compensated suffix sums of their values (one
+    more entry, the empty sum 0.0), built once.  Every query reads only
+    these and the table size, so a tail is a binary search and a lookup, and
+    zero entries cost nothing.  The dense table ``probs`` is derived: a law
+    built from ``probs`` keeps that array (read-only) and reads its entry
+    values from it, and a law built from its entries (exact_distribution,
+    when the top class's blocks do not overlap) scatters them into a new
+    read-only table on the first read only.
     """
 
-    probs: np.ndarray
     mass_deficit: float
-    _points: np.ndarray = field(init=False, repr=False)
-    _sums: np.ndarray = field(init=False, repr=False)
+    _size: int = field(repr=False)
+    _points: np.ndarray = field(repr=False)
+    # the entry values; None when the law was built from probs, which holds them
+    _values: np.ndarray | None = field(repr=False)
+    _sums: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs, mass_deficit: float):
+        p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probs must be a nonempty 1-d array")
-        # min and max carry a NaN entry through; an infinite one reaches one of them
-        lo, hi = float(p.min()), float(p.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError("probability table has a non-finite entry")
-        if lo < -1e-15:
-            raise ValidationError("probability table has a negative entry")
-        deficit = float(self.mass_deficit)
-        if not deficit >= 0.0:
-            raise ValidationError(f"mass_deficit must be >= 0, got {self.mass_deficit!r}")
+        points = np.flatnonzero(p)
+        self._set_entries(p.size, points, p[points], mass_deficit)
         # the tail sums are derived from probs once, so probs must not change after.
         p.flags.writeable = False
-        nonzero = p != 0
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "_values", None)
+        self.__dict__["probs"] = p
+
+    @classmethod
+    def _from_entries(
+        cls, size: int, points: np.ndarray, values: np.ndarray, mass_deficit: float
+    ) -> "LatticeDistribution":
+        """The law on {0, ..., size - 1} whose nonzero entries are values at
+        the ascending indices points; no dense table is written."""
+        law = cls.__new__(cls)
+        law._set_entries(size, points, values, mass_deficit)
+        object.__setattr__(law, "_values", values)
+        return law
+
+    def _set_entries(self, size: int, points: np.ndarray, values: np.ndarray, mass_deficit) -> None:
+        # zeros are always valid, and NaN and inf are nonzero, so checking the
+        # entries checks the table: min and max carry a NaN through, and an
+        # infinite entry reaches one of them
+        if values.size:
+            lo, hi = float(values.min()), float(values.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError("probability table has a non-finite entry")
+            if lo < -1e-15:
+                raise ValidationError("probability table has a negative entry")
+        deficit = float(mass_deficit)
+        if not deficit >= 0.0:
+            raise ValidationError(f"mass_deficit must be >= 0, got {mass_deficit!r}")
         object.__setattr__(self, "mass_deficit", deficit)
-        object.__setattr__(self, "_points", nonzero.nonzero()[0])
-        object.__setattr__(self, "_sums", _suffix_sums(p[nonzero]))
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_sums", _suffix_sums(values))
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        """The dense read-only table, pmf(0..support_max)."""
+        p = np.zeros(self._size)
+        p[self._points] = self._values
+        p.flags.writeable = False
+        return p
 
     @property
     def support_max(self) -> int:
-        return self.probs.size - 1
+        return self._size - 1
 
     def total_mass(self) -> float:
         return float(_tail_sums(self, 0))
 
     def pmf(self, j: int) -> float:
-        if 0 <= j <= self.support_max:
+        if not 0 <= j < self._size:
+            return 0.0
+        if self._values is None:
             return float(self.probs[j])
-        return 0.0
+        i = int(np.searchsorted(self._points, j))
+        return float(self._values[i]) if i < self._points.size and self._points[i] == j else 0.0
 
     def mean(self) -> float:
-        return fsum((j * p for j, p in enumerate(self.probs.tolist())))
+        # a zero entry adds an exact 0 to the sum, so the entries alone give it
+        values = self.probs[self._points] if self._values is None else self._values
+        return fsum((self._points * values).tolist())
 
     def tail(self, y, strict: bool = True) -> tuple[float, float]:
         """Bracketing interval for P(X > y) (strict) or P(X >= y).
@@ -294,7 +334,7 @@ def _tail_sums(dist: LatticeDistribution, thresholds) -> np.ndarray:
     clamp to [0, size] runs on Python ints, so a threshold beyond int64 reads
     0.0 too.
     """
-    t = np.minimum(np.maximum(thresholds, 0, dtype=object), dist.probs.size, dtype=object)
+    t = np.minimum(np.maximum(thresholds, 0, dtype=object), dist._size, dtype=object)
     return dist._sums[np.searchsorted(dist._points, np.asarray(t, dtype=np.int64))]
 
 
@@ -342,6 +382,14 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
     Each class is truncated at a quantile leaving tail mass t_r < epsilon/R.
     The table misses 1 - prod(1 - t_r) <= sum t_r of unit mass, so the
     deficit is that sum, rounded up; it is <= epsilon.
+
+    The lower classes are convolved into one dense table.  When the top
+    weight b is at least that table's length, the top class's blocks
+    j*b + [0, length) do not overlap, and each entry of the law is the one
+    product pmf_top(j) * lower(i) the stride would write there: only the
+    nonzero products are formed, and the law is built from them, bit for bit
+    the law of the dense stride, without its gap zeros.  Otherwise the top
+    class is strided in densely too.  A law past int64 indexing is refused.
     """
     eps = float(epsilon)
     if not (0.0 < eps <= 1e-3):
@@ -358,9 +406,23 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
         n, tail = _truncation_point(rate, budget)
         classes.append((_poisson_pmf_vector(rate, n, 1.0 - tail), b))
         dropped.append(tail)
-    return LatticeDistribution(
-        probs=_convolve_classes(classes), mass_deficit=math.nextafter(fsum(dropped), math.inf)
-    )
+    deficit = math.nextafter(fsum(dropped), math.inf)
+    top, b = classes.pop()
+    acc = _convolve_classes(classes)
+    if b < acc.size:
+        return LatticeDistribution(probs=_stride_convolve(acc, top, b), mass_deficit=deficit)
+    size = acc.size + b * (top.size - 1)
+    if size > np.iinfo(np.int64).max:
+        raise ValidationError(f"the law of S spans {size} lattice points, past int64 indexing")
+    nz = np.flatnonzero(acc)
+    values = np.outer(top, acc[nz]).ravel()
+    points = (np.arange(top.size)[:, None] * b + nz).ravel()
+    # products that underflowed are zero entries of the dense law too; the
+    # gather that drops them copies both arrays, so it runs only if one did
+    keep = values != 0
+    if not keep.all():
+        points, values = points[keep], values[keep]
+    return LatticeDistribution._from_entries(size, points, values, deficit)
 
 
 def exact_tail(

@@ -429,6 +429,122 @@ class TestSparseTailSums:
                     assert row.exact_tail == dense[t], (row.y, strict)
 
 
+def _class_tables(model, epsilon):
+    """exact_distribution's class tables and its rounded-up deficit."""
+    budget = epsilon / model.class_count
+    tables, dropped = [], []
+    for b, nu in zip(model.weights, model.rates):
+        n, tail = _truncation_point(float(nu), budget)
+        tables.append((_poisson_pmf_vector(float(nu), n, 1.0 - tail), b))
+        dropped.append(tail)
+    return tables, math.nextafter(math.fsum(dropped), math.inf)
+
+
+class TestEntryBuild:
+    """exact_distribution builds a law whose top blocks do not overlap from
+    its nonzero products alone, bit for bit the law of the dense stride."""
+
+    # weights, rates, epsilon, the length of the lower classes' law, and the
+    # products of nonzero entries that underflow to 0 (None: overlapping
+    # blocks, built densely)
+    MODELS = {
+        "wide": ((1, 100, 10000), (5, 3, 1), 1e-12, 4149, 0),
+        "adjacent": ((1, 49), (5, 3), 1e-12, 49, 0),
+        "overlap_by_one": ((1, 48), (5, 3), 1e-12, 49, None),
+        "underflow": ((1, 1000), (5, 3), 1e-300, 301, 17406),
+        "one_class": ((3,), (2,), 1e-12, 1, 0),
+        "bench": ((1, 10), (100, 30), 1e-12, 221, None),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_bit_identical_to_the_dense_stride(self, name):
+        weights, rates, epsilon, span, underflowed = self.MODELS[name]
+        model = WeightedPoissonSum(weights, tuple(Fraction(r) for r in rates))
+        tables, deficit = _class_tables(model, epsilon)
+        (top, b), lower = tables[-1], _convolve_classes(tables[:-1])
+        # the model is in the regime its row names
+        assert lower.size == span
+        assert (b >= span) == (underflowed is not None)
+        if underflowed is not None:
+            products = np.outer(top, lower)
+            assert np.count_nonzero((products == 0) & (np.outer(top != 0, lower != 0))) == underflowed
+        dense = LatticeDistribution(probs=_convolve_classes(tables), mass_deficit=deficit)
+        dist = exact_distribution(model, epsilon)
+        # the dense table is written only where the blocks overlap
+        assert ("probs" in vars(dist)) == (underflowed is None)
+        assert dist.support_max == dense.support_max
+        assert dist.mass_deficit == dense.mass_deficit
+        for attr in ("_points", "_sums"):
+            assert np.array_equal(getattr(dist, attr), getattr(dense, attr)), attr
+        top_j = dist.support_max
+        for j in (-1, 0, 1, span - 1, span, b, b + 1, top_j - 1, top_j, top_j + 1, 2**70):
+            assert dist.pmf(j) == dense.pmf(j), j
+        assert np.array_equal(dist.probs, dense.probs)
+
+    def test_tail_queries_never_build_the_dense_table(self):
+        dist = exact_distribution(WIDE_MODEL, 1e-12)
+        dist.tail(20000)
+        dist.tail(Fraction(1, 3), strict=False)
+        dist.total_mass()
+        dist.pmf(10000)
+        dist.mean()
+        assert dist.support_max == 314148
+        _tail_sums(dist, np.arange(-1, 400))
+        assert "probs" not in vars(dist)
+        probs = dist.probs
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0] = 0.0
+        assert dist.probs is probs
+
+    def test_law_built_from_probs_returns_that_array(self):
+        table = np.array([0.25, 0.0, 0.75])
+        dist = LatticeDistribution(probs=table, mass_deficit=0.0)
+        assert dist.probs is table
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            "wide",
+            "bench",
+            [0.0, 0.0, 0.0, 0.3, 0.2, 0.5],
+            [0.1, 0.0, 0.0, 0.2, 0.0, 0.3, 0.0, 0.0, 0.4, 0.0],
+            [0.5, -0.0, 0.25, -1e-16, 0.25, 0.0],
+            [0.0],
+        ],
+    )
+    def test_mean_over_the_entries_equals_the_sum_over_the_table(self, bench_model, law):
+        if law == "wide":
+            dist = exact_distribution(WIDE_MODEL, 1e-12)
+        elif law == "bench":
+            dist = exact_distribution(bench_model, 1e-12)
+        else:
+            dist = LatticeDistribution(probs=law, mass_deficit=0.0)
+        mean = dist.mean()
+        assert mean == math.fsum(j * p for j, p in enumerate(dist.probs.tolist()))
+
+    def test_far_apart_weights_need_no_dense_table(self):
+        # a dense table of 3.1e9 entries would take 23 GiB; the law has
+        # 32 x 32 nonzero entries, each class cut at 31
+        model = WeightedPoissonSum((1, 10**8), (Fraction(1), Fraction(1)))
+        dist = exact_distribution(model, 1e-12)
+        assert dist.support_max == 31 * 10**8 + 31
+        assert dist._points.size == 32 * 32
+        # S > 5 unless A_2 = 0 and A_1 <= 5
+        below = math.exp(-2) * math.fsum(1 / math.factorial(k) for k in range(6))
+        lo, hi = dist.tail(5)
+        assert lo == pytest.approx(1 - below, rel=1e-14)
+        assert dist.pmf(10**8) == pytest.approx(math.exp(-2), rel=1e-14)
+        assert dist.tail(dist.support_max) == (0.0, dist.mass_deficit)
+        assert "probs" not in vars(dist)
+
+    def test_law_past_int64_indexing_refused(self):
+        model = WeightedPoissonSum((1, 4 * 10**18), (Fraction(1), Fraction(1)))
+        with pytest.raises(ValidationError, match="int64"):
+            exact_distribution(model, 1e-12)
+
+
 class TestLatticeDistributionValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_refused(self, bad):

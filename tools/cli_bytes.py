@@ -36,7 +36,10 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # sampled checks at 1e8 samples on the benchmark model and at R = 3, rates
 # whose sigma^2 is past the float range, a Stein table whose P(A >= y)
 # underflows while D_low overflows, and Stein reports at lam 700 and 712,
-# whose envelopes pass the float range, and at lam 720, which leaves it.
+# whose envelopes pass the float range, and at lam 720, which leaves it; and
+# exact laws whose top class's blocks are adjacent (weights 1,49), overlap by
+# one point (1,48), and lie apart with products that underflow to 0 (1,1000 at
+# eps 1e-300).
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -75,6 +78,10 @@ EDGE_ARGVS = [
     ["stein-check", "--lambda-num", "700", "--m", "7", "--n", "1", "--y", "900", "--wmax", "6370"],
     ["stein-check", "--lambda-num", "712", "--m", "1", "--n", "1", "--y", "900", "--wmax", "1000"],
     ["stein-check", "--lambda-num", "720", "--m", "7", "--n", "1", "--y", "900", "--wmax", "6370"],
+    ["sweep-relerr", "--y-from", "100", "--y-to", "400", "--weights", "1,49", "--rates", "5,3"],
+    ["sweep-relerr", "--y-from", "100", "--y-to", "400", "--weights", "1,48", "--rates", "5,3"],
+    ["sweep-relerr", "--y-from", "99990", "--y-to", "100300", "--weights", "1,1000", "--rates", "5,3",
+     "--eps", "1e-300"],
 ]
 
 
