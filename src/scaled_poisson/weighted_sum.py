@@ -253,8 +253,8 @@ class LatticeDistribution:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probs must be a nonempty 1-d array")
-        points = np.flatnonzero(p)
-        self._set_entries(p.size, points, p[points], mass_deficit)
+        nonzero = p != 0
+        self._set_entries(p.size, nonzero.nonzero()[0], p[nonzero], mass_deficit)
         # the tail sums are derived from probs once, so probs must not change after.
         p.flags.writeable = False
         object.__setattr__(self, "_values", None)
@@ -414,7 +414,7 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
     size = acc.size + b * (top.size - 1)
     if size > np.iinfo(np.int64).max:
         raise ValidationError(f"the law of S spans {size} lattice points, past int64 indexing")
-    nz = np.flatnonzero(acc)
+    nz = (acc != 0).nonzero()[0]
     values = np.outer(top, acc[nz]).ravel()
     points = (np.arange(top.size)[:, None] * b + nz).ravel()
     # products that underflowed are zero entries of the dense law too; the
