@@ -225,7 +225,7 @@ def _coupling_check(args, model, _):
     ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=args.y)
     # the class tables and laws, built once here and read by both checks
     w_law, _ = _tables(scheme, 1e-250)
-    support = w_law.size - 1
+    support = w_law.support_max
     w_max = max(_table_w_needed(m, support, scheme.replication), m.k_den * (args.y + 10)) + m.k_den
     table = solve_stein(ctx, w_max, include_off_lattice=True)
     hd = h_decomposition(scheme, m, ctx, table)

@@ -43,11 +43,10 @@ from .errors import ValidationError
 from .poisson_core import _regularized_gamma_pq, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable, _solved_for
 from .weighted_sum import (
+    LatticeDistribution,
     SumMoments,
     _convolve_classes,
     _poisson_pmf_vector,
-    _suffix_sums,
-    _threshold,
 )
 
 __all__ = [
@@ -182,20 +181,23 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _tables(scheme: BernoulliScheme, cap: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _tables(scheme: BernoulliScheme, cap: float) -> tuple[LatticeDistribution, list[np.ndarray]]:
     """The laws of _laws from the capped float tables of Binomial(M*, p_r)
-    and Binomial(M* - 1, p_r), each upper tail within cap / R.
+    and Binomial(M* - 1, p_r), each upper tail within cap / R: W's as a
+    LatticeDistribution, equal to w_distribution(scheme, cap) with its
+    deficit, and the leave-one-out laws as arrays indexed from 0.
 
     Built once for consecutive calls on the same (scheme, cap), as the
-    checks of one command make; they share the arrays, so they only read
-    them.
+    checks of one command make; they share the laws, so they only read
+    them, and W's table is read-only.
     """
     if not 0.0 <= cap < 1.0:
         raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
     budget = cap / scheme.class_count
-    full, _ = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
+    full, dropped = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
     reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
-    return _laws(full, reduced)
+    w_law, loo = _laws(full, reduced)
+    return LatticeDistribution(probs=w_law, mass_deficit=dropped), loo
 
 
 def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
@@ -246,12 +248,11 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
     mu_q, s2_q = scheme_moments(scheme)
-    k = mu_q / s2_q
-    n = k.numerator
-    lam_m = float(k * mu_q * k.denominator)
+    n = (mu_q / s2_q).numerator
+    lam_m = float(n * mu_q)
 
     g = np.random.default_rng(seed)
-    tally_w = g.multinomial(n_samples, w_law)
+    tally_w = g.multinomial(n_samples, w_law.probs)
     # largest value W^s can take, plus one
     top = max(b + lr.size for lr, b in zip(loo, scheme.replication))
     tally_s = np.zeros(top, dtype=np.int64)
@@ -283,7 +284,7 @@ def conditional_delta_bound(
     """
     w = int(w)
     w_law, loo = _tables(scheme, cap)
-    p_w = float(w_law[w]) if 0 <= w < w_law.size else 0.0
+    p_w = w_law.pmf(w)
     if p_w <= 0.0:
         raise ValidationError(f"P(W = {w}) is zero; conditional undefined")
     out = []
@@ -331,12 +332,13 @@ def h_decomposition(
 
     H_0 = lam*m*E[(f(nW+m) - f(nW)) 1{Delta=m}] and H_r likewise with the
     shift n*b_r; their sum must equal P(nW >= my) - P(A_lam >= y) up to
-    accumulated float rounding.
+    accumulated float rounding.  W's support and tail are read from its
+    lattice law.
     """
     n, mm = m.k_num, m.k_den
     deltas = _stein_deltas(scheme, m, ctx, table)
     w_law, loo = _tables(scheme, cap)
-    support = w_law.size - 1
+    support = w_law.support_max
     needed = _table_w_needed(m, support, scheme.replication)
     if table.w_max < needed:
         raise ValidationError(
@@ -351,29 +353,22 @@ def h_decomposition(
     f_nw = table.values[nw]
     f_shift_m = table.values[nw + mm]
 
-    # Delta = m: the drawn index's trial was already one.  Conditional on the
-    # draw landing in class r, W = b_r * (1 + trials without that one).
+    # padded holds class r's leave-one-out law at offset b.  Delta = m: the
+    # drawn index's trial was already one, so W = b_r + (W without it), read
+    # at padded[:support + 1].  Delta = m - n*b_r: the trial was flipped, so
+    # W = (W without it), read at padded[b:].
     h0_terms = np.zeros(support + 1)
-    for r, (p, b, delta_r) in enumerate(zip(scheme.class_probs, scheme.replication, deltas)):
-        c_r = float(delta_r * p)
-        shifted = np.zeros(support + 1)
-        lr = loo[r]
-        hi = min(support + 1, lr.size + b)
-        shifted[b:hi] = lr[: hi - b]
-        h0_terms += c_r * shifted
-    h_values = [lam_m * float(np.dot(f_shift_m - f_nw, h0_terms))]
-
-    for r, (p, b, delta_r) in enumerate(zip(scheme.class_probs, scheme.replication, deltas)):
-        joint = float(delta_r * (1 - p))
-        lr = np.zeros(support + 1)
-        lr[: min(support + 1, loo[r].size)] = loo[r][: support + 1]
+    h_r = []
+    for p, b, delta_r, lr in zip(scheme.class_probs, scheme.replication, deltas, loo):
+        padded = np.zeros(b + support + 1)
+        padded[b : b + min(lr.size, support + 1)] = lr[: support + 1]
+        h0_terms += float(delta_r * p) * padded[: support + 1]
         f_shift_b = table.values[nw + n * b]
-        h_values.append(lam_m * float(np.dot(f_shift_m - f_shift_b, joint * lr)))
+        joint = float(delta_r * (1 - p))
+        h_r.append(lam_m * float(np.dot(f_shift_m - f_shift_b, joint * padded[b:])))
+    h_values = [lam_m * float(np.dot(f_shift_m - f_nw, h0_terms)), *h_r]
 
-    threshold = _threshold(Fraction(ctx.threshold_point, n))  # nW >= my
-    # The top-down sum never reads below the threshold, so summing from it
-    # alone gives the full table's suffix entry bit for bit.
-    w_tail = float(_suffix_sums(w_law[max(threshold, 0) :])[0])
+    w_tail = w_law.tail(Fraction(ctx.threshold_point, n), strict=False)[0]  # nW >= my
     tail_diff = w_tail - poisson_tail(float(m.lam), ctx.threshold_y)
     closure = abs(fsum(h_values) - tail_diff)
     return HDecomposition(H=tuple(h_values), tail_diff=tail_diff, closure_error=closure)
@@ -415,7 +410,7 @@ def g_expectation_ratio(
     w_law, _ = _tables(scheme, cap)
     n = m.k_num
     lhs = fsum(
-        float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.tolist()) if pw > 0.0
+        float(pw) * g_clamped(n * w) for w, pw in enumerate(w_law.probs.tolist()) if pw > 0.0
     )
     rate = float(ctx.lam)
     tail, below = _regularized_gamma_pq(ctx.threshold_y, rate)

@@ -215,7 +215,7 @@ def _exact_sides(scheme, m, f):
     n = m.k_num
     w_law, loo = _tables(scheme, 1e-250)
     rhs = math.fsum(
-        float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.tolist())
+        float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.probs.tolist())
     )
     lhs = float(m.lambda_m) * math.fsum(
         float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
@@ -394,7 +394,8 @@ class TestSizeBiasSample:
 
         # lhs = lam*m*E[n W^s]; W^s is class r's leave-one-out law shifted by
         # b_r, with probability delta_r
-        w_law, loo = _tables(scheme, 1e-250)
+        w_dist, loo = _tables(scheme, 1e-250)
+        w_law = w_dist.probs
         ws_law = np.zeros(w_law.size + max(scheme.replication))
         for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication):
             ws_law[b : b + lr.size] += float(d) * lr
@@ -672,6 +673,29 @@ class TestCouplingTables:
             conditional_delta_bound(scheme, small_moments, 2, cap=cap)
         with pytest.raises(ValidationError, match="cap"):
             g_expectation_ratio(scheme, small_moments, ctx, table, 1, cap=cap)
+
+    @pytest.mark.parametrize(
+        "weights, rates, trials, cap",
+        [
+            # the benchmark's sampled check, --mstar 50: capped, with a deficit
+            ((1, 10), (100, 30), 5000, 1e-250),
+            ((1, 2, 5), (4, 3, 2), 40, 1e-250),
+            ((1, 2), (1, 1), 20, 0.0),
+        ],
+    )
+    def test_w_law_is_the_one_law_of_w(self, weights, rates, trials, cap):
+        from scaled_poisson.coupling import _tables
+
+        model = WeightedPoissonSum(weights, tuple(Fraction(r) for r in rates))
+        scheme = build_scheme(model, trials)
+        w_law, _ = _tables(scheme, cap)
+        want = w_distribution(scheme, cap)
+        assert np.array_equal(w_law.probs, want.probs)
+        assert w_law.mass_deficit == want.mass_deficit
+        assert w_law.support_max == want.support_max
+        # every check of a command reads this one cached law
+        with pytest.raises(ValueError):
+            w_law.probs[0] = 0.0
 
     def test_shared_tables_give_the_same_results(self, bench_model, bench_moments):
         # the checks of one command share one build of the tables; each

@@ -403,6 +403,11 @@ class TestSparseTailSums:
         dist = LatticeDistribution(probs=probs, mass_deficit=0.0)
         _assert_tails_equal_dense_suffix(dist, [-1, *range(len(probs) + 2), 2**70])
         np.testing.assert_array_equal(dist._points, [j for j, p in enumerate(probs) if p != 0])
+        # a law built from probs reads its pmf from its entries too
+        for j, p in enumerate(probs):
+            assert dist.pmf(j) == p, j
+        for j in (-1, len(probs), 2**70):
+            assert dist.pmf(j) == 0.0, j
 
     @given(
         size=st.integers(min_value=1, max_value=60),

@@ -39,7 +39,8 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # whose envelopes pass the float range, and at lam 720, which leaves it; and
 # exact laws whose top class's blocks are adjacent (weights 1,49), overlap by
 # one point (1,48), and lie apart with products that underflow to 0 (1,1000 at
-# eps 1e-300).
+# eps 1e-300); and sampled and exhaustive checks whose W threshold
+# ceil(m*y/n) = 34 lies past W's support, 18.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -82,6 +83,9 @@ EDGE_ARGVS = [
     ["sweep-relerr", "--y-from", "100", "--y-to", "400", "--weights", "1,48", "--rates", "5,3"],
     ["sweep-relerr", "--y-from", "99990", "--y-to", "100300", "--weights", "1,1000", "--rates", "5,3",
      "--eps", "1e-300"],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "20",
+     "--samples", "10000", "--seed", "7"],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "20", "--exhaustive"],
 ]
 
 
