@@ -16,8 +16,8 @@ crisp numerical identity check).  Leave-one-trial-out laws are reused once per
 class: all copies inside a class are exchangeable, so the N* per-index terms
 collapse to R convolutions.  Every law here, float or exact, comes from one
 builder, _laws, as the stride convolution of the class binomial tables: the
-exhaustive size-bias check convolves tables of Fractions, so its laws are
-exact rationals.
+exhaustive size-bias check convolves tables of integer numerators, so its
+laws are exact, each an integer numerator over one known denominator.
 
 Exact computations are pure.  The Monte Carlo check draws each side's tally
 by value as one multinomial over that side's law, in O(support) whatever the
@@ -61,7 +61,9 @@ __all__ = [
     "g_expectation_ratio",
 ]
 
-_EXHAUSTIVE_LIMIT = 20
+# The exhaustive check's cost rule: R*M* underlying trials and the law's points.
+_EXHAUSTIVE_TRIALS = 400
+_EXHAUSTIVE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -113,18 +115,20 @@ def _laws(full, reduced) -> tuple[np.ndarray, list[np.ndarray]]:
 
     full and reduced hold the (pmf, b_r) class tables for M* and for M* - 1
     trials.  The tables' dtype is kept: float tables give float laws, object
-    arrays of Fractions exact ones.
+    arrays of integer numerators the numerators of the exact laws.
     """
     loo = [_convolve_classes([reduced[r]] + full[:r] + full[r + 1 :]) for r in range(len(full))]
     return _convolve_classes(full), loo
 
 
-def _fraction_tables(scheme: BernoulliScheme, trials: int) -> list[tuple[np.ndarray, int]]:
-    """(pmf of Binomial(trials, p_r), b_r) per class, each table
-    C(trials, a) p^a (1-p)^(trials-a) an object array of exact Fractions."""
+def _numerator_tables(scheme: BernoulliScheme, trials: int) -> list[tuple[np.ndarray, int]]:
+    """(pmf of Binomial(trials, p_r) times d^trials, b_r) per class, for p_r =
+    u/d in lowest terms: C(trials, a) u^a (d-u)^(trials-a), an object array
+    of ints."""
     tables = []
     for p, b in zip(scheme.class_probs, scheme.replication):
-        pmf = [math.comb(trials, a) * p**a * (1 - p) ** (trials - a) for a in range(trials + 1)]
+        u, d = p.numerator, p.denominator
+        pmf = [math.comb(trials, a) * u**a * (d - u) ** (trials - a) for a in range(trials + 1)]
         tables.append((np.array(pmf, dtype=object), b))
     return tables
 
@@ -132,26 +136,31 @@ def _fraction_tables(scheme: BernoulliScheme, trials: int) -> list[tuple[np.ndar
 def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[float, float]:
     """Both sides of lam*m*E[f(n W^s)] = E[n W f(n W)] over the exact laws.
 
-    The law of W and the R leave-one-trial-out laws are exact rationals;
-    instances past R * M* = 20 underlying trials are refused with a pointer
-    to the sampling variant.
+    The law of W and the R leave-one-trial-out laws are integer numerators
+    over prod_r d_r^M* (one d_r less without a class-r trial), p_r = u_r/d_r,
+    each probability their correctly rounded int / int.  Instances past
+    R*M* = 400 underlying trials, or a law of W past 100,000 points, are
+    refused with a pointer to the sampling variant.
     """
     m_star = scheme.trials_per_class
     n = m.k_num
-    if m_star * scheme.class_count > _EXHAUSTIVE_LIMIT:
+    trials = m_star * scheme.class_count
+    points = 1 + m_star * sum(scheme.replication)
+    if trials > _EXHAUSTIVE_TRIALS or points > _EXHAUSTIVE_POINTS:
         raise ValidationError(
-            f"exhaustive check needs R*M* <= {_EXHAUSTIVE_LIMIT}, got "
-            f"{m_star * scheme.class_count}; use size_bias_sample"
+            f"exhaustive check needs R*M* <= {_EXHAUSTIVE_TRIALS} and a law of W of at most "
+            f"{_EXHAUSTIVE_POINTS} points, got {trials} and {points} points; use size_bias_sample"
         )
-    w_law, loo = _laws(_fraction_tables(scheme, m_star), _fraction_tables(scheme, m_star - 1))
+    w_law, loo = _laws(_numerator_tables(scheme, m_star), _numerator_tables(scheme, m_star - 1))
+    dens = [p.denominator for p in scheme.class_probs]
+    den = math.prod(dens) ** m_star
     rhs = fsum(
-        float(prob) * (n * w) * float(f(n * w)) for w, prob in enumerate(w_law.tolist()) if prob
+        num / den * (n * w) * float(f(n * w)) for w, num in enumerate(w_law.tolist()) if num
     )
     lhs_terms = []
-    for delta_r, lr, b_r in zip(_class_deltas(scheme, m), loo, scheme.replication):
-        e_r = fsum(
-            float(prob) * float(f(n * (w + b_r))) for w, prob in enumerate(lr.tolist()) if prob
-        )
+    dens_loo = (den // d for d in dens)
+    for delta_r, lr, b_r, den_r in zip(_class_deltas(scheme, m), loo, scheme.replication, dens_loo):
+        e_r = fsum(num / den_r * float(f(n * (w + b_r))) for w, num in enumerate(lr.tolist()) if num)
         lhs_terms.append(float(delta_r) * e_r)
     lhs = float(m.lambda_m) * fsum(lhs_terms)
     return lhs, rhs

@@ -451,7 +451,9 @@ def verify_f_properties(
 
     A check that no grid point reaches is left out of the report: (d) when
     m = 1 or the table is lattice-only, and any check whose region the grid
-    misses.  Each check reads one shift l at a time.
+    misses.  Each check reads one shift l at a time, as a strided slice of
+    the table where the points are an arithmetic progression (any range
+    grid), by a gather otherwise.
     """
     _solved_for(ctx, table)
     m = ctx.lattice_step
@@ -459,7 +461,8 @@ def verify_f_properties(
     if grid is None:
         hi = table.w_max - m
         grid = range(m, hi + 1) if table.has_off_lattice else range(m, hi + 1, m)
-    pts = np.fromiter(grid, dtype=np.int64)
+    as_range = isinstance(grid, range)
+    pts = np.arange(grid.start, grid.stop, grid.step) if as_range else np.fromiter(grid, np.int64)
     if not pts.size or pts.min() < m:
         raise ValidationError("grid must be nonempty and start at or above m")
     # the distinct grid points, ascending, whose shifts by up to m are in range
@@ -471,24 +474,33 @@ def verify_f_properties(
     # the shifts l; all but the last, m, are off the lattice
     l_values = range(1, m + 1) if table.has_off_lattice else (m,)
 
-    def f_at(ws):
-        v = table.values[ws]
-        missing = np.isnan(v)
-        if missing.any():
-            raise ValidationError(
-                f"f was not evaluated at {int(ws[missing][0])}; build with off-lattice points"
-            )
-        return v
+    def reader(ws):
+        """f at ws + l for a shift l: a strided slice of the table when ws is
+        an arithmetic progression, a gather otherwise."""
+        gaps = np.diff(ws)
+        sliced = gaps.size and gaps.min() == gaps.max()
 
-    f_tail = f_at(tail)
-    jumps = ((f_at(tail + l) - f_tail, False) for l in l_values)
-    f_below = f_at(below)
-    g_m = (f_below - f_at(below + m)) / p_ge
-    g_ls = (np.abs(f_below - f_at(below + l)) / p_ge for l in l_values[:-1])
+        def f_at(l=0):
+            v = table.values[slice(ws[0] + l, ws[-1] + l + 1, gaps[0]) if sliced else ws + l]
+            if np.isnan(v).any():
+                bad = int(ws[np.isnan(v)][0]) + l
+                raise ValidationError(f"f was not evaluated at {bad}; build with off-lattice points")
+            return v
+
+        return f_at
+
+    f_tail_at = reader(tail)
+    f_tail = f_tail_at()
+    jumps = ((f_tail_at(l) - f_tail, False) for l in l_values)
+    f_below_at = reader(below)
+    f_below = f_below_at()
+    g_m = (f_below - f_below_at(m)) / p_ge
+    g_ls = (np.abs(f_below - f_below_at(l)) / p_ge for l in l_values[:-1])
     # g_l at m*j for j = 1 .. min(y, w_max // m) - 1; increments from j = 2.
     lattice = m * np.arange(1, min(ctx.threshold_y, table.w_max // m))
-    f_lattice = f_at(lattice)
-    g_lattice = ((f_lattice - f_at(lattice + l)) / p_ge for l in l_values)
+    f_lattice_at = reader(lattice)
+    f_lattice = f_lattice_at()
+    g_lattice = ((f_lattice - f_lattice_at(l)) / p_ge for l in l_values)
     increments = ((g[1:] - g[:-1], False) for g in g_lattice)
 
     # The envelope depends on w only through its lattice cell w // m in 1..y-1:
@@ -509,7 +521,7 @@ def verify_f_properties(
         term[over] = np.exp(log_term[over])
 
     checks = (
-        _check("tail_monotone", [(f_at(tail + step) - f_tail, False)], lambda d: d > 0.0),
+        _check("tail_monotone", [(f_tail_at(step) - f_tail, False)], lambda d: d > 0.0),
         _check("tail_jump_positive_c_over_w", jumps, lambda d: d > 0.0, lambda d: tail * d),
         _check(
             "g_m_envelope",

@@ -177,8 +177,17 @@ def _suffix_sums(probs: np.ndarray) -> np.ndarray:
     those errors added back.  At most three input-sized arrays are live.
     Adding an exact 0.0 leaves both the running sum and its error term
     unchanged, so the sums over the nonzero entries alone are the sums over
-    the whole table, bit for bit, at every nonzero entry.
+    the whole table, bit for bit, at every nonzero entry.  So a table with a
+    zero at either end (a binomial table's underflowed tail) is summed from
+    its first nonzero entry to its last only: the suffixes above that span
+    read 0.0, and those below repeat its total.
     """
+    if probs.size and not (probs[0] and probs[-1]):
+        nonzero = probs != 0
+        lo = int(nonzero.argmax())
+        hi = probs.size - int(nonzero[::-1].argmax()) if nonzero[lo] else lo
+        span = _suffix_sums(probs[lo:hi])
+        return np.concatenate((np.full(lo, span[0]), span, np.zeros(probs.size - hi)))
     x = probs[::-1]
     out = np.zeros(x.size + 1)
     s = np.cumsum(x, out=out[1:])

@@ -6,26 +6,36 @@ recursion and literal exhaustive enumeration for distribution laws.  Oracles
 are slow and simple on purpose.  The scalar Stein and sweep references at the
 end are the point-by-point loops that the library's array forms replaced;
 they do the same float arithmetic one point at a time, and the CSV reference
-formats each cell by its own type, as the CLI did before column kinds.
+formats each cell by its own type, as the CLI did before column kinds.  The
+routes the library replaced by cheaper ones with the same bits (suffix sums
+over every table entry, the size-bias check over Fraction laws, the Stein
+report by gathers) are kept here, so the new routes are held to them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
-from scaled_poisson.errors import NumericalRangeError
+from scaled_poisson.errors import NumericalRangeError, ValidationError
 from scaled_poisson.experiments import _UNDERFLOW_FLOOR, ExperimentRow
 from scaled_poisson.poisson_core import poisson_tail
 from scaled_poisson.stein_lattice import (
     _BOUND_SLACK,
+    _LOG_FINITE,
     PropertyCheck,
     PropertyReport,
+    _check,
+    _envelope,
+    _log_factorial_envelope,
+    _solved_for,
     factorial_envelope,
     g_l,
 )
@@ -232,6 +242,39 @@ def enumerate_size_bias_rhs(weights, probs: list[Fraction], trials: int, n: int,
     return float(sum(float(p) * (n * w) * float(f(n * w)) for w, p in sorted(law.items())))
 
 
+@functools.lru_cache(maxsize=16)
+def _fraction_law(class_trials: tuple) -> dict[int, Fraction]:
+    """Law of sum_r b_r * Binomial(c_r, p_r) from (c_r, p_r, b_r), as {w: Fraction},
+    by direct convolution of the exact class pmfs.  Cached: one scheme's
+    laws serve every f it is checked with."""
+    law = {0: Fraction(1)}
+    for c, p, b in class_trials:
+        pmf = [math.comb(c, a) * p**a * (1 - p) ** (c - a) for a in range(c + 1)]
+        out: dict[int, Fraction] = {}
+        for w, q in law.items():
+            for a, pa in enumerate(pmf):
+                if pa:
+                    out[w + b * a] = out.get(w + b * a, Fraction(0)) + q * pa
+        law = out
+    return law
+
+
+def size_bias_check_fractions(scheme, f, m) -> tuple[float, float]:
+    """size_bias_check_exact's two sides evaluated in float over Fraction laws:
+    each probability is float(Fraction), each side an fsum, as the check did
+    before its laws were integer numerators."""
+    n, trials = m.k_num, scheme.trials_per_class
+    full = tuple((trials, p, b) for p, b in zip(scheme.class_probs, scheme.replication))
+    w_law = _fraction_law(full)
+    rhs = math.fsum(float(prob) * (n * w) * float(f(n * w)) for w, prob in w_law.items())
+    lhs_terms = []
+    for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
+        loo = _fraction_law(tuple((c - (s == r), q, bs) for s, (c, q, bs) in enumerate(full)))
+        e_r = math.fsum(float(prob) * float(f(n * (w + b))) for w, prob in loo.items())
+        lhs_terms.append(float(Fraction(b) * trials * p / m.mu) * e_r)
+    return float(m.lambda_m) * math.fsum(lhs_terms), rhs
+
+
 def enumerate_delta_joint(weights, probs: list[Fraction], trials: int):
     """Exact joint law of (W, Delta-class) by enumerating trials and the draw.
 
@@ -282,6 +325,21 @@ def exact_suffix_sums(values) -> list[float]:
         total += num * (scale // den)
         out[t] = total / scale
     return out
+
+
+def suffix_sums_dense(probs: np.ndarray) -> np.ndarray:
+    """weighted_sum._suffix_sums as it was before it skipped zero ends: the
+    compensated running sum from the top index down over every entry of the
+    table, zeros included, with its TwoSum error terms added back."""
+    x = probs[::-1]
+    out = np.zeros(x.size + 1)
+    s = np.cumsum(x, out=out[1:])
+    if s.size > 1:
+        prev, cur = s[:-1], s[1:]
+        virt = cur - prev
+        err = (prev - (cur - virt)) + (x[1:] - virt)
+        cur += np.cumsum(err)
+    return out[::-1]
 
 
 def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:
@@ -379,6 +437,78 @@ def verify_f_properties_reference(ctx, table, grid=None) -> PropertyReport:
         )
     )
     return PropertyReport(checks=tuple(checks))
+
+
+def verify_f_properties_gather(ctx, table, grid=None) -> PropertyReport:
+    """stein_lattice.verify_f_properties as it was before it read shifts as
+    slices: every shift of every point set is a gather table.values[ws + l]."""
+    _solved_for(ctx, table)
+    m = ctx.lattice_step
+    my = ctx.threshold_point
+    if grid is None:
+        hi = table.w_max - m
+        grid = range(m, hi + 1) if table.has_off_lattice else range(m, hi + 1, m)
+    pts = np.fromiter(grid, dtype=np.int64)
+    if not pts.size or pts.min() < m:
+        raise ValidationError("grid must be nonempty and start at or above m")
+    # the distinct grid points, ascending, whose shifts by up to m are in range
+    usable = np.flatnonzero(np.bincount(pts[pts + m <= table.w_max]))
+    tail = usable[usable >= my]
+    below = usable[usable < my]
+    p_ge = table.tail_at_threshold
+    step = 1 if table.has_off_lattice else m
+    # the shifts l; all but the last, m, are off the lattice
+    l_values = range(1, m + 1) if table.has_off_lattice else (m,)
+
+    def f_at(ws):
+        v = table.values[ws]
+        missing = np.isnan(v)
+        if missing.any():
+            raise ValidationError(
+                f"f was not evaluated at {int(ws[missing][0])}; build with off-lattice points"
+            )
+        return v
+
+    f_tail = f_at(tail)
+    jumps = ((f_at(tail + l) - f_tail, False) for l in l_values)
+    f_below = f_at(below)
+    g_m = (f_below - f_at(below + m)) / p_ge
+    g_ls = (np.abs(f_below - f_at(below + l)) / p_ge for l in l_values[:-1])
+    # g_l at m*j for j = 1 .. min(y, w_max // m) - 1; increments from j = 2.
+    lattice = m * np.arange(1, min(ctx.threshold_y, table.w_max // m))
+    f_lattice = f_at(lattice)
+    g_lattice = ((f_lattice - f_at(lattice + l)) / p_ge for l in l_values)
+    increments = ((g[1:] - g[:-1], False) for g in g_lattice)
+
+    # The envelope depends on w only through its lattice cell w // m in 1..y-1:
+    # its log is taken once per cell, and its float form is exp of that log,
+    # inf at or above e^709.
+    log_cells = [_log_factorial_envelope(ctx, m * c) for c in range(1, ctx.threshold_y)]
+    cell = below // m - 1
+    log_env = np.array(log_cells)[cell]
+    envelope = np.array([math.exp(b) if b < _LOG_FINITE else math.inf for b in log_cells])[cell]
+    # g_m's bound is 1/lam_m + term, term = envelope * |w - lam_m| / lam_m in
+    # floats, and exp(log_term) where that product overflows.
+    lam_m = float(ctx.lambda_m)
+    dist = np.abs(below - lam_m)
+    with np.errstate(over="ignore", divide="ignore"):
+        log_term = log_env + np.log(dist) - math.log(lam_m)
+        term = envelope * dist / lam_m
+        over = term == math.inf
+        term[over] = np.exp(log_term[over])
+
+    checks = (
+        _check("tail_monotone", [(f_at(tail + step) - f_tail, False)], lambda d: d > 0.0),
+        _check("tail_jump_positive_c_over_w", jumps, lambda d: d > 0.0, lambda d: tail * d),
+        _check(
+            "g_m_envelope",
+            [_envelope(g_m, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, 1.0 / lam_m + term, log_term)],
+        ),
+        _check("g_l_envelope", (_envelope(g, 1e-12, envelope, log_env) for g in g_ls)),
+        _check("g_l_lattice_increments", increments, lambda d: d >= -1e-10),
+    )
+    # A check that examined no point certifies nothing, so it is left out.
+    return PropertyReport(checks=tuple(c for c in checks if c.points))
 
 
 def bracket_reference(params, y: int) -> float:

@@ -16,7 +16,7 @@ from scaled_poisson import (
 )
 from scaled_poisson.bernoulli_lattice import second_order_sum
 
-from oracles import enumerate_bernoulli_w
+from oracles import enumerate_bernoulli_w, suffix_sums_dense
 
 
 class TestBuildScheme:
@@ -107,6 +107,33 @@ class TestWDistribution:
             w_distribution(s, epsilon=float("nan"))
         with pytest.raises(ValidationError, match="epsilon"):
             tail_ratio(s, bench_model, 450, cap=float("nan"))
+
+
+    @pytest.mark.parametrize(
+        "weights,rates", [((1, 10), (100, 30)), ((1, 2, 5), (4, 3, 2))], ids=["bench", "r3"]
+    )
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-250])
+    def test_laws_equal_those_of_the_dense_suffix_sums(self, weights, rates, epsilon, monkeypatch):
+        # the class tables' totals and caps, and the law's tail sums, are
+        # summed over each table's nonzero span; the law is bit for bit the
+        # one summed over every entry
+        import scaled_poisson.bernoulli_lattice as bernoulli_lattice
+        import scaled_poisson.weighted_sum as weighted_sum
+
+        model = WeightedPoissonSum(weights, tuple(Fraction(r) for r in rates))
+        scheme = build_scheme(model, default_trials(model, 50))
+        law = w_distribution(scheme, epsilon)
+        if epsilon == 0.0:
+            # the full support, the underflowed top entries included
+            assert law.support_max == scheme.trials_per_class * sum(weights)
+            assert law.probs[-1] == 0.0
+        monkeypatch.setattr(weighted_sum, "_suffix_sums", suffix_sums_dense)
+        monkeypatch.setattr(bernoulli_lattice, "_suffix_sums", suffix_sums_dense)
+        dense = w_distribution(scheme, epsilon)
+        assert law.support_max == dense.support_max
+        assert law.mass_deficit == dense.mass_deficit
+        for field in ("probs", "_points", "_values", "_sums"):
+            assert getattr(law, field).tobytes() == getattr(dense, field).tobytes(), field
 
 
 class TestTailRatio:

@@ -33,6 +33,7 @@ from oracles import (
     enumerate_w_law_reference,
     mp_d_low,
     mp_stein_halves,
+    size_bias_check_fractions,
 )
 
 # exhaustive test matrix: (weights, rates, trials), R * trials <= 16
@@ -123,15 +124,50 @@ class TestSizeBiasExact:
         assert rhs == pytest.approx(0.75, rel=1e-14)
 
     def test_refuses_large_instances(self, bench_model, bench_moments):
-        scheme = build_scheme(bench_model, 100)
+        # R*M* = 402 trials, past the 400 the exact route is sized for
+        scheme = build_scheme(bench_model, 201)
         with pytest.raises(ValidationError, match="size_bias_sample"):
             size_bias_check_exact(scheme, lambda x: 1.0, bench_moments)
+
+    def test_refuses_a_law_past_the_point_cap(self):
+        # one trial per class, but the law of W spans 1 + 100,000 points
+        model = WeightedPoissonSum((1, 99_999), (Fraction(1), Fraction(1)))
+        with pytest.raises(ValidationError, match="size_bias_sample"):
+            size_bias_check_exact(build_scheme(model, 1), lambda x: 1.0, moments(model))
+
+    @pytest.mark.parametrize(
+        "weights,rate,trials",
+        [((1, 2), Fraction(1), 200), ((1, 99_998), Fraction(1, 2), 1)],
+        ids=["400_trials", "100000_points"],
+    )
+    def test_runs_at_the_limits(self, weights, rate, trials):
+        model = WeightedPoissonSum(weights, (rate, rate))
+        m = moments(model)
+        lhs, rhs = size_bias_check_exact(build_scheme(model, trials), lambda x: float(x), m)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weights,rates,trials",
+        [
+            ((1, 2), (Fraction(1), Fraction(1)), 6),  # R*M* = 12
+            ((1, 2), (Fraction(1), Fraction(1)), 20),  # 40
+            ((1, 10), (Fraction(100), Fraction(30)), 100),  # 200, p_1 = 1
+            ((1, 2), (Fraction(1), Fraction(1)), 100),  # 200
+            ((1, 3, 5), (Fraction(1), Fraction(2), Fraction(1)), 10),  # R = 3
+        ],
+    )
+    def test_equals_the_fraction_route_bit_for_bit(self, weights, rates, trials):
+        model = WeightedPoissonSum(weights, rates)
+        m = moments(model)
+        scheme = build_scheme(model, trials)
+        for _, f in F_FAMILY + [("cli", lambda x: min(x, 10.0))]:
+            assert size_bias_check_exact(scheme, f, m) == size_bias_check_fractions(scheme, f, m)
 
 
 class TestEnumerationReference:
     CASES = EXHAUSTIVE_MATRIX + [
         ((1, 3, 5), (Fraction(1), Fraction(2), Fraction(1)), 3),  # R = 3
-        ((1, 2), (Fraction(1), Fraction(1)), 10),  # 20 trials, the limit
+        ((1, 2), (Fraction(1), Fraction(1)), 10),  # 20 trials
     ]
 
     @staticmethod
@@ -145,11 +181,25 @@ class TestEnumerationReference:
         return [(c - 1, p, b) if s == r else (c, p, b) for s, (c, p, b) in enumerate(full)]
 
     @staticmethod
-    def _exact_laws(scheme, trials):
-        """The law of W and the leave-one-out laws the exhaustive check reads."""
-        from scaled_poisson.coupling import _fraction_tables, _laws
+    def _denominators(scheme, trials):
+        """The denominator of the law of W, prod_r d_r^trials for p_r = u_r/d_r,
+        then that of each leave-one-out law, one d_r less."""
+        dens = [p.denominator for p in scheme.class_probs]
+        den = math.prod(dens) ** trials
+        return [den] + [den // d for d in dens]
 
-        return _laws(_fraction_tables(scheme, trials), _fraction_tables(scheme, trials - 1))
+    @classmethod
+    def _exact_laws(cls, scheme, trials):
+        """The law of W and the leave-one-out laws the exhaustive check reads,
+        each numerator read over its law's denominator as a Fraction."""
+        from scaled_poisson.coupling import _laws, _numerator_tables
+
+        w_law, loo = _laws(_numerator_tables(scheme, trials), _numerator_tables(scheme, trials - 1))
+        laws = [
+            np.array([Fraction(num, den) for num in law.tolist()], dtype=object)
+            for law, den in zip([w_law, *loo], cls._denominators(scheme, trials))
+        ]
+        return laws[0], laws[1:]
 
     @pytest.mark.parametrize("weights,rates,trials", CASES)
     def test_laws_equal_reference(self, weights, rates, trials):
@@ -180,7 +230,9 @@ class TestEnumerationReference:
         def enumerated_laws(_full, _reduced):
             laws = [enumerate_w_law_reference(full)]
             laws += [enumerate_w_law_reference(self._reduced(full, r)) for r in range(len(full))]
-            dense = [_dense(law) for law in laws]
+            dense = [
+                _numerators(law, den) for law, den in zip(laws, self._denominators(scheme, trials))
+            ]
             return dense[0], dense[1:]
 
         monkeypatch.setattr(coupling, "_laws", enumerated_laws)
@@ -188,9 +240,10 @@ class TestEnumerationReference:
         assert got == want
 
     def test_refusal_above_limit_names_sampler(self):
+        # R*M* = 402 underlying trials
         model = WeightedPoissonSum((1, 2, 3), (Fraction(1), Fraction(1), Fraction(1)))
         with pytest.raises(ValidationError, match="size_bias_sample"):
-            size_bias_check_exact(build_scheme(model, 7), lambda x: 1.0, moments(model))
+            size_bias_check_exact(build_scheme(model, 134), lambda x: 1.0, moments(model))
 
 
 def _nonzero(law) -> dict:
@@ -198,11 +251,14 @@ def _nonzero(law) -> dict:
     return {w: prob for w, prob in enumerate(law.tolist()) if prob}
 
 
-def _dense(law: dict) -> np.ndarray:
-    """A law given by its nonzero entries as an object array from W = 0."""
-    out = np.full(max(law) + 1, Fraction(0), dtype=object)
+def _numerators(law: dict, den: int) -> np.ndarray:
+    """A law given by its nonzero entries, as an object array from W = 0 of
+    the integer numerators over den."""
+    out = np.zeros(max(law) + 1, dtype=object)
     for w, prob in law.items():
-        out[w] = prob
+        num = prob * den
+        assert num.denominator == 1
+        out[w] = num.numerator
     return out
 
 

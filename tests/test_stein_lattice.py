@@ -31,6 +31,7 @@ from oracles import (
     mp_stein_halves,
     mp_stein_solution,
     stein_d_high_reference,
+    verify_f_properties_gather,
     verify_f_properties_reference,
 )
 
@@ -589,6 +590,58 @@ class TestArrayFormsAgainstScalarReference:
         table = solve_stein(ctx, w_max)
         with pytest.raises(ValidationError):
             verify_f_properties(ctx, table, range(31, 31 * 90 + 1))
+
+
+# (context, w_max, off-lattice points, grid) of the slice reads: grids that
+# are arithmetic progressions (default, stepped range, m = 1), and a list
+# that is not one.
+SLICE_CASES = {
+    "default": REFERENCE_CASES["bench"],
+    "stein_check": REFERENCE_CASES["stein_check"],
+    "stepped_range": (BENCH_CTX, 31 * 115, True, range(40, 31 * 100, 3)),
+    "non_progression": (BENCH_CTX, 31 * 115, True, [3000, 45, 31, 32, 45, 1859, 1860, 1890, 2000]),
+    "lattice_only": REFERENCE_CASES["lattice_only"],
+    "lattice_only_list": (BENCH_CTX, 31 * 115, False, [31 * j for j in (1, 2, 5, 59, 60, 61, 90)]),
+    "unit_lattice": REFERENCE_CASES["unit_lattice"],
+    "unit_default": (UNIT_CTX, 80, True, None),
+    "lam690": FLOAT_EDGE_CASES["lam690"],
+}
+
+
+def _same(a, b) -> bool:
+    """a == b, with NaN equal to NaN."""
+    both_nan = isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+    return a == b or both_nan
+
+
+class TestSliceReads:
+    """The report read by strided slices against the per-shift gathers."""
+
+    @pytest.mark.parametrize("case", sorted(SLICE_CASES))
+    def test_report_equals_gathered_report(self, case):
+        ctx, w_max, off, grid = SLICE_CASES[case]
+        table = _solve_quietly(ctx, w_max, off)
+        got = verify_f_properties(ctx, table, grid).checks
+        want = verify_f_properties_gather(ctx, table, grid).checks
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for field in ("name", "passed", "worst_margin", "observed_constant", "points"):
+                assert _same(getattr(a, field), getattr(b, field)), (a.name, field)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [range(31, 31 * 90 + 1), range(40, 31 * 90, 31), [31, 62, 40, 93]],
+        ids=["range", "stepped_off_lattice", "list"],
+    )
+    def test_off_lattice_grid_on_lattice_only_table_names_the_same_point(self, grid):
+        ctx, w_max, _, _ = REFERENCE_CASES["lattice_only"]
+        table = solve_stein(ctx, w_max)
+        with pytest.raises(ValidationError) as want:
+            verify_f_properties_gather(ctx, table, grid)
+        with pytest.raises(ValidationError) as got:
+            verify_f_properties(ctx, table, grid)
+        assert str(got.value) == str(want.value)
+        assert "f was not evaluated at" in str(got.value)
 
 
 class TestLatticeRecurrence:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaled_poisson import (
@@ -33,7 +33,13 @@ from scaled_poisson.weighted_sum import (
     _truncation_point,
 )
 
-from oracles import enumerate_weighted_sum_pmf, exact_suffix_sums, panjer_tail, panjer_tails
+from oracles import (
+    enumerate_weighted_sum_pmf,
+    exact_suffix_sums,
+    panjer_tail,
+    panjer_tails,
+    suffix_sums_dense,
+)
 
 WIDE_MODEL = WeightedPoissonSum((1, 100, 10000), (Fraction(5), Fraction(3), Fraction(1)))
 
@@ -319,6 +325,32 @@ class TestSuffixSums:
         assert dist.total_mass() == exact[0]
         if epsilon < 1e-200:
             assert exact[exact > 0].min() < 1e-300
+
+    @given(
+        head=st.integers(min_value=0, max_value=4),
+        body=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=5e-324, max_value=1.0),
+                st.floats(min_value=1e-12, max_value=1e-3),
+            ),
+            max_size=40,
+        ),
+        tail=st.integers(min_value=0, max_value=4),
+    )
+    @example(head=0, body=[0.25], tail=0)  # length 1
+    @example(head=0, body=[0.0], tail=0)  # one zero
+    @example(head=3, body=[], tail=2)  # all zeros
+    @example(head=2, body=[0.5, 0.0, 0.0, 0.125], tail=3)  # zero ends and interior zeros
+    @example(head=0, body=[0.5, 0.0, 0.125], tail=0)  # interior zeros only
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_span_sums_equal_the_dense_sums(self, head, body, tail):
+        # zero ends are skipped, every suffix still bit for bit the dense sum
+        probs = np.array([0.0] * head + body + [0.0] * tail)
+        got, want = _suffix_sums(probs), suffix_sums_dense(probs)
+        assert got.size == want.size == probs.size + 1
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
     def test_table_is_read_only(self, small_model):
         # tails are read from a sum built once, so the table cannot change

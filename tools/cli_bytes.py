@@ -30,8 +30,8 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # Thresholds past the float range, sweeps over underflowed exact tails (an
 # exact tail of 0 and a NaN rel_error) and below lam (NaN brackets), a y that
 # csv quoting must keep in one cell, the sweeps whose tails sit at t <= lam + 1,
-# class rates past 700, exhaustive checks at R = 3 and at and past the 20-trial
-# limit, rational weights on `moments` and on every command that reads a
+# class rates past 700, exhaustive checks at R = 3 and at and past the limit of
+# R*M* = 400 trials, rational weights on `moments` and on every command that reads a
 # threshold, a negative seed, epsilons whose per-class budget is and is not 0,
 # sampled checks at 1e8 samples on the benchmark model and at R = 3, rates
 # whose sigma^2 is past the float range, a Stein table whose P(A >= y)
@@ -54,9 +54,9 @@ EDGE_ARGVS = [
     ["sweep-scaling", "--y", "600"],
     ["sweep-scaling", "--y", "600", "--n-values", "8,9,10,11"],
     ["exact-tail", "--y", "1300", "--strict", "--rates", "800,30"],
-    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "10", "--y", "5", "--exhaustive"],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "200", "--y", "5", "--exhaustive"],
     ["coupling-check", "--weights", "1,3,5", "--rates", "1,2,1", "--mstar", "2", "--y", "3", "--exhaustive"],
-    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "11", "--y", "5", "--exhaustive"],
+    ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "201", "--y", "5", "--exhaustive"],
     ["moments", "--weights", "1/2,3/2", "--rates", "1,1"],
     ["exact-tail", "--y", "1", "--strict", *_RATIONAL],
     ["approx-tail", "--y", "1", "--strict", *_RATIONAL],
