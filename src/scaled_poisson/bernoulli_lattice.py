@@ -22,7 +22,7 @@ from .errors import NumericalRangeError, ValidationError
 from .weighted_sum import (
     LatticeDistribution,
     WeightedPoissonSum,
-    _convolve_classes,
+    _lattice_law,
     _mode_table,
     _suffix_sums,
     exact_distribution,
@@ -92,15 +92,6 @@ def scheme_moments(scheme: BernoulliScheme) -> tuple[Fraction, Fraction]:
     return sum_p, sum_bp
 
 
-def second_order_sum(scheme: BernoulliScheme) -> Fraction:
-    """sum_i b_i p_i^2 = sum_r b_r^2 nu_r^2 / M*, the O(1/M*) coupling remainder."""
-    m_star = scheme.trials_per_class
-    return sum(
-        (Fraction(b * b) * m_star * p * p for p, b in zip(scheme.class_probs, scheme.replication)),
-        Fraction(0),
-    )
-
-
 def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
     """pmf(0..trials) of Binomial(trials, p), normalized to unit mass.
 
@@ -115,30 +106,21 @@ def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
     return _mode_table((trials + 1.0 - j) * odds, j, mode, 1.0)
 
 
-def _cap_upper_tail(pmf: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
-    """Drop the highest-index entries whose total mass stays below budget."""
-    if budget <= 0.0:
-        return pmf, 0.0
-    suffix = _suffix_sums(pmf)
-    keep = np.nonzero(suffix > budget)[0]
-    hi = int(keep[-1]) if keep.size else 0
-    dropped = float(suffix[hi + 1])
-    return pmf[: hi + 1], dropped
-
-
 def _capped_class_pmfs(
     scheme: BernoulliScheme, trials: int, budget: float
-) -> tuple[list[tuple[np.ndarray, int]], float]:
-    """(pmf of Binomial(trials, p_r), b_r) per class, and the total mass dropped.
-
-    Each pmf loses its highest entries within ``budget`` (none when 0).
-    """
-    classes = []
-    dropped = 0.0
+) -> tuple[list[tuple[np.ndarray, int]], list[float | None]]:
+    """(pmf of Binomial(trials, p_r), b_r) per class, and per class the mass
+    dropped by cutting its highest entries within budget (None when 0)."""
+    classes, dropped = [], []
     for p, b in zip(scheme.class_probs, scheme.replication):
-        pmf, lost = _cap_upper_tail(binomial_pmf_vector(trials, p), budget)
+        pmf, lost = binomial_pmf_vector(trials, p), None
+        if budget > 0.0:
+            suffix = _suffix_sums(pmf)
+            keep = np.nonzero(suffix > budget)[0]
+            hi = int(keep[-1]) if keep.size else 0
+            pmf, lost = pmf[: hi + 1], float(suffix[hi + 1])
         classes.append((pmf, b))
-        dropped += lost
+        dropped.append(lost)
     return classes, dropped
 
 
@@ -152,10 +134,9 @@ def w_distribution(scheme: BernoulliScheme, epsilon: float = 0.0) -> LatticeDist
     eps = float(epsilon)
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"epsilon must be in [0, 1), got {epsilon!r}")
-    classes, deficit = _capped_class_pmfs(
-        scheme, scheme.trials_per_class, eps / scheme.class_count
+    return _lattice_law(
+        *_capped_class_pmfs(scheme, scheme.trials_per_class, eps / scheme.class_count)
     )
-    return LatticeDistribution(probs=_convolve_classes(classes), mass_deficit=deficit)
 
 
 def tail_ratio(

@@ -14,9 +14,9 @@ which this module evaluates exactly (desk-scale supports make exact summation
 over the joint law of (W, Delta) feasible, so the decomposition doubles as a
 crisp numerical identity check).  Leave-one-trial-out laws are reused once per
 class: all copies inside a class are exchangeable, so the N* per-index terms
-collapse to R convolutions.  Every law here, float or exact, comes from one
-builder, _laws, as the stride convolution of the class binomial tables: the
-exhaustive size-bias check convolves tables of integer numerators, so its
+collapse to R convolutions.  _law_classes lists the class tables of every
+law here; the float laws are LatticeDistributions from weighted_sum's one
+builder, and the exhaustive check convolves lists of integer tables, so its
 laws are exact, each an integer numerator over one known denominator.
 
 Exact computations are pure.  The Monte Carlo check draws each side's tally
@@ -34,11 +34,7 @@ from math import fsum
 
 import numpy as np
 
-from .bernoulli_lattice import (
-    BernoulliScheme,
-    _capped_class_pmfs,
-    scheme_moments,
-)
+from .bernoulli_lattice import BernoulliScheme, _capped_class_pmfs, scheme_moments
 from .errors import ValidationError
 from .poisson_core import _regularized_gamma_pq, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable, _solved_for
@@ -46,6 +42,7 @@ from .weighted_sum import (
     LatticeDistribution,
     SumMoments,
     _convolve_classes,
+    _lattice_law,
     _poisson_pmf_vector,
 )
 
@@ -61,8 +58,9 @@ __all__ = [
     "g_expectation_ratio",
 ]
 
-# The exhaustive check's cost rule: R*M* underlying trials and the law's points.
-_EXHAUSTIVE_TRIALS = 400
+# The exhaustive check's cost rule: R laws of R convolutions each over tables
+# of M* + 1 entries, so R^2 * M*; and the points of the law of W.
+_EXHAUSTIVE_COST = 800
 _EXHAUSTIVE_POINTS = 100_000
 
 
@@ -110,15 +108,12 @@ def delta_distribution(scheme: BernoulliScheme, m: SumMoments) -> DeltaDistribut
     return DeltaDistribution(support=tuple(support), probs=tuple(probs), delta_bounds=deltas)
 
 
-def _laws(full, reduced) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The law of W, and per class r the law with one class-r trial removed.
-
-    full and reduced hold the (pmf, b_r) class tables for M* and for M* - 1
-    trials.  The tables' dtype is kept: float tables give float laws, object
-    arrays of integer numerators the numerators of the exact laws.
+def _law_classes(full: list, reduced: list) -> list[list]:
+    """The classes of the law of W, then per class r of the law with one
+    class-r trial removed: full and reduced hold one entry per class (a
+    (pmf, b_r) table, or its cut's dropped mass) for M* and M* - 1 trials.
     """
-    loo = [_convolve_classes([reduced[r]] + full[:r] + full[r + 1 :]) for r in range(len(full))]
-    return _convolve_classes(full), loo
+    return [full] + [[reduced[r]] + full[:r] + full[r + 1 :] for r in range(len(full))]
 
 
 def _numerator_tables(scheme: BernoulliScheme, trials: int) -> list[tuple[np.ndarray, int]]:
@@ -139,19 +134,20 @@ def size_bias_check_exact(scheme: BernoulliScheme, f, m: SumMoments) -> tuple[fl
     The law of W and the R leave-one-trial-out laws are integer numerators
     over prod_r d_r^M* (one d_r less without a class-r trial), p_r = u_r/d_r,
     each probability their correctly rounded int / int.  Instances past
-    R*M* = 400 underlying trials, or a law of W past 100,000 points, are
-    refused with a pointer to the sampling variant.
+    R^2*M* = 800, or with a law of W past 100,000 points, are refused with a
+    pointer to the sampling variant.
     """
     m_star = scheme.trials_per_class
     n = m.k_num
-    trials = m_star * scheme.class_count
+    cost = scheme.class_count**2 * m_star
     points = 1 + m_star * sum(scheme.replication)
-    if trials > _EXHAUSTIVE_TRIALS or points > _EXHAUSTIVE_POINTS:
+    if cost > _EXHAUSTIVE_COST or points > _EXHAUSTIVE_POINTS:
         raise ValidationError(
-            f"exhaustive check needs R*M* <= {_EXHAUSTIVE_TRIALS} and a law of W of at most "
-            f"{_EXHAUSTIVE_POINTS} points, got {trials} and {points} points; use size_bias_sample"
+            f"exhaustive check needs R^2*M* <= {_EXHAUSTIVE_COST} and a law of W of at most "
+            f"{_EXHAUSTIVE_POINTS} points, got {cost} and {points} points; use size_bias_sample"
         )
-    w_law, loo = _laws(_numerator_tables(scheme, m_star), _numerator_tables(scheme, m_star - 1))
+    tables = _law_classes(_numerator_tables(scheme, m_star), _numerator_tables(scheme, m_star - 1))
+    w_law, *loo = (_convolve_classes(classes) for classes in tables)
     dens = [p.denominator for p in scheme.class_probs]
     den = math.prod(dens) ** m_star
     rhs = fsum(
@@ -190,23 +186,24 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _tables(scheme: BernoulliScheme, cap: float) -> tuple[LatticeDistribution, list[np.ndarray]]:
-    """The laws of _laws from the capped float tables of Binomial(M*, p_r)
-    and Binomial(M* - 1, p_r), each upper tail within cap / R: W's as a
-    LatticeDistribution, equal to w_distribution(scheme, cap) with its
-    deficit, and the leave-one-out laws as arrays indexed from 0.
+def _tables(scheme: BernoulliScheme, cap: float) -> tuple[LatticeDistribution, tuple]:
+    """The laws of _law_classes from the capped float tables of
+    Binomial(M*, p_r) and Binomial(M* - 1, p_r), each upper tail within
+    cap / R, as LatticeDistributions: W's, equal to w_distribution(scheme,
+    cap), and the tuple of leave-one-out laws.
 
     Built once for consecutive calls on the same (scheme, cap), as the
-    checks of one command make; they share the laws, so they only read
-    them, and W's table is read-only.
+    checks of one command make; they share the laws, whose tables are
+    read-only.
     """
     if not 0.0 <= cap < 1.0:
         raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
-    budget = cap / scheme.class_count
-    full, dropped = _capped_class_pmfs(scheme, scheme.trials_per_class, budget)
-    reduced, _ = _capped_class_pmfs(scheme, scheme.trials_per_class - 1, budget)
-    w_law, loo = _laws(full, reduced)
-    return LatticeDistribution(probs=w_law, mass_deficit=dropped), loo
+    m_star, budget = scheme.trials_per_class, cap / scheme.class_count
+    (full, cut), (reduced, reduced_cut) = (
+        _capped_class_pmfs(scheme, t, budget) for t in (m_star, m_star - 1)
+    )
+    w_law, *loo = map(_lattice_law, _law_classes(full, reduced), _law_classes(cut, reduced_cut))
+    return w_law, tuple(loo)
 
 
 def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
@@ -263,11 +260,11 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
     g = np.random.default_rng(seed)
     tally_w = g.multinomial(n_samples, w_law.probs)
     # largest value W^s can take, plus one
-    top = max(b + lr.size for lr, b in zip(loo, scheme.replication))
+    top = max(b + lr.support_max for lr, b in zip(loo, scheme.replication)) + 1
     tally_s = np.zeros(top, dtype=np.int64)
     blocks = g.multinomial(n_samples, deltas).tolist()
     for picked, lr, b in zip(blocks, loo, scheme.replication):
-        tally_s[b : b + lr.size] += g.multinomial(picked, lr)
+        tally_s[b : b + lr.support_max + 1] += g.multinomial(picked, lr.probs)
     sum_l, sumsq_l = _count_sums(tally_s, lambda v: lam_m * _apply(f, n * v))
     sum_r, sumsq_r = _count_sums(tally_w, lambda v: (n * v) * _apply(f, n * v))
     mean_l = sum_l / n_samples
@@ -298,8 +295,7 @@ def conditional_delta_bound(
         raise ValidationError(f"P(W = {w}) is zero; conditional undefined")
     out = []
     for r, (p, delta_r) in enumerate(zip(scheme.class_probs, _class_deltas(scheme, m))):
-        p_loo = float(loo[r][w]) if 0 <= w < loo[r].size else 0.0
-        joint = float(delta_r) * (1.0 - float(p)) * p_loo
+        joint = float(delta_r) * (1.0 - float(p)) * loo[r].pmf(w)
         out.append((joint / p_w, delta_r))
     return out
 
@@ -370,7 +366,7 @@ def h_decomposition(
     h_r = []
     for p, b, delta_r, lr in zip(scheme.class_probs, scheme.replication, deltas, loo):
         padded = np.zeros(b + support + 1)
-        padded[b : b + min(lr.size, support + 1)] = lr[: support + 1]
+        padded[b : b + min(lr.support_max, support) + 1] = lr.probs[: support + 1]
         h0_terms += float(delta_r * p) * padded[: support + 1]
         f_shift_b = table.values[nw + n * b]
         joint = float(delta_r * (1 - p))

@@ -247,7 +247,7 @@ class LatticeDistribution:
     table size, so a tail is a binary search and a lookup, and zero entries
     cost nothing.  The dense table ``probs`` is derived: a law built from
     ``probs`` keeps that array, read-only, and a law built from its entries
-    (exact_distribution, when the top class's blocks do not overlap)
+    (_lattice_law, when the last class's blocks do not overlap)
     scatters them into a new read-only table on the first read only.
     """
 
@@ -383,44 +383,29 @@ def _convolve_classes(classes: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
     return acc
 
 
-def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> LatticeDistribution:
-    """Exact law of S by stride convolution of truncated Poisson tables.
+def _lattice_law(classes: list[tuple[np.ndarray, int]], dropped) -> LatticeDistribution:
+    """Every lattice law: sum_r b_r X_r from the (pmf of X_r, b_r) tables, in
+    the given order, with dropped[r] the mass cut from table r (None: uncut).
 
-    Each class is truncated at a quantile leaving tail mass t_r < epsilon/R.
-    The table misses 1 - prod(1 - t_r) <= sum t_r of unit mass, so the
-    deficit is that sum, rounded up; it is <= epsilon.
-
-    The lower classes are convolved into one dense table.  When the top
-    weight b is at least that table's length, the top class's blocks
-    j*b + [0, length) do not overlap, and each entry of the law is the one
-    product pmf_top(j) * lower(i) the stride would write there: only the
-    nonzero products are formed, and the law is built from them, bit for bit
-    the law of the dense stride, without its gap zeros.  Otherwise the top
-    class is strided in densely too.  A law past int64 indexing is refused.
+    Cut tables missing t_r miss 1 - prod(1 - t_r) <= sum t_r of unit mass, so
+    the deficit is that sum rounded up, and exactly 0.0 if no table was cut.
+    The classes before the last are convolved into one dense table.  When
+    the last weight b is at least its length, the last class's blocks
+    j*b + [0, length) do not overlap, and each entry is the one product
+    pmf_last(j) * lower(i) the stride would write there: only the nonzero
+    products are formed, bit for bit the dense stride's law without its gap
+    zeros.  Otherwise the last class is strided densely too.  A law past
+    int64 indexing is refused.
     """
-    eps = float(epsilon)
-    if not (0.0 < eps <= 1e-3):
-        raise ValidationError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
-    budget = eps / model.class_count
-    if not budget > 0.0:
-        raise ValidationError(
-            f"per-class budget epsilon/R = {epsilon!r}/{model.class_count} rounds to 0"
-        )
-    classes = []
-    dropped = []
-    for b, nu in zip(model.weights, model.rates):
-        rate = float(nu)
-        n, tail = _truncation_point(rate, budget)
-        classes.append((_poisson_pmf_vector(rate, n, 1.0 - tail), b))
-        dropped.append(tail)
-    deficit = math.nextafter(fsum(dropped), math.inf)
-    top, b = classes.pop()
-    acc = _convolve_classes(classes)
+    cut = [t for t in dropped if t is not None]
+    deficit = math.nextafter(fsum(cut), math.inf) if cut else 0.0
+    *lower, (top, b) = classes
+    acc = _convolve_classes(lower)
     if b < acc.size:
         return LatticeDistribution(probs=_stride_convolve(acc, top, b), mass_deficit=deficit)
     size = acc.size + b * (top.size - 1)
     if size > np.iinfo(np.int64).max:
-        raise ValidationError(f"the law of S spans {size} lattice points, past int64 indexing")
+        raise ValidationError(f"the law spans {size} lattice points, past int64 indexing")
     nz = (acc != 0).nonzero()[0]
     values = np.outer(top, acc[nz]).ravel()
     points = (np.arange(top.size)[:, None] * b + nz).ravel()
@@ -430,6 +415,26 @@ def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> Lat
     if not keep.all():
         points, values = points[keep], values[keep]
     return LatticeDistribution._from_entries(size, points, values, deficit)
+
+
+def exact_distribution(model: WeightedPoissonSum, epsilon: float = 1e-12) -> LatticeDistribution:
+    """Exact law of S from Poisson tables, each truncated at a quantile
+    leaving tail mass t_r < epsilon/R, so the deficit is <= epsilon."""
+    eps = float(epsilon)
+    if not (0.0 < eps <= 1e-3):
+        raise ValidationError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
+    budget = eps / model.class_count
+    if not budget > 0.0:
+        raise ValidationError(
+            f"per-class budget epsilon/R = {epsilon!r}/{model.class_count} rounds to 0"
+        )
+    classes, dropped = [], []
+    for b, nu in zip(model.weights, model.rates):
+        rate = float(nu)
+        n, tail = _truncation_point(rate, budget)
+        classes.append((_poisson_pmf_vector(rate, n, 1.0 - tail), b))
+        dropped.append(tail)
+    return _lattice_law(classes, dropped)
 
 
 def exact_tail(

@@ -9,7 +9,9 @@ they do the same float arithmetic one point at a time, and the CSV reference
 formats each cell by its own type, as the CLI did before column kinds.  The
 routes the library replaced by cheaper ones with the same bits (suffix sums
 over every table entry, the size-bias check over Fraction laws, the Stein
-report by gathers) are kept here, so the new routes are held to them.
+report by gathers, the coupling laws as bare convolutions) are kept here, so
+the new routes are held to them.  So is second_order_sum, which only tests
+read.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from scaled_poisson.stein_lattice import (
     factorial_envelope,
     g_l,
 )
-from scaled_poisson.weighted_sum import _threshold, normal_approx_tail, scaled_poisson_tail
+from scaled_poisson.weighted_sum import (
+    _convolve_classes,
+    _threshold,
+    normal_approx_tail,
+    scaled_poisson_tail,
+)
 
 mp.mp.dps = 60
 
@@ -273,6 +280,27 @@ def size_bias_check_fractions(scheme, f, m) -> tuple[float, float]:
         e_r = math.fsum(float(prob) * float(f(n * (w + b))) for w, prob in loo.items())
         lhs_terms.append(float(Fraction(b) * trials * p / m.mu) * e_r)
     return float(m.lambda_m) * math.fsum(lhs_terms), rhs
+
+
+def coupling_laws_reference(full, reduced) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The law of W, and per class r the law with one class-r trial removed,
+    as bare arrays from W = 0: coupling's laws before they were lattice laws.
+
+    full and reduced hold the (pmf, b_r) class tables for M* and for M* - 1
+    trials.  The tables' dtype is kept: float tables give float laws, object
+    arrays of integer numerators the numerators of the exact laws.
+    """
+    loo = [_convolve_classes([reduced[r]] + full[:r] + full[r + 1 :]) for r in range(len(full))]
+    return _convolve_classes(full), loo
+
+
+def second_order_sum(scheme) -> Fraction:
+    """sum_i b_i p_i^2 = sum_r b_r^2 nu_r^2 / M*, the O(1/M*) coupling remainder."""
+    m_star = scheme.trials_per_class
+    return sum(
+        (Fraction(b * b) * m_star * p * p for p, b in zip(scheme.class_probs, scheme.replication)),
+        Fraction(0),
+    )
 
 
 def enumerate_delta_joint(weights, probs: list[Fraction], trials: int):

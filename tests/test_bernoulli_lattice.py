@@ -14,9 +14,7 @@ from scaled_poisson import (
     tail_ratio,
     w_distribution,
 )
-from scaled_poisson.bernoulli_lattice import second_order_sum
-
-from oracles import enumerate_bernoulli_w, suffix_sums_dense
+from oracles import enumerate_bernoulli_w, second_order_sum, suffix_sums_dense
 
 
 class TestBuildScheme:
@@ -134,6 +132,31 @@ class TestWDistribution:
         assert law.mass_deficit == dense.mass_deficit
         for field in ("probs", "_points", "_values", "_sums"):
             assert getattr(law, field).tobytes() == getattr(dense, field).tobytes(), field
+
+
+    def test_far_apart_weights_take_the_entry_route(self):
+        # the top class's blocks lie apart: the law is built from its 9
+        # nonzero products, with no dense table, entry for entry the
+        # enumerated law
+        s = build_scheme(WeightedPoissonSum((1, 1000), (Fraction(1), Fraction(1))), 2)
+        dist = w_distribution(s)
+        law = enumerate_bernoulli_w((1, 1000), list(s.class_probs), 2)
+        assert dist.support_max == 2002
+        assert dist._points.tolist() == sorted(law)
+        for w, p in law.items():
+            assert dist.pmf(w) == pytest.approx(float(p), rel=1e-15), w
+        assert dist.mass_deficit == 0.0
+        assert "probs" not in vars(dist)
+
+    def test_far_apart_weights_past_int64_refused(self):
+        # 2**61 spans 2**62 + 3 points and is built; 2**62 passes int64
+        for top, fits in ((2**61, True), (2**62, False)):
+            s = build_scheme(WeightedPoissonSum((1, top), (Fraction(1), Fraction(1))), 2)
+            if fits:
+                assert w_distribution(s, 1e-250).support_max == 2 * top + 2
+            else:
+                with pytest.raises(ValidationError, match="int64"):
+                    w_distribution(s, 1e-250)
 
 
 class TestTailRatio:

@@ -382,6 +382,33 @@ class TestBound:
         assert header == ["y", "deviation", "bracket", "ratio"]
         assert len(rows) == 5
 
+    FAR_APART = ["empirical-constant", "--rates", "1,1", "--mstar", "2", "--y-from", "1", "--y-to", "2"]
+
+    def test_empirical_constant_at_far_apart_weights(self):
+        # the law of W spans 2**62 + 3 points, so only its 9 nonzero entries
+        # can be held
+        from scaled_poisson import poisson_tail
+
+        top = 2**61
+        code, out, err = run_cli(self.FAR_APART + ["--weights", f"1,{top}"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["2"]
+        # P(nW >= m*y) is P(W * mu >= y * sigma^2), each class Binomial(2, 1/2)
+        mu, sigma_sq = 1 + top, 1 + top * top
+        binom = {0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)}
+        p_w = sum(
+            binom[a] * binom[c] for a in binom for c in binom if (a + top * c) * mu >= 2 * sigma_sq
+        )
+        p_a = poisson_tail(float(Fraction(mu * mu, sigma_sq)), 2)
+        assert float(rows[0][1]) == pytest.approx(abs(float(p_w) / p_a - 1), rel=1e-12)
+
+    def test_empirical_constant_past_int64_is_2(self):
+        code, out, err = run_cli(self.FAR_APART + ["--weights", f"1,{2**62}"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: the law spans 9223372036854775811 lattice points, past int64 indexing\n"
+
 
 class TestSharedParser:
     """main parses with one parser per process; reuse must not carry state."""

@@ -28,6 +28,7 @@ from scaled_poisson.coupling import _table_w_needed
 
 from oracles import (
     _mp_rate,
+    coupling_laws_reference,
     enumerate_delta_joint,
     enumerate_size_bias_rhs,
     enumerate_w_law_reference,
@@ -124,7 +125,7 @@ class TestSizeBiasExact:
         assert rhs == pytest.approx(0.75, rel=1e-14)
 
     def test_refuses_large_instances(self, bench_model, bench_moments):
-        # R*M* = 402 trials, past the 400 the exact route is sized for
+        # R^2*M* = 804, past the 800 the exact route is sized for
         scheme = build_scheme(bench_model, 201)
         with pytest.raises(ValidationError, match="size_bias_sample"):
             size_bias_check_exact(scheme, lambda x: 1.0, bench_moments)
@@ -145,6 +146,35 @@ class TestSizeBiasExact:
         m = moments(model)
         lhs, rhs = size_bias_check_exact(build_scheme(model, trials), lambda x: float(x), m)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("trials, admitted", [(50, True), (51, False)])
+    def test_cost_rule_at_four_classes(self, trials, admitted):
+        # at R = 4 the rule admits M* = 50 (R^2*M* = 800) and refuses 51 (816)
+        rates = (Fraction(1, 7), Fraction(1, 3), Fraction(2, 9), Fraction(1, 11))
+        model = WeightedPoissonSum((1, 2, 3, 4), rates)
+        m, scheme = moments(model), build_scheme(model, trials)
+        if admitted:
+            lhs, rhs = size_bias_check_exact(scheme, lambda x: float(x), m)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+        else:
+            with pytest.raises(ValidationError, match=r"R\^2\*M\* <= 800.*got 816"):
+                size_bias_check_exact(scheme, lambda x: float(x), m)
+
+    @pytest.mark.parametrize(
+        "weights,rates,trials",
+        [((1, 2), (Fraction(1), Fraction(1)), 6), ((1, 2), (Fraction(1), Fraction(1)), 100)],
+        ids=["12_trials", "200_trials"],
+    )
+    def test_numerator_laws_equal_the_bare_convolutions(self, weights, rates, trials):
+        from scaled_poisson.coupling import _convolve_classes, _law_classes, _numerator_tables
+
+        scheme = build_scheme(WeightedPoissonSum(weights, rates), trials)
+        full, reduced = _numerator_tables(scheme, trials), _numerator_tables(scheme, trials - 1)
+        got = [_convolve_classes(classes) for classes in _law_classes(full, reduced)]
+        w_law, loo = coupling_laws_reference(full, reduced)
+        assert len(got) == 1 + len(loo)
+        for law, want in zip(got, [w_law, *loo]):
+            assert law.dtype == object and np.array_equal(law, want)
 
     @pytest.mark.parametrize(
         "weights,rates,trials",
@@ -192,12 +222,12 @@ class TestEnumerationReference:
     def _exact_laws(cls, scheme, trials):
         """The law of W and the leave-one-out laws the exhaustive check reads,
         each numerator read over its law's denominator as a Fraction."""
-        from scaled_poisson.coupling import _laws, _numerator_tables
+        from scaled_poisson.coupling import _convolve_classes, _law_classes, _numerator_tables
 
-        w_law, loo = _laws(_numerator_tables(scheme, trials), _numerator_tables(scheme, trials - 1))
+        tables = _law_classes(_numerator_tables(scheme, trials), _numerator_tables(scheme, trials - 1))
         laws = [
             np.array([Fraction(num, den) for num in law.tolist()], dtype=object)
-            for law, den in zip([w_law, *loo], cls._denominators(scheme, trials))
+            for law, den in zip(map(_convolve_classes, tables), cls._denominators(scheme, trials))
         ]
         return laws[0], laws[1:]
 
@@ -228,19 +258,20 @@ class TestEnumerationReference:
         got = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
 
         def enumerated_laws(_full, _reduced):
+            # each law as the one class table of its numerators, at weight 1
             laws = [enumerate_w_law_reference(full)]
             laws += [enumerate_w_law_reference(self._reduced(full, r)) for r in range(len(full))]
-            dense = [
-                _numerators(law, den) for law, den in zip(laws, self._denominators(scheme, trials))
+            return [
+                [(_numerators(law, den), 1)]
+                for law, den in zip(laws, self._denominators(scheme, trials))
             ]
-            return dense[0], dense[1:]
 
-        monkeypatch.setattr(coupling, "_laws", enumerated_laws)
+        monkeypatch.setattr(coupling, "_law_classes", enumerated_laws)
         want = [size_bias_check_exact(scheme, f, m) for _, f in F_FAMILY]
         assert got == want
 
     def test_refusal_above_limit_names_sampler(self):
-        # R*M* = 402 underlying trials
+        # R^2*M* = 1206
         model = WeightedPoissonSum((1, 2, 3), (Fraction(1), Fraction(1), Fraction(1)))
         with pytest.raises(ValidationError, match="size_bias_sample"):
             size_bias_check_exact(build_scheme(model, 134), lambda x: 1.0, moments(model))
@@ -274,7 +305,7 @@ def _exact_sides(scheme, m, f):
         float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.probs.tolist())
     )
     lhs = float(m.lambda_m) * math.fsum(
-        float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
+        float(d) * float(np.dot(lr.probs, f(n * (np.arange(lr.probs.size) + b))))
         for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
     )
     return lhs, rhs
@@ -454,7 +485,7 @@ class TestSizeBiasSample:
         w_law = w_dist.probs
         ws_law = np.zeros(w_law.size + max(scheme.replication))
         for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication):
-            ws_law[b : b + lr.size] += float(d) * lr
+            ws_law[b : b + lr.probs.size] += float(d) * lr.probs
         lam_m = float(m.lambda_m)
         lhs_values = lam_m * n * np.arange(ws_law.size)
         lhs_exact = float(np.dot(ws_law, lhs_values))
@@ -704,17 +735,17 @@ class TestJointLawOracle:
         for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
             delta_r = Fraction(b) * trials * p / m.mu
             for w, prob in joint_flip[r].items():
-                got = float(delta_r) * (1 - float(p)) * float(loo[r][w])
+                got = float(delta_r) * (1 - float(p)) * float(loo[r].probs[w])
                 assert got == pytest.approx(float(prob), rel=1e-12, abs=1e-16)
 
         # same-cell branch, aggregated: sum_r (b_r M* p_r^2 / mu) P(W_loo_r = w - b_r)
         import numpy as np
 
         support = max(joint_same, default=0) + max(scheme.replication) + 1
-        agg = np.zeros(support + max(lr.size for lr in loo))
+        agg = np.zeros(support + max(lr.probs.size for lr in loo))
         for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
             c_r = float(Fraction(b) * trials * p * p / m.mu)
-            agg[b : b + loo[r].size] += c_r * loo[r]
+            agg[b : b + loo[r].probs.size] += c_r * loo[r].probs
         for w, prob in joint_same.items():
             assert agg[w] == pytest.approx(float(prob), rel=1e-12, abs=1e-16)
 
@@ -752,6 +783,51 @@ class TestCouplingTables:
         # every check of a command reads this one cached law
         with pytest.raises(ValueError):
             w_law.probs[0] = 0.0
+
+    @pytest.mark.parametrize("cap", [1e-250, 0.0])
+    def test_leave_one_out_laws_are_read_only(self, small_model, small_moments, cap):
+        # the checks of a command share these cached laws, so a write by one
+        # would change what every later check reads
+        from scaled_poisson.coupling import _tables
+
+        scheme = build_scheme(small_model, 6)
+        before = conditional_delta_bound(scheme, small_moments, 3, cap=cap)
+        _, loo = _tables(scheme, cap)
+        for law in loo:
+            with pytest.raises(ValueError):
+                law.probs[3] *= 2
+        assert conditional_delta_bound(scheme, small_moments, 3, cap=cap) == before
+
+    @pytest.mark.parametrize(
+        "weights, rates, trials",
+        [
+            ((1, 10), (100, 30), 600),  # the benchmark model at --mstar 6, 50 and 100
+            ((1, 10), (100, 30), 5000),
+            ((1, 10), (100, 30), 10000),
+            ((1, 2, 5), (4, 3, 2), 40),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [1e-250, 0.0])
+    def test_laws_equal_the_bare_convolutions(self, weights, rates, trials, cap):
+        # one builder changes no entry of any law; each law states its own
+        # deficit, exactly 0.0 when no table was cut
+        from scaled_poisson.bernoulli_lattice import _capped_class_pmfs
+        from scaled_poisson.coupling import _tables
+
+        model = WeightedPoissonSum(weights, tuple(Fraction(r) for r in rates))
+        scheme = build_scheme(model, trials)
+        w_law, loo = _tables(scheme, cap)
+        budget = cap / len(weights)
+        full, _ = _capped_class_pmfs(scheme, trials, budget)
+        reduced, _ = _capped_class_pmfs(scheme, trials - 1, budget)
+        want_w, want_loo = coupling_laws_reference(full, reduced)
+        assert len(loo) == len(want_loo)
+        for law, want in zip([w_law, *loo], [want_w, *want_loo]):
+            assert np.array_equal(law.probs, want)
+            if cap == 0.0:
+                assert law.mass_deficit == 0.0
+            else:
+                assert 0.0 < law.mass_deficit <= cap
 
     def test_shared_tables_give_the_same_results(self, bench_model, bench_moments):
         # the checks of one command share one build of the tables; each

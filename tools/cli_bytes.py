@@ -31,7 +31,7 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # exact tail of 0 and a NaN rel_error) and below lam (NaN brackets), a y that
 # csv quoting must keep in one cell, the sweeps whose tails sit at t <= lam + 1,
 # class rates past 700, exhaustive checks at R = 3 and at and past the limit of
-# R*M* = 400 trials, rational weights on `moments` and on every command that reads a
+# R^2*M* = 800, rational weights on `moments` and on every command that reads a
 # threshold, a negative seed, epsilons whose per-class budget is and is not 0,
 # sampled checks at 1e8 samples on the benchmark model and at R = 3, rates
 # whose sigma^2 is past the float range, a Stein table whose P(A >= y)
@@ -39,8 +39,9 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # whose envelopes pass the float range, and at lam 720, which leaves it; and
 # exact laws whose top class's blocks are adjacent (weights 1,49), overlap by
 # one point (1,48), and lie apart with products that underflow to 0 (1,1000 at
-# eps 1e-300); and sampled and exhaustive checks whose W threshold
-# ceil(m*y/n) = 34 lies past W's support, 18.
+# eps 1e-300); sampled and exhaustive checks whose W threshold
+# ceil(m*y/n) = 34 lies past W's support, 18; and laws of W whose top class's
+# blocks lie apart, within int64 indexing (weights 1,2**61) and past it (1,2**62).
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -86,6 +87,10 @@ EDGE_ARGVS = [
     ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "20",
      "--samples", "10000", "--seed", "7"],
     ["coupling-check", "--weights", "1,2", "--rates", "1,1", "--mstar", "6", "--y", "20", "--exhaustive"],
+    ["empirical-constant", "--weights", "1,2305843009213693952", "--rates", "1,1", "--mstar", "2",
+     "--y-from", "1", "--y-to", "2"],
+    ["empirical-constant", "--weights", "1,4611686018427387904", "--rates", "1,1", "--mstar", "2",
+     "--y-from", "1", "--y-to", "2"],
 ]
 
 
