@@ -133,7 +133,6 @@ class TestWDistribution:
         for field in ("probs", "_points", "_values", "_sums"):
             assert getattr(law, field).tobytes() == getattr(dense, field).tobytes(), field
 
-
     def test_far_apart_weights_take_the_entry_route(self):
         # the top class's blocks lie apart: the law is built from its 9
         # nonzero products, with no dense table, entry for entry the
