@@ -168,40 +168,112 @@ def _threshold_ratio(num, den: int, strict: bool = False):
     return -((-num) // den)
 
 
+# Entries per block of the compensated running sum: its scratch buffers hold
+# one block each, so a table of any length needs no input-sized temporary.
+_BLOCK = 8192
+
+
+def _running_sums(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Compensated running sums of x in order, out[i] = sum(x[: i + 1]), each
+    within one ulp of exact; returns the total.  x must be empty (total 0.0)
+    or start with a nonzero entry.
+
+    A running sum that adds strictly in order (np.add.accumulate, which is
+    np.cumsum without its Python wrapper), the exact rounding error of every
+    step by TwoSum, and the running sum of those errors added back.  The sums
+    run through blocks of _BLOCK entries: each block's running sum is seeded
+    with the previous block's raw running sum and its error sum with the
+    previous block's error sum, so every addition is the one a single pass
+    over x makes, in the same order, and the sums are bit for bit those of
+    one pass.  Two block-sized buffers are the only scratch: a block's sums
+    are written into out and finished there, all but the last, which seeds
+    the next block.  With out None only the total is kept, and a third
+    block-sized window holds the running sums.
+    """
+    n = x.size
+    if n == 0:
+        return 0.0
+    b = min(n, _BLOCK + 1)
+    window = np.empty(b) if out is None else None
+    virt, err = np.empty(b - 1), np.empty(b)
+    # block [a, b): w[j] is the raw running sum at a - 1 + j, err[j] its error sum
+    a, w = 1, (out if window is None else window)[:b]
+    err[0] = 0.0
+    np.add.accumulate(x[:b], out=w)
+    while True:
+        k = b - a
+        prev, cur = w[:k], w[1:]
+        v = np.subtract(cur, prev, out=virt[:k])
+        e = np.subtract(cur, v, out=err[1 : k + 1])
+        np.subtract(prev, e, out=e)
+        np.subtract(x[a:b], v, out=v)
+        e += v
+        np.add.accumulate(err[: k + 1], out=err[: k + 1])
+        if window is None:
+            prev += err[:k]
+        if b == n:
+            break
+        err[0] = err[k]
+        a, b = b, min(b + _BLOCK, n)
+        if window is None:
+            w = out[a - 1 : b]
+        else:
+            window[0] = w[-1]
+            w = window[: b - a + 1]
+        w[1:] = x[a:b]
+        np.add.accumulate(w, out=w)
+    total = float(w[-1] + err[k])
+    if window is None:
+        out[n - 1] = total
+    return total
+
+
+def _nonzero_span(probs: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): from the first nonzero entry of probs to its last, (n, n)
+    if none is; the two end entries are tested first, so a table with no
+    zero end costs O(1), and the scan otherwise reads a block at a time."""
+    if probs.size == 0 or (probs[0] and probs[-1]):
+        return 0, probs.size
+
+    def first(x):
+        for a in range(0, x.size, _BLOCK):
+            hit = np.flatnonzero(x[a : a + _BLOCK])
+            if hit.size:
+                return a + int(hit[0])
+        return x.size
+
+    lo = first(probs)
+    return lo, probs.size - first(probs[lo:][::-1])
+
+
 def _suffix_sums(probs: np.ndarray) -> np.ndarray:
     """suffix[t] = sum(probs[t:]) for every t in [0, len(probs)], each within
     one ulp of exact; the last entry is the empty sum 0.0.
 
-    A running sum from the top index down (cumsum adds strictly in order), the
-    exact rounding error of every step by TwoSum, and the running sum of
-    those errors added back.  At most three input-sized arrays are live.
-    Adding an exact 0.0 leaves both the running sum and its error term
-    unchanged, so the sums over the nonzero entries alone are the sums over
-    the whole table, bit for bit, at every nonzero entry.  So a table with a
-    zero at either end (a binomial table's underflowed tail) is summed from
-    its first nonzero entry to its last only: the suffixes above that span
-    read 0.0, and those below repeat its total.
+    The compensated running sum of _running_sums from the top index down,
+    written straight into the one output array, which is the only
+    input-sized array made.  Adding an exact 0.0 leaves both the running sum
+    and its error term unchanged, so the sums over the nonzero entries alone
+    are the sums over the whole table, bit for bit, at every nonzero entry.
+    So a table with a zero at either end (a binomial table's underflowed
+    tail) is summed from its first nonzero entry to its last only: the
+    suffixes above that span read 0.0, and those below repeat its total.
     """
-    if probs.size and not (probs[0] and probs[-1]):
-        nonzero = probs != 0
-        lo = int(nonzero.argmax())
-        hi = probs.size - int(nonzero[::-1].argmax()) if nonzero[lo] else lo
-        span = _suffix_sums(probs[lo:hi])
-        return np.concatenate((np.full(lo, span[0]), span, np.zeros(probs.size - hi)))
-    x = probs[::-1]
-    out = np.zeros(x.size + 1)
-    s = np.cumsum(x, out=out[1:])
-    if s.size > 1:
-        prev, cur = s[:-1], s[1:]
-        virt = np.subtract(cur, prev)
-        err = np.subtract(cur, virt)
-        np.subtract(prev, err, out=err)
-        np.subtract(x[1:], virt, out=virt)
-        err += virt
-        del virt
-        np.cumsum(err, out=err)
-        cur += err
-    return out[::-1]
+    lo, hi = _nonzero_span(probs)
+    n = probs.size
+    # acc[j] = suffix[n - j], so the running sum writes it in order
+    acc = np.empty(n + 1)
+    acc[: n - hi + 1] = 0.0
+    _running_sums(probs[lo:hi][::-1], acc[n - hi + 1 : n - lo + 1])
+    if lo:
+        acc[n - lo + 1 :] = acc[n - lo]
+    return acc[::-1]
+
+
+def _compensated_total(probs: np.ndarray) -> float:
+    """_suffix_sums(probs)[0], bit for bit, with no suffix array."""
+    lo, hi = _nonzero_span(probs)
+    return _running_sums(probs[lo:hi][::-1])
 
 
 def _mode_table(num: np.ndarray, den: np.ndarray, mode: int, mass: float) -> np.ndarray:
@@ -213,13 +285,13 @@ def _mode_table(num: np.ndarray, den: np.ndarray, mode: int, mass: float) -> np.
     With mode the law's mode, or the table end nearest it, every ratio taken
     away from it is at most 1: nothing overflows, no anchor pmf is computed,
     and entries far out underflow to exact zeros.  One scale by the
-    compensated sum sets the mass.
+    compensated total, taken with no suffix array, sets the mass.
     """
     out = np.empty(num.size + 1)
     out[mode] = 1.0
-    np.cumprod(num[mode:] / den[mode:], out=out[mode + 1 :])
-    np.cumprod(den[:mode][::-1] / num[:mode][::-1], out=out[:mode][::-1])
-    out *= mass / _suffix_sums(out)[0]
+    np.multiply.accumulate(num[mode:] / den[mode:], out=out[mode + 1 :])
+    np.multiply.accumulate(den[:mode][::-1] / num[:mode][::-1], out=out[:mode][::-1])
+    out *= mass / _compensated_total(out)
     return out
 
 
@@ -243,9 +315,9 @@ class LatticeDistribution:
     The law is held as its nonzero entries, however it was built:
     ``_points`` their ascending indices, ``_values`` their values, and
     ``_sums`` the compensated suffix sums of those values (one more entry,
-    the empty sum 0.0), built once.  Every query reads only these and the
-    table size, so a tail is a binary search and a lookup, and zero entries
-    cost nothing.  The dense table ``probs`` is derived: a law built from
+    the empty sum 0.0), built once, when the law is made.  Every query reads
+    only these and the table size, so a tail is a binary search and a
+    lookup, and zero entries cost nothing.  The dense table ``probs`` is derived: a law built from
     ``probs`` keeps that array, read-only, and a law built from its entries
     (_lattice_law, when the last class's blocks do not overlap)
     scatters them into a new read-only table on the first read only.
@@ -293,10 +365,12 @@ class LatticeDistribution:
         object.__setattr__(self, "mass_deficit", deficit)
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_points", points)
+        # the tail sums are built here, eagerly: with the block scratch of
+        # _suffix_sums they are the only array the law adds to its entries
         object.__setattr__(self, "_sums", _suffix_sums(values))
         # set last, so freed last: a law frees its arrays in the order they
         # were set, and freeing _sums before _values lets the next wide build
-        # reuse the freed heap (482 minor page faults per build, 611 if not)
+        # reuse the freed heap (225 minor page faults per build, 354 if not)
         object.__setattr__(self, "_values", values)
 
     @functools.cached_property
@@ -394,7 +468,9 @@ def _lattice_law(classes: list[tuple[np.ndarray, int]], dropped) -> LatticeDistr
     j*b + [0, length) do not overlap, and each entry is the one product
     pmf_last(j) * lower(i) the stride would write there: only the nonzero
     products are formed, bit for bit the dense stride's law without its gap
-    zeros.  Otherwise the last class is strided densely too.  A law past
+    zeros, and the law makes no array as long as its entries but its
+    points, values and tail sums unless a product underflowed.  Otherwise
+    the last class is strided densely too.  A law past
     int64 indexing is refused.
     """
     cut = [t for t in dropped if t is not None]
@@ -410,9 +486,10 @@ def _lattice_law(classes: list[tuple[np.ndarray, int]], dropped) -> LatticeDistr
     values = np.outer(top, acc[nz]).ravel()
     points = (np.arange(top.size)[:, None] * b + nz).ravel()
     # products that underflowed are zero entries of the dense law too; the
-    # gather that drops them copies both arrays, so it runs only if one did
-    keep = values != 0
-    if not keep.all():
+    # mask and the gather that drop them copy both arrays, so they are made
+    # only if one did
+    if np.count_nonzero(values) < values.size:
+        keep = values != 0
         points, values = points[keep], values[keep]
     return LatticeDistribution._from_entries(size, points, values, deficit)
 

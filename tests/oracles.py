@@ -8,7 +8,7 @@ end are the point-by-point loops that the library's array forms replaced;
 they do the same float arithmetic one point at a time, and the CSV reference
 formats each cell by its own type, as the CLI did before column kinds.  The
 routes the library replaced by cheaper ones with the same bits (suffix sums
-over every table entry, the size-bias check over Fraction laws, the Stein
+over every table entry, and in one pass, the size-bias check over Fraction laws, the Stein
 report by gathers, the coupling laws as bare convolutions) are kept here, so
 the new routes are held to them.  So is second_order_sum, which only tests
 read.
@@ -368,6 +368,19 @@ def suffix_sums_dense(probs: np.ndarray) -> np.ndarray:
         err = (prev - (cur - virt)) + (x[1:] - virt)
         cur += np.cumsum(err)
     return out[::-1]
+
+
+def suffix_sums_reference(probs: np.ndarray) -> np.ndarray:
+    """weighted_sum._suffix_sums as one pass, before it ran through blocks:
+    a table with a zero at either end is summed over its nonzero span, the
+    rest filled by concatenation; the span takes suffix_sums_dense."""
+    if probs.size and not (probs[0] and probs[-1]):
+        nonzero = probs != 0
+        lo = int(nonzero.argmax())
+        hi = probs.size - int(nonzero[::-1].argmax()) if nonzero[lo] else lo
+        span = suffix_sums_reference(probs[lo:hi])
+        return np.concatenate((np.full(lo, span[0]), span, np.zeros(probs.size - hi)))
+    return suffix_sums_dense(probs)
 
 
 def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,7 +25,10 @@ from scaled_poisson import (
 
 from scaled_poisson.bernoulli_lattice import binomial_pmf_vector
 from scaled_poisson.poisson_core import _regularized_gamma_pq
+import scaled_poisson.weighted_sum as weighted_sum
 from scaled_poisson.weighted_sum import (
+    _BLOCK,
+    _compensated_total,
     _convolve_classes,
     _poisson_pmf_vector,
     _stride_convolve,
@@ -39,6 +43,7 @@ from oracles import (
     panjer_tail,
     panjer_tails,
     suffix_sums_dense,
+    suffix_sums_reference,
 )
 
 WIDE_MODEL = WeightedPoissonSum((1, 100, 10000), (Fraction(5), Fraction(3), Fraction(1)))
@@ -382,6 +387,131 @@ class TestSuffixSums:
             lo, hi = dist.tail(y, strict=True)
             assert lo == pytest.approx(tail, rel=1e-12)
             assert hi - lo <= 1e-12
+
+
+def _random_table(size, seed, zero_share=0.0):
+    """Entries spread over 300 decades, a share of them exact zeros."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(size) * 10.0 ** rng.integers(-300, 1, size)
+    probs[rng.random(size) < zero_share] = 0.0
+    return probs
+
+
+def _assert_blocked_sums_equal_reference(probs):
+    """_suffix_sums and _compensated_total bit for bit the one-pass sums."""
+    want = suffix_sums_reference(probs)
+    got = _suffix_sums(probs)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    total = _compensated_total(probs)
+    assert type(total) is float
+    assert np.float64(total).tobytes() == want[0].tobytes()
+
+
+def _traced_peak(f, *args):
+    """Bytes f(*args) holds at its peak beyond what was held before it, and
+    its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f(*args)
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedSums:
+    """The compensated sums run through fixed blocks, bit for bit one pass."""
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 2,
+         3 * _BLOCK + 5],
+    )
+    @pytest.mark.parametrize("zero_share", [0.0, 0.3])
+    def test_sizes_at_block_edges(self, size, zero_share):
+        probs = _random_table(size, seed=size, zero_share=zero_share)
+        if size:
+            # a nonzero end entry at each end, so the whole table is summed
+            probs[0], probs[-1] = 0.25, 0.5
+        _assert_blocked_sums_equal_reference(probs)
+
+    @pytest.mark.parametrize(
+        "lead,trail",
+        [
+            (_BLOCK + 3, _BLOCK // 2 + 7),
+            (1, _BLOCK + 1),
+            (_BLOCK, 0),
+            (0, _BLOCK + 2),
+            (2 * _BLOCK + 1, 1),
+            (1, 2 * _BLOCK + 1),
+            (3 * _BLOCK + 4, 0),  # one nonzero entry, at the top
+        ],
+    )
+    def test_zero_ended_spans_across_block_edges(self, lead, trail):
+        size = 3 * _BLOCK + 5
+        probs = _random_table(size, seed=lead + 7 * trail, zero_share=0.2)
+        probs[:lead] = 0.0
+        probs[size - trail :] = 0.0
+        probs[lead], probs[size - trail - 1] = 0.125, 0.375
+        _assert_blocked_sums_equal_reference(probs)
+
+    @pytest.mark.parametrize("size", [1, 2, 2 * _BLOCK + 3])
+    def test_all_zero_table(self, size):
+        probs = np.zeros(size)
+        _assert_blocked_sums_equal_reference(probs)
+        assert not _suffix_sums(probs).any()
+        assert _compensated_total(probs) == 0.0
+
+    @given(
+        block=st.integers(min_value=1, max_value=5),
+        size=st.integers(min_value=0, max_value=40),
+        zero_share=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_small_blocks(self, block, size, zero_share, seed):
+        # blocks of a few entries put many block edges inside a small table
+        probs = _random_table(size, seed, zero_share)
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(weighted_sum, "_BLOCK", block)
+            _assert_blocked_sums_equal_reference(probs)
+
+    def test_mode_table_totals(self):
+        # a Poisson table of rate 1e5 spans 13 blocks; a binomial table has
+        # an underflowed upper tail, so its total is over the nonzero span
+        for table in (
+            _poisson_pmf_vector(1e5, 103183, 1.0),
+            binomial_pmf_vector(10000, Fraction(1, 100)),
+        ):
+            assert table.size > _BLOCK
+            _assert_blocked_sums_equal_reference(table)
+
+
+class TestBlockedSumsMemory:
+    """The output is the only input-sized array the tail sums make."""
+
+    @pytest.mark.parametrize("lead", [0, 5])
+    def test_suffix_sums_peak_is_the_output_and_three_blocks(self, lead):
+        probs = _random_table(4 * _BLOCK, seed=4)
+        probs[0], probs[-1] = 0.25, 0.5
+        probs[:lead] = 0.0
+        peak, sums = _traced_peak(_suffix_sums, probs)
+        assert peak <= sums.nbytes + 3 * (_BLOCK + 1) * 8
+
+    def test_total_peak_is_three_blocks(self):
+        probs = _random_table(4 * _BLOCK, seed=5)
+        probs[0], probs[-1] = 0.25, 0.5
+        peak, _ = _traced_peak(_compensated_total, probs)
+        assert peak <= 3 * (_BLOCK + 1) * 8 + 4096
+
+    def test_wide_build_peak(self):
+        # 65,856 entries: points, values and tail sums are 1.51 MiB of it
+        exact_distribution(WIDE_MODEL, 1e-12)
+        peak, dist = _traced_peak(exact_distribution, WIDE_MODEL, 1e-12)
+        assert dist._points.size == 65856
+        assert peak <= 1.8 * 2**20
 
 
 def _assert_tails_equal_dense_suffix(dist, thresholds):

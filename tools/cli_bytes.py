@@ -41,7 +41,9 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # one point (1,48), and lie apart with products that underflow to 0 (1,1000 at
 # eps 1e-300); sampled and exhaustive checks whose W threshold
 # ceil(m*y/n) = 34 lies past W's support, 18; and laws of W whose top class's
-# blocks lie apart, within int64 indexing (weights 1,2**61) and past it (1,2**62).
+# blocks lie apart, within int64 indexing (weights 1,2**61) and past it (1,2**62);
+# and a dense law of S over 420,714 points, 85,694 of them nonzero, from class
+# tables of about 100,000 entries, whose compensated sums run through 11-13 blocks.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -91,6 +93,7 @@ EDGE_ARGVS = [
      "--y-from", "1", "--y-to", "2"],
     ["empirical-constant", "--weights", "1,4611686018427387904", "--rates", "1,1", "--mstar", "2",
      "--y-from", "1", "--y-to", "2"],
+    ["exact-tail", "--y", "130000", "--strict", "--weights", "1,10", "--rates", "100000,30000"],
 ]
 
 
