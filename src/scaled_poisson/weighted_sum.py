@@ -317,10 +317,11 @@ class LatticeDistribution:
     ``_sums`` the compensated suffix sums of those values (one more entry,
     the empty sum 0.0), built once, when the law is made.  Every query reads
     only these and the table size, so a tail is a binary search and a
-    lookup, and zero entries cost nothing.  The dense table ``probs`` is derived: a law built from
-    ``probs`` keeps that array, read-only, and a law built from its entries
-    (_lattice_law, when the last class's blocks do not overlap)
-    scatters them into a new read-only table on the first read only.
+    lookup, and zero entries cost nothing.  The dense table ``probs`` is
+    derived: a law built from ``probs`` keeps that array, read-only, and a
+    law built from its entries (_lattice_law, when the last class's blocks
+    do not overlap) scatters them into a new read-only table on the first
+    read only.
     """
 
     mass_deficit: float
@@ -365,8 +366,8 @@ class LatticeDistribution:
         object.__setattr__(self, "mass_deficit", deficit)
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_points", points)
-        # the tail sums are built here, eagerly: with the block scratch of
-        # _suffix_sums they are the only array the law adds to its entries
+        # built eagerly: beside the block scratch of _suffix_sums, the tail
+        # sums are the one array the law adds to its entries
         object.__setattr__(self, "_sums", _suffix_sums(values))
         # set last, so freed last: a law frees its arrays in the order they
         # were set, and freeing _sums before _values lets the next wide build
@@ -468,10 +469,10 @@ def _lattice_law(classes: list[tuple[np.ndarray, int]], dropped) -> LatticeDistr
     j*b + [0, length) do not overlap, and each entry is the one product
     pmf_last(j) * lower(i) the stride would write there: only the nonzero
     products are formed, bit for bit the dense stride's law without its gap
-    zeros, and the law makes no array as long as its entries but its
-    points, values and tail sums unless a product underflowed.  Otherwise
-    the last class is strided densely too.  A law past
-    int64 indexing is refused.
+    zeros; unless a product underflowed, the law's points, values and tail
+    sums are the only arrays as long as its entries that it makes.
+    Otherwise the last class is strided densely too.  A law past int64
+    indexing is refused.
     """
     cut = [t for t in dropped if t is not None]
     deficit = math.nextafter(fsum(cut), math.inf) if cut else 0.0
