@@ -201,10 +201,11 @@ def _depth(lam_m: float, m: int, w: int) -> int:
 
 
 def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
-    """The points q*m + c (c in cols, q >= low) up to w_max, with S0, S1 and
-    the length of the series each pair equals.
+    """(halves, Z): S0 and S1 side by side on the rows q = low .. w_max//m,
+    row q at halves[q - low], and the row Z the recurrence starts from.
 
-    Row q holds q*m + c for the columns c, one residue class each.  Both
+    Row q holds q*m + c for the columns c, one residue class each; its S0 is
+    halves[q - low, :n] and its S1 halves[q - low, n:], n = len(cols).  Both
     halves start from zero at row Z = w_max//m + J, J from _depth at the
     lowest point of row w_max//m, and every row below follows from the one
     above by S(w) = ([term 0 of w in S] + lam*m*S(w+m)) / w, all terms
@@ -212,29 +213,42 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
     backward recurrence): S0 exactly, since the top rows lie above m*y, and
     S1 within 2**-53 on row w_max//m; a step down multiplies the relative
     truncation error by lam*m*S1(w+m) / (w*S1(w)) < 1.
+
+    Beside the returned state, the one array as large as it is the divisor
+    table: the term-0 rows are shared, one for the rows wholly below m*y,
+    one for those wholly at or above it, and a row of its own only for a row
+    that straddles m*y.
     """
     m = ctx.lattice_step
+    my = ctx.threshold_point
     lam_m = float(ctx.lambda_m)
     n = cols.size
     top = w_max // m
-    z = top + _depth(lam_m, m, top * m + int(cols[0]))
-    grid = m * np.arange(low, z)[:, None] + cols
+    c_low, c_high = int(cols[0]), int(cols[-1])
+    z = top + _depth(lam_m, m, top * m + c_low)
+    # exact integers, so the same floats as the integer points converted
+    divisors = list(m * np.arange(low, z, dtype=float)[:, None] + np.concatenate((cols, cols)))
 
-    # the halves side by side, one vector step per row, from the zero row Z
-    halves = np.zeros((grid.shape[0] + 1, 2 * n))
-    at_or_above = grid >= ctx.threshold_point
+    # term 0 of each half: ones on S0 below m*y, on S1 at or above it
+    below, above = np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n)
+    # the first row whose last point reaches m*y, and the first whose first does
+    reaching = min(max(-((c_high - my) // m), low), z)
+    over = min(max(-((c_low - my) // m), low), z)
+    firsts = [below] * (reaching - low)
+    for q in range(reaching, over):
+        w = m * q + cols
+        firsts.append(np.concatenate((w < my, w >= my)).astype(float))
+    firsts += [above] * (z - over)
+
+    # one vector step per row, from the zero row Z
+    halves = np.zeros((z - low + 1, 2 * n))
     rows = list(halves)
-    firsts = list(np.hstack((~at_or_above, at_or_above)).astype(float))
-    divisors = list(np.hstack((grid, grid)).astype(float))
     for q in range(len(rows) - 2, -1, -1):
         row = rows[q]
         np.multiply(rows[q + 1], lam_m, out=row)
         row += firsts[q]
         row /= divisors[q]
-    kept = slice(0, top - low + 1)
-    needed = grid[kept] <= w_max
-    terms = np.broadcast_to(z - np.arange(low, top + 1)[:, None], needed.shape)
-    return grid[kept][needed], halves[kept, :n][needed], halves[kept, n:][needed], terms[needed]
+    return halves[: top - low + 1], z
 
 
 def solve_stein(
@@ -249,6 +263,13 @@ def solve_stein(
     term 0.  f(0) is fixed to 0: the Stein equation at w = 0 constrains only
     f(m), and nothing downstream reads f(0).  Raises NumericalRangeError when
     a computed value is not finite.
+
+    Row q's points q*m + c are the last len(cols) of the m entries from
+    q*m + 1, so the rows of _halves are a (rows, m) view of the table, or
+    its stride-m column: P*S0 - (1-P)*S1 and the series lengths are written
+    there in place, the halves scaled where they lie.  The table is
+    allocated through the top row's last point and handed back cut at w_max,
+    so the halves and one divisor table are its only scratch as large as it.
     """
     m = ctx.lattice_step
     y = ctx.threshold_y
@@ -260,8 +281,9 @@ def solve_stein(
     lam_m = float(ctx.lambda_m)
     p_ge = poisson_tail(lam, y)
 
-    values = np.full(w_max + 1, np.nan)
-    counts = np.zeros(w_max + 1, dtype=np.int64)
+    top = w_max // m
+    values = np.full((top + 1) * m + 1, np.nan)
+    counts = np.zeros(values.size, dtype=np.int64)
     values[0] = 0.0
 
     # Column m is the lattice.  Off it every row from 0 is needed, on it only
@@ -270,18 +292,26 @@ def solve_stein(
         cols, low = np.arange(1, m + 1), 0
     else:
         cols, low = np.array([m]), y
+    n = cols.size
+
+    def rows_of(table):
+        return table[low * m + 1 :].reshape(-1, m)[:, m - n :]
+
     # D_low(1) = 1 and D_low(j+1) = 1 + (j/lam) D_low(j): all terms positive.
     d_low = [1.0]
     for j in range(1, y):
         d_low.append(1.0 + j / lam * d_low[-1])
-    lattice_low = m * np.arange(1, y + 1)
     # a value out of float range is reported below, not warned about here
     with np.errstate(over="ignore", invalid="ignore"):
-        points, s0, s1, terms = _halves(ctx, cols, low, w_max)
-        values[points] = p_ge * s0 - (1.0 - p_ge) * s1
-        values[lattice_low] = -p_ge * np.array(d_low) / lam_m
-    counts[points] = terms
-    counts[lattice_low] = np.arange(1, y + 1)
+        halves, z = _halves(ctx, cols, low, w_max)
+        s0, s1 = halves[:, :n], halves[:, n:]
+        s0 *= p_ge
+        s1 *= 1.0 - p_ge
+        np.subtract(s0, s1, out=rows_of(values))
+        values[m : my + 1 : m] = -p_ge * np.array(d_low) / lam_m
+    rows_of(counts)[:] = (z - np.arange(low, top + 1))[:, None]
+    counts[m : my + 1 : m] = np.arange(1, y + 1)
+    values, counts = values[: w_max + 1], counts[: w_max + 1]
 
     bad = np.flatnonzero((counts > 0) & ~np.isfinite(values))
     if bad.size:
@@ -290,11 +320,12 @@ def solve_stein(
             f" for lam = {ctx.lam}: it leaves the float range"
         )
 
-    lattice = np.arange(0, w_max // m + 1) * m
-    fw = values[lattice[:-1]]
-    fwm = values[lattice[1:]]
-    h = (lattice[:-1] >= my).astype(float)
-    residuals = np.abs(lam_m * fwm - lattice[:-1] * fw - (h - p_ge))
+    # the Stein equation at w = 0, m, ..., (top - 1)*m
+    lattice = np.arange(0, top) * m
+    fw = values[: top * m : m]
+    fwm = values[m : top * m + 1 : m]
+    h = (lattice >= my).astype(float)
+    residuals = np.abs(lam_m * fwm - lattice * fw - (h - p_ge))
     residual_max = float(residuals.max()) if residuals.size else 0.0
 
     return SteinSolutionTable(

@@ -9,8 +9,9 @@ they do the same float arithmetic one point at a time, and the CSV reference
 formats each cell by its own type, as the CLI did before column kinds.  The
 routes the library replaced by cheaper ones with the same bits (suffix sums
 over every table entry, and in one pass, the size-bias check over Fraction laws, the Stein
-report by gathers, the coupling laws as bare convolutions) are kept here, so
-the new routes are held to them.  So is second_order_sum, which only tests
+report by gathers, the Stein table through 2-D scratch tables and gathers, the
+coupling laws as bare convolutions) are kept here, so the new routes are held
+to them.  So is second_order_sum, which only tests
 read.
 """
 
@@ -34,7 +35,9 @@ from scaled_poisson.stein_lattice import (
     _LOG_FINITE,
     PropertyCheck,
     PropertyReport,
+    SteinSolutionTable,
     _check,
+    _depth,
     _envelope,
     _log_factorial_envelope,
     _solved_for,
@@ -399,6 +402,92 @@ def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:
         ratio = lam / (j + d)
         if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol * acc:
             return acc
+
+
+def _stein_halves_gathered(ctx, cols: np.ndarray, low: int, w_max: int):
+    """stein_lattice._halves as it was before it wrote into the table: the
+    points q*m + c (c in cols, q >= low) up to w_max with S0, S1 and their
+    series lengths, from an int grid, a 2-D table of first terms, a float
+    copy of the stacked grid, and four gathers."""
+    m = ctx.lattice_step
+    lam_m = float(ctx.lambda_m)
+    n = cols.size
+    top = w_max // m
+    z = top + _depth(lam_m, m, top * m + int(cols[0]))
+    grid = m * np.arange(low, z)[:, None] + cols
+
+    halves = np.zeros((grid.shape[0] + 1, 2 * n))
+    at_or_above = grid >= ctx.threshold_point
+    rows = list(halves)
+    firsts = list(np.hstack((~at_or_above, at_or_above)).astype(float))
+    divisors = list(np.hstack((grid, grid)).astype(float))
+    for q in range(len(rows) - 2, -1, -1):
+        row = rows[q]
+        np.multiply(rows[q + 1], lam_m, out=row)
+        row += firsts[q]
+        row /= divisors[q]
+    kept = slice(0, top - low + 1)
+    needed = grid[kept] <= w_max
+    terms = np.broadcast_to(z - np.arange(low, top + 1)[:, None], needed.shape)
+    return grid[kept][needed], halves[kept, :n][needed], halves[kept, n:][needed], terms[needed]
+
+
+def solve_stein_gathered(ctx, w_max: int, include_off_lattice: bool = False):
+    """stein_lattice.solve_stein as it was before it wrote each row straight
+    into the table: the same float operations in the same order, with the
+    points scattered from _stein_halves_gathered's gathers."""
+    m = ctx.lattice_step
+    y = ctx.threshold_y
+    my = ctx.threshold_point
+    w_max = int(w_max)
+    if w_max < m * (y + 10):
+        raise ValidationError(f"w_max must be at least m*(y+10) = {m * (y + 10)}")
+    lam = float(ctx.lam)
+    lam_m = float(ctx.lambda_m)
+    p_ge = poisson_tail(lam, y)
+
+    values = np.full(w_max + 1, np.nan)
+    counts = np.zeros(w_max + 1, dtype=np.int64)
+    values[0] = 0.0
+
+    if include_off_lattice and m > 1:
+        cols, low = np.arange(1, m + 1), 0
+    else:
+        cols, low = np.array([m]), y
+    d_low = [1.0]
+    for j in range(1, y):
+        d_low.append(1.0 + j / lam * d_low[-1])
+    lattice_low = m * np.arange(1, y + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, s0, s1, terms = _stein_halves_gathered(ctx, cols, low, w_max)
+        values[points] = p_ge * s0 - (1.0 - p_ge) * s1
+        values[lattice_low] = -p_ge * np.array(d_low) / lam_m
+    counts[points] = terms
+    counts[lattice_low] = np.arange(1, y + 1)
+
+    bad = np.flatnonzero((counts > 0) & ~np.isfinite(values))
+    if bad.size:
+        raise NumericalRangeError(
+            f"f_h is not finite at {bad.size} points, the first at w = {int(bad[0])},"
+            f" for lam = {ctx.lam}: it leaves the float range"
+        )
+
+    lattice = np.arange(0, w_max // m + 1) * m
+    fw = values[lattice[:-1]]
+    fwm = values[lattice[1:]]
+    h = (lattice[:-1] >= my).astype(float)
+    residuals = np.abs(lam_m * fwm - lattice[:-1] * fw - (h - p_ge))
+    residual_max = float(residuals.max()) if residuals.size else 0.0
+
+    return SteinSolutionTable(
+        ctx=ctx,
+        w_max=w_max,
+        values=values,
+        truncation_terms=counts,
+        tail_at_threshold=p_ge,
+        has_off_lattice=bool(include_off_lattice),
+        residual_max=residual_max,
+    )
 
 
 def verify_f_properties_reference(ctx, table, grid=None) -> PropertyReport:

@@ -18,6 +18,12 @@ from scaled_poisson.cli import build_parser, main
 from oracles import panjer_tail, reference_csv
 
 
+# weights 2**61 apart: the top class's leave-one-out law once strided 2**61
+# zeros before the Stein table was ever sized
+COUPLING_FAR_APART = ["coupling-check", "--weights", "1,2305843009213693952", "--rates", "1,1",
+                      "--mstar", "2", "--y", "2"]
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -409,6 +415,23 @@ class TestBound:
         assert out == ""
         assert err == "error: the law spans 9223372036854775811 lattice points, past int64 indexing\n"
 
+    def test_coupling_check_at_far_apart_weights_is_2(self, monkeypatch):
+        # k = n/m has m near 2**122, so the Stein table over n*W spans more
+        # points than int64 indexes, whatever W's support: refused before
+        # any law is built
+        def no_tables(*args):
+            raise AssertionError("a law was built for a table past int64")
+
+        monkeypatch.setattr(cli, "_tables", no_tables)
+        code, out, err = run_cli(COUPLING_FAR_APART)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the Stein table spans at least 6911985578081562539")
+        assert err.endswith(
+            "(m = 5316911983139663491615228241121378305, n = 2305843009213693953), "
+            "past int64 indexing\n"
+        )
+
 
 class TestSharedParser:
     """main parses with one parser per process; reuse must not carry state."""
@@ -692,6 +715,7 @@ class TestProcess:
             (["moments"], 0),
             (["bound", "--y", "40"], 2),
             (["approx-tail", "--y", "1/0"], 2),
+            (COUPLING_FAR_APART, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, code):

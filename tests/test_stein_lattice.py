@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from oracles import (
     mp_stein_depth,
     mp_stein_halves,
     mp_stein_solution,
+    solve_stein_gathered,
     stein_d_high_reference,
     verify_f_properties_gather,
     verify_f_properties_reference,
@@ -663,3 +665,85 @@ class TestLatticeRecurrence:
             assert table.truncation_terms[m * j] == j
         assert worst <= 4e-15
         assert table.residual_max <= 1e-9
+
+
+# (context, w_max) of the tables written in place, each solved on both
+# routes: coupling-check's and stein-check's benchmark tables, m = 1, a full
+# and a partial top row (w_max % m of 0 and m - 1), and the float edges.
+IN_PLACE_CASES = {
+    "coupling_table": (BENCH_CTX, 16727),
+    "stein_check": (BENCH_CTX, 5000),
+    "full_top_row": (BENCH_CTX, 31 * 115),
+    "partial_top_row": (BENCH_CTX, 31 * 116 - 1),
+    "small_full_top_row": (SMALL_CTX, 5 * 80),
+    "small_partial_top_row": (SMALL_CTX, 5 * 81 - 1),
+    "unit_lattice": (UNIT_CTX, 80),
+    "y40": (Y40_CTX, 31 * 95),
+    "tall_off_lattice": (Y600_CTX, 3 * 700),
+    **{case: (ctx, w_max) for case, (ctx, w_max, _, _) in FLOAT_EDGE_CASES.items()},
+}
+
+# tables with values out of float range: near w = 1 at lam 720 and 5000, and
+# below m*y where P underflows and D_low overflows
+OUT_OF_RANGE_CASES = {
+    "lam720": (SteinContext(lam=Fraction(720), lattice_step=7, scale_num=1, threshold_y=900), 6370),
+    "lam5000": (SteinContext(lam=Fraction(5000), lattice_step=1, scale_num=1, threshold_y=600), 2000),
+    "d_low": (
+        SteinContext(lam=Fraction(1600, 31), lattice_step=31, scale_num=4, threshold_y=1000),
+        31 * 1010,
+    ),
+}
+
+
+def _outcome(solve, ctx, w_max, off):
+    """The table's bytes and scalars, or the text of its NumericalRangeError."""
+    try:
+        t = solve(ctx, w_max, include_off_lattice=off)
+    except NumericalRangeError as e:
+        return str(e)
+    return (
+        t.values.tobytes(),
+        t.truncation_terms.dtype,
+        t.truncation_terms.tobytes(),
+        t.residual_max,
+        t.tail_at_threshold,
+        t.values.size == t.truncation_terms.size == w_max + 1,
+    )
+
+
+class TestTableWrittenInPlace:
+    """solve_stein writes each row of the recurrence straight into its table,
+    bit for bit the table the 2-D scratch tables and gathers built."""
+
+    @pytest.mark.parametrize("off", [True, False])
+    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    def test_table_equals_gathered_table(self, case, off):
+        ctx, w_max = IN_PLACE_CASES[case]
+        got = _outcome(solve_stein, ctx, w_max, off)
+        assert got == _outcome(solve_stein_gathered, ctx, w_max, off)
+        assert got[-1] is True
+
+    @pytest.mark.parametrize("off", [True, False])
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CASES))
+    def test_out_of_range_text_equals_gathered(self, case, off):
+        # the same count of non-finite points and the same first w
+        ctx, w_max = OUT_OF_RANGE_CASES[case]
+        got = _outcome(solve_stein, ctx, w_max, off)
+        assert got == _outcome(solve_stein_gathered, ctx, w_max, off)
+        if off:
+            assert got.startswith("f_h is not finite at ")
+
+    def test_peak_memory_within_the_table(self):
+        # coupling-check's table: 16,728 points, 62 columns, 556 rows.  The
+        # halves and one divisor table, each about twice the values, are its
+        # only input-sized scratch: 3.6 times the table's arrays, against
+        # 7.5 through 2-D scratch tables and gathers.
+        ctx, w_max = IN_PLACE_CASES["coupling_table"]
+        solve_stein(ctx, w_max, include_off_lattice=True)
+        tracemalloc.start()
+        try:
+            table = solve_stein(ctx, w_max, include_off_lattice=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * (table.values.nbytes + table.truncation_terms.nbytes)

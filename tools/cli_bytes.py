@@ -42,8 +42,10 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # eps 1e-300); sampled and exhaustive checks whose W threshold
 # ceil(m*y/n) = 34 lies past W's support, 18; and laws of W whose top class's
 # blocks lie apart, within int64 indexing (weights 1,2**61) and past it (1,2**62);
-# and a dense law of S over 420,714 points, 85,694 of them nonzero, from class
-# tables of about 100,000 entries, whose compensated sums run through 11-13 blocks.
+# a dense law of S over 420,714 points, 85,694 of them nonzero, from class
+# tables of about 100,000 entries, whose compensated sums run through 11-13
+# blocks; and a coupling check at weights 1,2**61, whose Stein table is past
+# int64 indexing.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -94,6 +96,8 @@ EDGE_ARGVS = [
     ["empirical-constant", "--weights", "1,4611686018427387904", "--rates", "1,1", "--mstar", "2",
      "--y-from", "1", "--y-to", "2"],
     ["exact-tail", "--y", "130000", "--strict", "--weights", "1,10", "--rates", "100000,30000"],
+    ["coupling-check", "--weights", "1,2305843009213693952", "--rates", "1,1", "--mstar", "2",
+     "--y", "2"],
 ]
 
 
