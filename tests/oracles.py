@@ -404,7 +404,7 @@ def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:
             return acc
 
 
-def _stein_halves_gathered(ctx, cols: np.ndarray, low: int, w_max: int):
+def stein_halves_gathered(ctx, cols: np.ndarray, low: int, w_max: int):
     """stein_lattice._halves as it was before it wrote into the table: the
     points q*m + c (c in cols, q >= low) up to w_max with S0, S1 and their
     series lengths, from an int grid, a 2-D table of first terms, a float
@@ -435,7 +435,7 @@ def _stein_halves_gathered(ctx, cols: np.ndarray, low: int, w_max: int):
 def solve_stein_gathered(ctx, w_max: int, include_off_lattice: bool = False):
     """stein_lattice.solve_stein as it was before it wrote each row straight
     into the table: the same float operations in the same order, with the
-    points scattered from _stein_halves_gathered's gathers."""
+    points scattered from stein_halves_gathered's gathers."""
     m = ctx.lattice_step
     y = ctx.threshold_y
     my = ctx.threshold_point
@@ -459,7 +459,7 @@ def solve_stein_gathered(ctx, w_max: int, include_off_lattice: bool = False):
         d_low.append(1.0 + j / lam * d_low[-1])
     lattice_low = m * np.arange(1, y + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        points, s0, s1, terms = _stein_halves_gathered(ctx, cols, low, w_max)
+        points, s0, s1, terms = stein_halves_gathered(ctx, cols, low, w_max)
         values[points] = p_ge * s0 - (1.0 - p_ge) * s1
         values[lattice_low] = -p_ge * np.array(d_low) / lam_m
     counts[points] = terms

@@ -24,7 +24,7 @@ from scaled_poisson import (
     stein_apply,
     verify_f_properties,
 )
-from scaled_poisson.stein_lattice import SteinSolutionTable, factorial_envelope
+from scaled_poisson.stein_lattice import SteinSolutionTable, _halves, factorial_envelope
 
 from oracles import (
     mp_d_low,
@@ -33,6 +33,7 @@ from oracles import (
     mp_stein_solution,
     solve_stein_gathered,
     stein_d_high_reference,
+    stein_halves_gathered,
     verify_f_properties_gather,
     verify_f_properties_reference,
 )
@@ -722,6 +723,25 @@ class TestTableWrittenInPlace:
         got = _outcome(solve_stein, ctx, w_max, off)
         assert got == _outcome(solve_stein_gathered, ctx, w_max, off)
         assert got[-1] is True
+
+    @pytest.mark.parametrize("off", [True, False])
+    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    def test_halves_equal_gathered_halves(self, case, off):
+        # the table's lattice points at or below m*y take D_low values, so the
+        # halves there, on the row straddling m*y among them, are held here
+        ctx, w_max = IN_PLACE_CASES[case]
+        m, top = ctx.lattice_step, w_max // ctx.lattice_step
+        cols, low = (np.arange(1, m + 1), 0) if off and m > 1 else (np.array([m]), ctx.threshold_y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            halves, z = _halves(ctx, cols, low, w_max)
+            points, s0, s1, terms = stein_halves_gathered(ctx, cols, low, w_max)
+        grid = m * np.arange(low, top + 1)[:, None] + cols
+        needed = grid <= w_max
+        assert np.array_equal(grid[needed], points)
+        assert halves[:, : cols.size][needed].tobytes() == s0.tobytes()
+        assert halves[:, cols.size :][needed].tobytes() == s1.tobytes()
+        rows = np.broadcast_to(z - np.arange(low, top + 1)[:, None], needed.shape)
+        assert np.array_equal(rows[needed], terms)
 
     @pytest.mark.parametrize("off", [True, False])
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CASES))
