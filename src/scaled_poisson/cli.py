@@ -21,13 +21,7 @@ import typing
 from fractions import Fraction
 
 from .bernoulli_lattice import build_scheme, default_trials
-from .coupling import (
-    _table_w_needed,
-    _tables,
-    h_decomposition,
-    size_bias_check_exact,
-    size_bias_sample,
-)
+from .coupling import _stein_table, h_decomposition, size_bias_check_exact, size_bias_sample
 from .errors import NumericalRangeError, ValidationError
 from .experiments import (
     ExperimentRow,
@@ -223,22 +217,8 @@ def _coupling_check(args, model, _):
     trials = default_trials(model, args.mstar)
     scheme = build_scheme(model, trials)
     ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=args.y)
-
-    def table_w_max(support: int) -> int:
-        """The Stein table's w_max for a law of W up to support."""
-        return max(_table_w_needed(m, support, scheme.replication), m.k_den * (args.y + 10)) + m.k_den
-
-    # the table spans at least this many points whatever W's support, so a
-    # scheme past int64 indexing is refused before its laws are built
-    points = table_w_max(0) + 1
-    if points > 2**63 - 1:
-        raise ValidationError(
-            f"the Stein table spans at least {points} points (m = {m.k_den}, n = {m.k_num}), "
-            "past int64 indexing"
-        )
-    # the class tables and laws, built once here and read by both checks
-    w_law, _ = _tables(scheme, 1e-250)
-    table = solve_stein(ctx, table_w_max(w_law.support_max), include_off_lattice=True)
+    # the class tables and laws are built once here and read by both checks
+    table = _stein_table(scheme, m, ctx)
     hd = h_decomposition(scheme, m, ctx, table)
     # %.17g writes a count up to 2**53 exactly; a larger one never gets here,
     # as its class tables would need more entries than memory holds

@@ -15,9 +15,9 @@ over the joint law of (W, Delta) feasible, so the decomposition doubles as a
 crisp numerical identity check).  Leave-one-trial-out laws are reused once per
 class: all copies inside a class are exchangeable, so the N* per-index terms
 collapse to R convolutions.  _law_classes lists the class tables of every
-law here; the float laws are LatticeDistributions from weighted_sum's one
-builder, and the exhaustive check convolves lists of integer tables, so its
-laws are exact, each an integer numerator over one known denominator.
+law here.  Each leave-one-out law is the bare table of weighted_sum's one
+stride convolution, the float law of W comes from its one builder, and the
+exhaustive check's laws are exact integer numerators over one denominator.
 
 Exact computations are pure.  The Monte Carlo check draws each side's tally
 by value as one multinomial over that side's law, in O(support) whatever the
@@ -37,7 +37,7 @@ import numpy as np
 from .bernoulli_lattice import BernoulliScheme, _capped_class_pmfs, scheme_moments
 from .errors import ValidationError
 from .poisson_core import _regularized_gamma_pq, poisson_tail
-from .stein_lattice import SteinContext, SteinSolutionTable, _solved_for
+from .stein_lattice import SteinContext, SteinSolutionTable, _solved_for, solve_stein
 from .weighted_sum import (
     LatticeDistribution,
     SumMoments,
@@ -110,9 +110,8 @@ def delta_distribution(scheme: BernoulliScheme, m: SumMoments) -> DeltaDistribut
 
 def _law_classes(full: list, reduced: list) -> list[list]:
     """The classes of the law of W, then per class r of the law with one
-    class-r trial removed: full and reduced hold one entry per class (a
-    (pmf, b_r) table, or its cut's dropped mass) for M* and M* - 1 trials.
-    """
+    class-r trial removed, from one (pmf, b_r) table per class for M* (full)
+    and M* - 1 (reduced) trials."""
     return [full] + [[reduced[r]] + full[:r] + full[r + 1 :] for r in range(len(full))]
 
 
@@ -189,8 +188,8 @@ def _apply(f, arr: np.ndarray) -> np.ndarray:
 def _tables(scheme: BernoulliScheme, cap: float) -> tuple[LatticeDistribution, tuple]:
     """The laws of _law_classes from the capped float tables of
     Binomial(M*, p_r) and Binomial(M* - 1, p_r), each upper tail within
-    cap / R, as LatticeDistributions: W's, equal to w_distribution(scheme,
-    cap), and the tuple of leave-one-out laws.
+    cap / R: W's LatticeDistribution, equal to w_distribution(scheme, cap),
+    and the leave-one-out laws as bare tables from W = 0, with no deficit.
 
     Built once for consecutive calls on the same (scheme, cap), as the
     checks of one command make; they share the laws, whose tables are
@@ -199,11 +198,14 @@ def _tables(scheme: BernoulliScheme, cap: float) -> tuple[LatticeDistribution, t
     if not 0.0 <= cap < 1.0:
         raise ValidationError(f"cap must be in [0, 1), got {cap!r}")
     m_star, budget = scheme.trials_per_class, cap / scheme.class_count
-    (full, cut), (reduced, reduced_cut) = (
-        _capped_class_pmfs(scheme, t, budget) for t in (m_star, m_star - 1)
-    )
-    w_law, *loo = map(_lattice_law, _law_classes(full, reduced), _law_classes(cut, reduced_cut))
-    return w_law, tuple(loo)
+    (full, cut), (reduced, _) = (_capped_class_pmfs(scheme, t, budget) for t in (m_star, m_star - 1))
+    w_law = _lattice_law(full, cut)
+    # the top class's law strides by the top weight first, so each later
+    # stride holds a temporary that wide: built first, it meets only W's law
+    loo = tuple(map(_convolve_classes, _law_classes(full, reduced)[:0:-1]))[::-1]
+    for lr in loo:
+        lr.flags.writeable = False
+    return w_law, loo
 
 
 def _count_sums(counts: np.ndarray, values) -> tuple[float, float]:
@@ -260,11 +262,11 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
     g = np.random.default_rng(seed)
     tally_w = g.multinomial(n_samples, w_law.probs)
     # largest value W^s can take, plus one
-    top = max(b + lr.support_max for lr, b in zip(loo, scheme.replication)) + 1
+    top = max(b + lr.size for lr, b in zip(loo, scheme.replication))
     tally_s = np.zeros(top, dtype=np.int64)
     blocks = g.multinomial(n_samples, deltas).tolist()
     for picked, lr, b in zip(blocks, loo, scheme.replication):
-        tally_s[b : b + lr.support_max + 1] += g.multinomial(picked, lr.probs)
+        tally_s[b : b + lr.size] += g.multinomial(picked, lr)
     sum_l, sumsq_l = _count_sums(tally_s, lambda v: lam_m * _apply(f, n * v))
     sum_r, sumsq_r = _count_sums(tally_w, lambda v: (n * v) * _apply(f, n * v))
     mean_l = sum_l / n_samples
@@ -294,8 +296,9 @@ def conditional_delta_bound(
     if p_w <= 0.0:
         raise ValidationError(f"P(W = {w}) is zero; conditional undefined")
     out = []
-    for r, (p, delta_r) in enumerate(zip(scheme.class_probs, _class_deltas(scheme, m))):
-        joint = float(delta_r) * (1.0 - float(p)) * loo[r].pmf(w)
+    for lr, p, delta_r in zip(loo, scheme.class_probs, _class_deltas(scheme, m)):
+        # w >= 0 as P(W = w) > 0; W's law reaches past the end of lr
+        joint = float(delta_r) * (1.0 - float(p)) * (float(lr[w]) if w < lr.size else 0.0)
         out.append((joint / p_w, delta_r))
     return out
 
@@ -313,6 +316,25 @@ def _table_w_needed(m: SumMoments, support: int, replication) -> int:
     """The largest w at which h_decomposition reads the Stein table: f at
     n*W + m and n*W + n*b_r, for W up to the W law's support."""
     return m.k_num * support + max(m.k_den, m.k_num * max(replication))
+
+
+def _stein_table(scheme: BernoulliScheme, m: SumMoments, ctx: SteinContext) -> SteinSolutionTable:
+    """The Stein table, with off-lattice points, that h_decomposition reads
+    for scheme at cap 1e-250: to _table_w_needed at W's support, at least
+    solve_stein's m*(y + 10), and one m more.  One past int64 indexing at
+    support 0 is refused before any law is built."""
+    floor = m.k_den * (ctx.threshold_y + 10)
+
+    def w_max(support: int) -> int:
+        return max(_table_w_needed(m, support, scheme.replication), floor) + m.k_den
+
+    if (points := w_max(0) + 1) > 2**63 - 1:
+        raise ValidationError(
+            f"the Stein table spans at least {points} points (m = {m.k_den}, n = {m.k_num}), "
+            "past int64 indexing"
+        )
+    w_law, _ = _tables(scheme, 1e-250)
+    return solve_stein(ctx, w_max(w_law.support_max), include_off_lattice=True)
 
 
 def _stein_deltas(
@@ -366,7 +388,7 @@ def h_decomposition(
     h_r = []
     for p, b, delta_r, lr in zip(scheme.class_probs, scheme.replication, deltas, loo):
         padded = np.zeros(b + support + 1)
-        padded[b : b + min(lr.support_max, support) + 1] = lr.probs[: support + 1]
+        padded[b : b + min(lr.size, support + 1)] = lr[: support + 1]
         h0_terms += float(delta_r * p) * padded[: support + 1]
         f_shift_b = table.values[nw + n * b]
         joint = float(delta_r * (1 - p))

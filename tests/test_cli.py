@@ -419,10 +419,12 @@ class TestBound:
         # k = n/m has m near 2**122, so the Stein table over n*W spans more
         # points than int64 indexes, whatever W's support: refused before
         # any law is built
+        from scaled_poisson import coupling
+
         def no_tables(*args):
             raise AssertionError("a law was built for a table past int64")
 
-        monkeypatch.setattr(cli, "_tables", no_tables)
+        monkeypatch.setattr(coupling, "_tables", no_tables)
         code, out, err = run_cli(COUPLING_FAR_APART)
         assert code == 2
         assert out == ""

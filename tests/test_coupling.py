@@ -24,7 +24,7 @@ from scaled_poisson import (
     w_distribution,
 )
 
-from scaled_poisson.coupling import _table_w_needed
+from scaled_poisson.coupling import _stein_table, _table_w_needed
 
 from oracles import (
     _mp_rate,
@@ -54,14 +54,10 @@ F_FAMILY = [
 ]
 
 
-def _stein_setup(model, m, y, mstar_factor, w_cap=1e-250):
+def _stein_setup(model, m, y, mstar_factor):
     scheme = build_scheme(model, default_trials(model, mstar_factor))
     ctx = SteinContext(lam=m.lam, lattice_step=m.k_den, scale_num=m.k_num, threshold_y=y)
-    wd = w_distribution(scheme, epsilon=w_cap)
-    w_max = max(_table_w_needed(m, wd.support_max, scheme.replication), m.k_den * (y + 10))
-    w_max += m.k_den
-    table = solve_stein(ctx, w_max, include_off_lattice=True)
-    return scheme, ctx, table
+    return scheme, ctx, _stein_table(scheme, m, ctx)
 
 
 class TestDeltaDistribution:
@@ -305,7 +301,7 @@ def _exact_sides(scheme, m, f):
         float(p) * (n * w) * f(n * w) for w, p in enumerate(w_law.probs.tolist())
     )
     lhs = float(m.lambda_m) * math.fsum(
-        float(d) * float(np.dot(lr.probs, f(n * (np.arange(lr.probs.size) + b))))
+        float(d) * float(np.dot(lr, f(n * (np.arange(lr.size) + b))))
         for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication)
     )
     return lhs, rhs
@@ -485,7 +481,7 @@ class TestSizeBiasSample:
         w_law = w_dist.probs
         ws_law = np.zeros(w_law.size + max(scheme.replication))
         for d, lr, b in zip(_class_deltas(scheme), loo, scheme.replication):
-            ws_law[b : b + lr.probs.size] += float(d) * lr.probs
+            ws_law[b : b + lr.size] += float(d) * lr
         lam_m = float(m.lambda_m)
         lhs_values = lam_m * n * np.arange(ws_law.size)
         lhs_exact = float(np.dot(ws_law, lhs_values))
@@ -561,6 +557,36 @@ class TestConditionalDeltaBound:
         scheme = build_scheme(small_model, 4)
         with pytest.raises(ValidationError):
             conditional_delta_bound(scheme, small_moments, 10_000)
+
+    @pytest.mark.parametrize(
+        "weights,rates,trials",
+        [
+            ((1, 2), (Fraction(1), Fraction(1)), 4),
+            ((2, 5), (Fraction(1), Fraction(1)), 3),
+            ((1, 2, 5), (Fraction(1), Fraction(1, 2), Fraction(1)), 3),
+        ],
+    )
+    def test_past_the_end_of_a_leave_one_out_table(self, weights, rates, trials):
+        # at cap 0 the law of W reaches b_r points past class r's
+        # leave-one-out table, and at its top point no class-r trial is
+        # zero, so every flipped-trial joint there is 0
+        from scaled_poisson.coupling import _tables
+
+        model = WeightedPoissonSum(weights, rates)
+        m = moments(model)
+        scheme = build_scheme(model, trials)
+        w_law, loo = _tables(scheme, 0.0)
+        top = w_law.support_max
+        assert [top + 1 - lr.size for lr in loo] == list(weights)
+        _, joint_flip = enumerate_delta_joint(weights, list(scheme.class_probs), trials)
+        full = [(trials, p, b) for p, b in zip(scheme.class_probs, weights)]
+        w_law_exact = enumerate_w_law_reference(full)
+        for w in (top - weights[0], top):
+            pairs = conditional_delta_bound(scheme, m, w, cap=0.0)
+            for r, (cond, _) in enumerate(pairs):
+                want = float(joint_flip[r].get(w, Fraction(0)) / w_law_exact[w])
+                assert cond == pytest.approx(want, rel=1e-12, abs=0.0), (w, r)
+        assert [cond for cond, _ in pairs] == [0.0] * len(weights)
 
 
 class TestHDecomposition:
@@ -735,17 +761,17 @@ class TestJointLawOracle:
         for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
             delta_r = Fraction(b) * trials * p / m.mu
             for w, prob in joint_flip[r].items():
-                got = float(delta_r) * (1 - float(p)) * float(loo[r].probs[w])
+                got = float(delta_r) * (1 - float(p)) * float(loo[r][w])
                 assert got == pytest.approx(float(prob), rel=1e-12, abs=1e-16)
 
         # same-cell branch, aggregated: sum_r (b_r M* p_r^2 / mu) P(W_loo_r = w - b_r)
         import numpy as np
 
         support = max(joint_same, default=0) + max(scheme.replication) + 1
-        agg = np.zeros(support + max(lr.probs.size for lr in loo))
+        agg = np.zeros(support + max(lr.size for lr in loo))
         for r, (p, b) in enumerate(zip(scheme.class_probs, scheme.replication)):
             c_r = float(Fraction(b) * trials * p * p / m.mu)
-            agg[b : b + loo[r].probs.size] += c_r * loo[r].probs
+            agg[b : b + loo[r].size] += c_r * loo[r]
         for w, prob in joint_same.items():
             assert agg[w] == pytest.approx(float(prob), rel=1e-12, abs=1e-16)
 
@@ -795,7 +821,7 @@ class TestCouplingTables:
         _, loo = _tables(scheme, cap)
         for law in loo:
             with pytest.raises(ValueError):
-                law.probs[3] *= 2
+                law[3] *= 2
         assert conditional_delta_bound(scheme, small_moments, 3, cap=cap) == before
 
     @pytest.mark.parametrize(
@@ -809,8 +835,9 @@ class TestCouplingTables:
     )
     @pytest.mark.parametrize("cap", [1e-250, 0.0])
     def test_laws_equal_the_bare_convolutions(self, weights, rates, trials, cap):
-        # one builder changes no entry of any law; each law states its own
-        # deficit, exactly 0.0 when no table was cut
+        # the law of W, from the one builder, and the leave-one-out tables
+        # hold the bare convolutions' entries; W's law states its deficit,
+        # exactly 0.0 when no table was cut
         from scaled_poisson.bernoulli_lattice import _capped_class_pmfs
         from scaled_poisson.coupling import _tables
 
@@ -821,13 +848,60 @@ class TestCouplingTables:
         full, _ = _capped_class_pmfs(scheme, trials, budget)
         reduced, _ = _capped_class_pmfs(scheme, trials - 1, budget)
         want_w, want_loo = coupling_laws_reference(full, reduced)
+        assert np.array_equal(w_law.probs, want_w)
+        if cap == 0.0:
+            assert w_law.mass_deficit == 0.0
+        else:
+            assert 0.0 < w_law.mass_deficit <= cap
         assert len(loo) == len(want_loo)
-        for law, want in zip([w_law, *loo], [want_w, *want_loo]):
-            assert np.array_equal(law.probs, want)
-            if cap == 0.0:
-                assert law.mass_deficit == 0.0
-            else:
-                assert 0.0 < law.mass_deficit <= cap
+        for law, want in zip(loo, want_loo):
+            assert type(law) is np.ndarray and not law.flags.writeable
+            assert np.array_equal(law, want)
+
+    @pytest.mark.parametrize(
+        "weights, rates, trials", [((1, 10), (100, 30), 5000), ((1, 2, 5), (4, 3, 2), 40)]
+    )
+    def test_cold_build_sums_only_the_tails_it_reads(self, weights, rates, trials, monkeypatch):
+        # one compensated sum per class table for its cap (2R), and the law
+        # of W's tail sums; the leave-one-out tables have none
+        from scaled_poisson import bernoulli_lattice, weighted_sum
+        from scaled_poisson.coupling import _tables
+
+        calls = []
+        original = weighted_sum._suffix_sums
+
+        def counted(probs):
+            calls.append(probs.size)
+            return original(probs)
+
+        for module in (weighted_sum, bernoulli_lattice):
+            monkeypatch.setattr(module, "_suffix_sums", counted)
+        scheme = build_scheme(WeightedPoissonSum(weights, tuple(map(Fraction, rates))), trials)
+        _tables.cache_clear()
+        _tables(scheme, 1e-250)
+        assert len(calls) == 2 * len(weights) + 1
+
+    def test_far_apart_build_peaks_at_what_it_keeps(self):
+        # the top class's leave-one-out law strides by 2**16 first, so its
+        # later strides hold 0.5 MiB temporaries; it is built first, while
+        # only W's law is held, so the build peaks at the 1.5 MiB it keeps
+        # (2.5 MiB when the laws were built in class order)
+        import tracemalloc
+
+        from scaled_poisson.coupling import _tables
+
+        scheme = build_scheme(WeightedPoissonSum((1, 2**16), (Fraction(1), Fraction(1))), 2)
+        _tables.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, loo = _tables(scheme, 1e-250)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _tables.cache_clear()
+        assert [lr.size for lr in loo] == [2**17 + 2, 2**16 + 3]
+        assert peak - kept <= 64 * 1024
 
     def test_shared_tables_give_the_same_results(self, bench_model, bench_moments):
         # the checks of one command share one build of the tables; each

@@ -638,8 +638,8 @@ class TestEntryBuild:
             assert np.count_nonzero(lost) == underflowed
         dense = LatticeDistribution(probs=_convolve_classes(tables), mass_deficit=deficit)
         dist = exact_distribution(model, epsilon)
-        # the dense table is written only where the blocks overlap
-        assert ("probs" in vars(dist)) == (underflowed is None)
+        # on either route the law holds its entries, and no dense table
+        assert "probs" not in vars(dist)
         assert dist.support_max == dense.support_max
         assert dist.mass_deficit == dense.mass_deficit
         for attr in ("_points", "_sums"):
@@ -665,11 +665,43 @@ class TestEntryBuild:
             probs[0] = 0.0
         assert dist.probs is probs
 
-    def test_law_built_from_probs_returns_that_array(self):
+    def test_law_built_from_probs_holds_only_its_entries(self, bench_model):
+        # the law takes its entries from the caller's table and keeps none of
+        # it: the table stays writable, and a later write moves no query
         table = np.array([0.25, 0.0, 0.75])
         dist = LatticeDistribution(probs=table, mass_deficit=0.0)
-        assert dist.probs is table
-        assert not table.flags.writeable
+        assert table.flags.writeable
+        assert "probs" not in vars(dist)
+        table[:] = [0.5, 0.5, 0.0]
+        assert dist.tail(0, strict=False) == (1.0, 1.0)
+        assert dist.tail(1, strict=False) == (0.75, 0.75)
+        assert [dist.pmf(j) for j in range(3)] == [0.25, 0.0, 0.75]
+        assert "probs" not in vars(dist)
+        probs = dist.probs
+        assert probs is not table and not probs.flags.writeable
+        assert probs.tolist() == [0.25, 0.0, 0.75]
+        # the builder's dense route keeps no table either
+        dist = exact_distribution(bench_model, 1e-12)
+        assert "probs" not in vars(dist)
+        assert dist.probs.size == dist.support_max + 1
+        assert "probs" in vars(dist)
+
+    def test_dense_route_law_retains_only_its_entries(self):
+        # 24 bytes per nonzero point (its position, value and tail sum) and
+        # a small fixed slack: the table the classes were convolved into is
+        # not kept
+        model = WeightedPoissonSum((1, 10), (Fraction(10_000), Fraction(3_000)))
+        exact_distribution(model, 1e-12)  # fills any cache first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dist = exact_distribution(model, 1e-12)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the dense table would take 8 bytes for each of 46,701 points
+        assert dist.support_max == 46_700
+        assert retained <= 24 * dist._points.size + 4096
 
     @pytest.mark.parametrize(
         "law",

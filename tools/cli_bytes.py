@@ -44,8 +44,10 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # blocks lie apart, within int64 indexing (weights 1,2**61) and past it (1,2**62);
 # a dense law of S over 420,714 points, 85,694 of them nonzero, from class
 # tables of about 100,000 entries, whose compensated sums run through 11-13
-# blocks; and a coupling check at weights 1,2**61, whose Stein table is past
-# int64 indexing.
+# blocks; a coupling check at weights 1,2**61, whose Stein table is past
+# int64 indexing; and sampled and exhaustive checks at weights 1,100, where
+# the leave-one-out law of the weight-1 class has its top class's blocks
+# apart (201 points), which a lattice law would hold as its entries alone.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -98,6 +100,10 @@ EDGE_ARGVS = [
     ["exact-tail", "--y", "130000", "--strict", "--weights", "1,10", "--rates", "100000,30000"],
     ["coupling-check", "--weights", "1,2305843009213693952", "--rates", "1,1", "--mstar", "2",
      "--y", "2"],
+    ["coupling-check", "--weights", "1,100", "--rates", "1,1", "--mstar", "2", "--y", "2",
+     "--samples", "10000"],
+    ["coupling-check", "--weights", "1,100", "--rates", "1,1", "--mstar", "2", "--y", "2",
+     "--exhaustive"],
 ]
 
 
