@@ -175,6 +175,11 @@ class SteinSolutionTable:
         return self.f(w)
 
 
+# The most integer points a Stein table may span: 2**24, over a hundred times
+# the 130,014 of the largest table a documented command asks for.  Its arrays
+# and scratch come to about 60 bytes a point, so ~1 GiB at the budget.
+_TABLE_BUDGET = 2**24
+
 # ln 2**-53: the depth at which the omitted terms fall below one rounding.
 _LOG_ROUNDING = -53.0 * math.log(2.0)
 
@@ -240,14 +245,14 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
         firsts.append(np.concatenate((w < my, w >= my)).astype(float))
     firsts += [above] * (z - over)
 
-    # one vector step per row, from the zero row Z
+    # one vector step per row, from the zero row Z down
     halves = np.zeros((z - low + 1, 2 * n))
     rows = list(halves)
-    for q in range(len(rows) - 2, -1, -1):
-        row = rows[q]
-        np.multiply(rows[q + 1], lam_m, out=row)
-        row += firsts[q]
-        row /= divisors[q]
+    lam_m = np.float64(lam_m)
+    for row, above, first, divisor in zip(rows[-2::-1], rows[:0:-1], firsts[::-1], divisors[::-1]):
+        np.multiply(above, lam_m, row)
+        row += first
+        row /= divisor
     return halves[: top - low + 1], z
 
 
@@ -255,6 +260,9 @@ def solve_stein(
     ctx: SteinContext, w_max: int, include_off_lattice: bool = False
 ) -> SteinSolutionTable:
     """Evaluate the tail-indicator solution on [0, w_max].
+
+    A table of more than _TABLE_BUDGET points is refused with
+    ValidationError before anything is allocated.
 
     Lattice points at or below m*y use the regrouped all-positive D_low form.
     Every other point (off-lattice integers only when requested) is
@@ -277,6 +285,11 @@ def solve_stein(
     w_max = int(w_max)
     if w_max < m * (y + 10):
         raise ValidationError(f"w_max must be at least m*(y+10) = {m * (y + 10)}")
+    if w_max >= _TABLE_BUDGET:
+        raise ValidationError(
+            f"the Stein table on [0, {w_max}] spans {w_max + 1} points,"
+            f" past the budget of {_TABLE_BUDGET}"
+        )
     lam = float(ctx.lam)
     lam_m = float(ctx.lambda_m)
     p_ge = poisson_tail(lam, y)
@@ -380,13 +393,19 @@ def g_m_via_recurrence(ctx: SteinContext, table: SteinSolutionTable, w: int) -> 
 _LOG_FINITE = 709.0
 
 
+def _log_envelopes(ctx: SteinContext, cells) -> list[float]:
+    """The log of the factorial envelope on each lattice cell j = w // m >= 1."""
+    lam = float(ctx.lam)
+    log_lam, log_m = math.log(lam), math.log(ctx.lattice_step)
+    return [lam + lgamma(j) - j * log_lam - log_m for j in cells]
+
+
 def _log_factorial_envelope(ctx: SteinContext, w: int) -> float:
     """The log of factorial_envelope(ctx, w), finite for every w >= m."""
     j = w // ctx.lattice_step
     if j < 1:
         raise ValidationError("envelope needs w >= m")
-    lam = float(ctx.lam)
-    return lam + lgamma(j) - j * math.log(lam) - math.log(ctx.lattice_step)
+    return _log_envelopes(ctx, (j,))[0]
 
 
 def factorial_envelope(ctx: SteinContext, w: int) -> float:
@@ -447,24 +466,45 @@ def _envelope(g: np.ndarray, floor: float, bound: np.ndarray, log_bound: np.ndar
     return margins, bool(failed.any())
 
 
-def _check(name: str, pieces, rule=None, observed=None) -> PropertyCheck:
-    """One report line from the (margins, failed) pairs of pieces, one per shift.
+def _check(name: str, margins, points: int, rule=None, failed=False, observed=None) -> PropertyCheck:
+    """One report line from the least of margins over its points.
 
-    The check passes when no piece failed, the least margin is not NaN
-    (np.minimum carries a NaN met anywhere through), and rule, if given, holds
-    for it.  observed, if given, maps margins to values whose largest, from 0,
-    is the observed constant.
+    The check passes when failed is false, the least margin is not NaN (the
+    least of an array holding a NaN is NaN), and rule, if given, holds for
+    it.  observed, if given, is an array whose largest value, from 0, is the
+    observed constant.
     """
-    least, most, points, failed = math.inf, 0.0, 0, False
-    for margins, bad in pieces:
-        least = np.minimum(least, margins.min(initial=math.inf))
-        if observed is not None:
-            most = np.maximum(most, observed(margins).max(initial=0.0))
-        failed = failed or bad
-        points += margins.size
-    least = float(least)
+    least = float(margins.min(initial=math.inf))
     passed = not (failed or math.isnan(least)) and (rule is None or rule(least))
-    return PropertyCheck(name, passed, least, None if observed is None else float(most), points)
+    most = None if observed is None else float(observed.max(initial=0.0))
+    return PropertyCheck(name, passed, least, most, points)
+
+
+def _reader(ws: np.ndarray):
+    """A function (a, o) -> a[ws + o]: a strided slice of a when ws is an
+    arithmetic progression (any range grid), a gather otherwise."""
+    gaps = np.diff(ws)
+    if gaps.size and gaps.min() == gaps.max():
+        first, last, step = int(ws[0]), int(ws[-1]), int(gaps[0])
+        return lambda a, o=0: a[first + o : last + o + 1 : step]
+    return lambda a, o=0: a[ws + o]
+
+
+def _sliding_extremes(seg: np.ndarray, k: int):
+    """(lo, hi), lo[i] and hi[i] the least and the largest of seg[i : i + k].
+
+    Windows of 2t are taken from two of t, up to the largest power of two
+    p <= k, and windows of k from the two of p at i and i + k - p: about
+    log2(k) np.minimum and np.maximum calls of seg's length.  A NaN in a
+    window is carried to both of its extremes.
+    """
+    lo = hi = seg
+    p = 1
+    while 2 * p <= k:
+        lo, hi = np.minimum(lo[:-p], lo[p:]), np.maximum(hi[:-p], hi[p:])
+        p *= 2
+    n, r = seg.size - k + 1, k - p
+    return np.minimum(lo[:n], lo[r : r + n]), np.maximum(hi[:n], hi[r : r + n])
 
 
 def verify_f_properties(
@@ -482,9 +522,20 @@ def verify_f_properties(
 
     A check that no grid point reaches is left out of the report: (d) when
     m = 1 or the table is lattice-only, and any check whose region the grid
-    misses.  Each check reads one shift l at a time, as a strided slice of
-    the table where the points are an arithmetic progression (any range
-    grid), by a gather otherwise.
+    misses.
+
+    (b) and (d) read, per point w, only the least and the largest f(w+l)
+    over the shifts l, taken once over the table segment the grid covers by
+    _sliding_extremes; no array has a shift axis.  Rounding to nearest is
+    monotone, so on a finite table these give the floats that reading one
+    shift at a time gives: the least f(w+l) - f(w) is the one at the least
+    f(w+l), the largest w*(f(w+l) - f(w)) the one at the largest, and the
+    largest |f(w) - f(w+l)| one of the two.  (e) reads its at most y*m
+    points as one (rows, shifts) view.  The points at or above m*y, and
+    those below, are read as strided slices where they are an arithmetic
+    progression (any range grid), by gathers otherwise.  Of the points at
+    which f was not evaluated, the one refused is the first that reading
+    the checks in turn, one shift at a time, would meet.
     """
     _solved_for(ctx, table)
     m = ctx.lattice_step
@@ -497,47 +548,59 @@ def verify_f_properties(
     if not pts.size or pts.min() < m:
         raise ValidationError("grid must be nonempty and start at or above m")
     # the distinct grid points, ascending, whose shifts by up to m are in range
-    usable = np.flatnonzero(np.bincount(pts[pts + m <= table.w_max]))
+    kept = pts[pts + m <= table.w_max]
+    usable = kept if as_range and grid.step > 0 else np.flatnonzero(np.bincount(kept))
     tail = usable[usable >= my]
     below = usable[usable < my]
+    values = table.values
     p_ge = table.tail_at_threshold
     step = 1 if table.has_off_lattice else m
     # the shifts l; all but the last, m, are off the lattice
     l_values = range(1, m + 1) if table.has_off_lattice else (m,)
 
-    def reader(ws):
-        """f at ws + l for a shift l: a strided slice of the table when ws is
-        an arithmetic progression, a gather otherwise."""
-        gaps = np.diff(ws)
-        sliced = gaps.size and gaps.min() == gaps.max()
+    def checked(v, ws, shifts):
+        """v, read from f at ws + l for l in shifts; where it holds a NaN,
+        the first point ws + l, shift by shift, at which f is NaN is refused."""
+        if np.isnan(v).any():
+            for l in shifts:
+                missing = np.isnan(values[ws + l])
+                if missing.any():
+                    bad = int(ws[missing][0]) + l
+                    raise ValidationError(f"f was not evaluated at {bad}; build with off-lattice points")
+        return v
 
-        def f_at(l=0):
-            v = table.values[slice(ws[0] + l, ws[-1] + l + 1, gaps[0]) if sliced else ws + l]
-            if np.isnan(v).any():
-                bad = int(ws[np.isnan(v)][0]) + l
-                raise ValidationError(f"f was not evaluated at {bad}; build with off-lattice points")
-            return v
-
-        return f_at
-
-    f_tail_at = reader(tail)
-    f_tail = f_tail_at()
-    jumps = ((f_tail_at(l) - f_tail, False) for l in l_values)
-    f_below_at = reader(below)
-    f_below = f_below_at()
-    g_m = (f_below - f_below_at(m)) / p_ge
-    g_ls = (np.abs(f_below - f_below_at(l)) / p_ge for l in l_values[:-1])
+    tail_at, below_at = _reader(tail), _reader(below)
+    f_tail = checked(tail_at(values), tail, (0,))
+    f_below = checked(below_at(values), below, (0,))
+    g_m = (f_below - checked(below_at(values, m), below, (m,))) / p_ge
     # g_l at m*j for j = 1 .. min(y, w_max // m) - 1; increments from j = 2.
     lattice = m * np.arange(1, min(ctx.threshold_y, table.w_max // m))
-    f_lattice_at = reader(lattice)
-    f_lattice = f_lattice_at()
-    g_lattice = ((f_lattice - f_lattice_at(l)) / p_ge for l in l_values)
-    increments = ((g[1:] - g[:-1], False) for g in g_lattice)
+    f_lattice = checked(values[lattice], lattice, (0,))
+    rise = checked(tail_at(values, step), tail, (step,)) - f_tail
+
+    # The least and the largest f(w + l) over the shifts: over l = 1..m-1
+    # from one pass of sliding windows over the segment the grid covers, with
+    # l = m beside it at the points at or above m*y.
+    off_shifts = len(l_values) > 1
+    if off_shifts and usable.size:
+        lows, highs = _sliding_extremes(values[usable[0] + 1 : usable[-1] + m], m - 1)
+        at = -int(usable[0])
+        f_tail_m = tail_at(values, m)
+        tail_lo = checked(np.minimum(tail_at(lows, at), f_tail_m), tail, l_values)
+        tail_hi = np.maximum(tail_at(highs, at), f_tail_m)
+        below_lo = checked(below_at(lows, at), below, l_values[:-1])
+        below_hi = below_at(highs, at)
+    else:
+        tail_lo = tail_hi = checked(tail_at(values, m), tail, (m,))
+    # f(m*j + l) in row j, column l - 1 (the last column alone on the lattice)
+    cols = slice(0, m) if table.has_off_lattice else slice(m - 1, m)
+    shifted = values[m + 1 : m * (lattice.size + 1) + 1].reshape(-1, m)[:, cols]
+    g_lattice = (f_lattice[:, None] - checked(shifted, lattice, l_values)) / p_ge
 
     # The envelope depends on w only through its lattice cell w // m in 1..y-1:
     # its log is taken once per cell, and its float form is exp of that log,
     # inf at or above e^709.
-    log_cells = [_log_factorial_envelope(ctx, m * c) for c in range(1, ctx.threshold_y)]
+    log_cells = _log_envelopes(ctx, range(1, ctx.threshold_y))
     cell = below // m - 1
     log_env = np.array(log_cells)[cell]
     envelope = np.array([math.exp(b) if b < _LOG_FINITE else math.inf for b in log_cells])[cell]
@@ -551,15 +614,26 @@ def verify_f_properties(
         over = term == math.inf
         term[over] = np.exp(log_term[over])
 
-    checks = (
-        _check("tail_monotone", [(f_tail_at(step) - f_tail, False)], lambda d: d > 0.0),
-        _check("tail_jump_positive_c_over_w", jumps, lambda d: d > 0.0, lambda d: tail * d),
-        _check(
-            "g_m_envelope",
-            [_envelope(g_m, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, 1.0 / lam_m + term, log_term)],
-        ),
-        _check("g_l_envelope", (_envelope(g, 1e-12, envelope, log_env) for g in g_ls)),
-        _check("g_l_lattice_increments", increments, lambda d: d >= -1e-10),
+    g_m_margins, g_m_failed = _envelope(
+        g_m, 1e-12 + (1.0 + _BOUND_SLACK) / lam_m, 1.0 / lam_m + term, log_term
     )
+    checks = [
+        _check("tail_monotone", rise, rise.size, lambda d: d > 0.0),
+        _check(
+            "tail_jump_positive_c_over_w",
+            tail_lo - f_tail,
+            tail.size * len(l_values),
+            lambda d: d > 0.0,
+            observed=tail * (tail_hi - f_tail),
+        ),
+        _check("g_m_envelope", g_m_margins, g_m.size, failed=g_m_failed),
+    ]
+    if off_shifts and below.size:
+        # the largest |g_l(w)| over l = 1..m-1, at the least or largest f(w + l)
+        g_l_most = np.maximum(np.abs(f_below - below_lo), np.abs(f_below - below_hi)) / p_ge
+        margins, failed = _envelope(g_l_most, 1e-12, envelope, log_env)
+        checks.append(_check("g_l_envelope", margins, below.size * (m - 1), failed=failed))
+    increments = g_lattice[1:] - g_lattice[:-1]
+    checks.append(_check("g_l_lattice_increments", increments, increments.size, lambda d: d >= -1e-10))
     # A check that examined no point certifies nothing, so it is left out.
     return PropertyReport(checks=tuple(c for c in checks if c.points))

@@ -36,7 +36,6 @@ from scaled_poisson.stein_lattice import (
     PropertyCheck,
     PropertyReport,
     SteinSolutionTable,
-    _check,
     _depth,
     _envelope,
     _log_factorial_envelope,
@@ -115,6 +114,19 @@ def mp_stein_halves(lam: Fraction, m: int, y: int, w: int):
         term *= lam_m / (w + m * (j + 1))
     v = w + m * first_s1
     return s0, term * mp.hyp1f1(1, mp.mpf(v) / m + 1, lam_mp)
+
+
+def mp_lattice_increment(lam: Fraction, m: int, y: int, j: int, l: int):
+    """g_l(m*j) - g_l(m*j - m) at working precision, never rounded to a float:
+    g_l(w) = (f(w) - f(w+l)) / P, f = P*S0 - (1-P)*S1 from mp_stein_halves
+    and P = P(A_lam >= y)."""
+    p_ge = _mp_poisson_tail(_mp_rate(lam), y)
+
+    def g(w):
+        (a0, a1), (b0, b1) = (mp_stein_halves(lam, m, y, v) for v in (w, w + l))
+        return (p_ge * (a0 - b0) - (1 - p_ge) * (a1 - b1)) / p_ge
+
+    return g(m * j) - g(m * j - m)
 
 
 def mp_stein_depth(lam: Fraction, m: int, w: int) -> int:
@@ -569,9 +581,31 @@ def verify_f_properties_reference(ctx, table, grid=None) -> PropertyReport:
     return PropertyReport(checks=tuple(checks))
 
 
+def _check(name: str, pieces, rule=None, observed=None) -> PropertyCheck:
+    """One report line from the (margins, failed) pairs of pieces, one per shift.
+
+    The check passes when no piece failed, the least margin is not NaN
+    (np.minimum carries a NaN met anywhere through), and rule, if given, holds
+    for it.  observed, if given, maps margins to values whose largest, from 0,
+    is the observed constant.
+    """
+    least, most, points, failed = math.inf, 0.0, 0, False
+    for margins, bad in pieces:
+        least = np.minimum(least, margins.min(initial=math.inf))
+        if observed is not None:
+            most = np.maximum(most, observed(margins).max(initial=0.0))
+        failed = failed or bad
+        points += margins.size
+    least = float(least)
+    passed = not (failed or math.isnan(least)) and (rule is None or rule(least))
+    return PropertyCheck(name, passed, least, None if observed is None else float(most), points)
+
+
 def verify_f_properties_gather(ctx, table, grid=None) -> PropertyReport:
     """stein_lattice.verify_f_properties as it was before it read shifts as
-    slices: every shift of every point set is a gather table.values[ws + l]."""
+    slices, or took the extremes over the shifts: every shift of every point
+    set is a gather table.values[ws + l], folded into each check one at a
+    time."""
     _solved_for(ctx, table)
     m = ctx.lattice_step
     my = ctx.threshold_point

@@ -434,6 +434,27 @@ class TestBound:
             "past int64 indexing\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, w_max",
+        [
+            (["stein-check", "--lambda-num", "1600", "--lambda-den", "31", "--m", "31", "--n", "4",
+              "--y", "60", "--wmax", "100000000000"], 100_000_000_000),
+            # k = 1048577/1099511627777: the table over n*W, within int64
+            (["coupling-check", "--weights", "1,1048576", "--rates", "1,1", "--mstar", "2",
+              "--y", "2"], 14_293_651_161_101),
+        ],
+        ids=["stein_check", "coupling_check"],
+    )
+    def test_stein_table_past_the_budget_is_2(self, argv, w_max):
+        # refused before the table is allocated, so no memory limit is needed
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: the Stein table on [0, {w_max}] spans {w_max + 1} points,"
+            " past the budget of 16777216\n"
+        )
+
 
 class TestSharedParser:
     """main parses with one parser per process; reuse must not carry state."""

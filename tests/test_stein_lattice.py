@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from scaled_poisson import (
@@ -31,6 +31,7 @@ from oracles import (
     mp_stein_depth,
     mp_stein_halves,
     mp_stein_solution,
+    mp_lattice_increment,
     solve_stein_gathered,
     stein_d_high_reference,
     stein_halves_gathered,
@@ -460,9 +461,10 @@ def _edge_case(lam, m, n, y, w_max):
 
 # Reports whose envelopes pass the float range near w = m, on stein-check's
 # default grid.  At lam 700 and 690 g_l_lattice_increments fails (margins
-# -1.04e6 and -0.024, near the threshold, for l < m); whether the property
-# fails in exact arithmetic there is open, so these cases hold the report to
-# the scalar loops without asserting that it passes.
+# -1.04e6 and -0.024, near the threshold, for l < m), and the property fails
+# there in exact arithmetic too (TestLatticeIncrementsAgainstMpmath), so
+# these cases hold the report to the scalar loops without asserting that it
+# passes.
 FLOAT_EDGE_CASES = {
     "lam700": _edge_case(700, 7, 1, 900, 6370),
     "lam690": _edge_case(690, 5, 2, 800, 4500),
@@ -645,6 +647,95 @@ class TestSliceReads:
             verify_f_properties(ctx, table, grid)
         assert str(got.value) == str(want.value)
         assert "f was not evaluated at" in str(got.value)
+
+
+@st.composite
+def _report_cases(draw):
+    """(context, table, grid) over lam in 1/2..700, m in 1..40 with a coprime
+    n, tables on and off the lattice, solved, negated or with noise on f, and grids of
+    None, a range, a stepped range and a list, some reaching points a
+    lattice-only table lacks."""
+    m = draw(st.sampled_from(range(1, 41)))
+    n = draw(st.integers(1, 60).filter(lambda n: math.gcd(m, n) == 1))
+    lam = draw(st.fractions(Fraction(1, 2), 700, max_denominator=50))
+    y = draw(st.integers(1, 70))
+    ctx = SteinContext(lam=lam, lattice_step=m, scale_num=n, threshold_y=y)
+    w_max = m * (y + 10) + draw(st.integers(0, 3 * m))
+    off = draw(st.booleans())
+    points = st.integers(m, w_max)
+    a, b = sorted((draw(points), draw(points)))
+    grid = {
+        "none": None,
+        "range": range(a, b + 1),
+        "stepped_range": range(a, b + 1, draw(st.integers(2, 2 * m + 1))),
+        "list": draw(st.lists(points, min_size=1, max_size=40)),
+    }[draw(st.sampled_from(["none", "range", "stepped_range", "list"]))]
+    try:
+        table = solve_stein(ctx, w_max, include_off_lattice=off)
+    except NumericalRangeError:
+        reject()
+    # -f falls above m*y, so its least jump is at l = m; noise of about
+    # 10**scale * P makes g_l of order 10**scale, near its envelope in some
+    # cells, and puts f's shifts out of order
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    scale = draw(st.one_of(st.none(), st.integers(-8, 12)))
+    noise = 0.0
+    if scale is not None:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = rng.standard_normal(table.values.size) * 10.0**scale * table.tail_at_threshold
+    table = dataclasses.replace(table, values=sign * table.values + noise)
+    return ctx, table, grid
+
+
+class TestExtremesOverShifts:
+    """The report from the extremes of f over the shifts against the report
+    folded one gathered shift at a time."""
+
+    @given(_report_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_report_equals_gathered_report(self, case):
+        ctx, table, grid = case
+        try:
+            want = verify_f_properties_gather(ctx, table, grid).checks
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                verify_f_properties(ctx, table, grid)
+            assert str(got.value) == str(e)
+            return
+        got = verify_f_properties(ctx, table, grid).checks
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for field in ("name", "passed", "worst_margin", "observed_constant", "points"):
+                assert _same(getattr(a, field), getattr(b, field)), (a.name, field)
+
+
+class TestLatticeIncrementsAgainstMpmath:
+    """Property (e), g_l(m*j) - g_l(m*j - m) >= -1e-10, where the report
+    fails it: every increment summed in 50-digit mpmath, from f to g_l."""
+
+    @pytest.mark.parametrize(
+        "case, j, shifts, least",
+        [("lam690", 794, [4], 4), ("lam700", 897, range(1, 7), 6)],
+    )
+    def test_failing_increments_fail_in_exact_arithmetic(self, case, j, shifts, least):
+        ctx, w_max, off, grid = FLOAT_EDGE_CASES[case]
+        table = solve_stein(ctx, w_max, include_off_lattice=off)
+        check = verify_f_properties(ctx, table, grid)["g_l_lattice_increments"]
+        assert not check.passed
+        m, v, p_ge = ctx.lattice_step, table.values, table.tail_at_threshold
+
+        def rounded(l):
+            """The report's increment, g_l from the table's floats."""
+            return (v[m * j] - v[m * j + l]) / p_ge - (v[m * j - m] - v[m * j - m + l]) / p_ge
+
+        for l in [*shifts, m]:
+            with mp.workdps(50):
+                exact = float(mp_lattice_increment(ctx.lam, m, ctx.threshold_y, j, l))
+            # negative for l < m in exact arithmetic as in the report; positive
+            # at l = m, where g_m(m*j) = (D_low(j+1) - D_low(j)) / (lam*m)
+            assert (exact < -1e-10) == (rounded(l) < -1e-10) == (l < m), l
+            assert exact == pytest.approx(rounded(l), rel=1e-8), l
+        assert check.worst_margin == rounded(least)
 
 
 class TestLatticeRecurrence:

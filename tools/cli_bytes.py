@@ -45,9 +45,12 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # a dense law of S over 420,714 points, 85,694 of them nonzero, from class
 # tables of about 100,000 entries, whose compensated sums run through 11-13
 # blocks; a coupling check at weights 1,2**61, whose Stein table is past
-# int64 indexing; and sampled and exhaustive checks at weights 1,100, where
+# int64 indexing; sampled and exhaustive checks at weights 1,100, where
 # the leave-one-out law of the weight-1 class has its top class's blocks
-# apart (201 points), which a lattice law would hold as its entries alone.
+# apart (201 points), which a lattice law would hold as its entries alone;
+# and Stein tables within int64 indexing but past the table budget of 2**24
+# points, from stein-check's --wmax and from coupling-check at weights
+# 1,1048576.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -104,6 +107,9 @@ EDGE_ARGVS = [
      "--samples", "10000"],
     ["coupling-check", "--weights", "1,100", "--rates", "1,1", "--mstar", "2", "--y", "2",
      "--exhaustive"],
+    ["stein-check", "--lambda-num", "1600", "--lambda-den", "31", "--m", "31", "--n", "4",
+     "--y", "60", "--wmax", "100000000000"],
+    ["coupling-check", "--weights", "1,1048576", "--rates", "1,1", "--mstar", "2", "--y", "2"],
 ]
 
 
