@@ -245,14 +245,14 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
         firsts.append(np.concatenate((w < my, w >= my)).astype(float))
     firsts += [above] * (z - over)
 
-    # one vector step per row, from the zero row Z down
+    # one vector step per row, from the zero row Z
     halves = np.zeros((z - low + 1, 2 * n))
     rows = list(halves)
-    lam_m = np.float64(lam_m)
-    for row, above, first, divisor in zip(rows[-2::-1], rows[:0:-1], firsts[::-1], divisors[::-1]):
-        np.multiply(above, lam_m, row)
-        row += first
-        row /= divisor
+    for q in range(len(rows) - 2, -1, -1):
+        row = rows[q]
+        np.multiply(rows[q + 1], lam_m, out=row)
+        row += firsts[q]
+        row /= divisors[q]
     return halves[: top - low + 1], z
 
 
@@ -507,6 +507,30 @@ def _sliding_extremes(seg: np.ndarray, k: int):
     return np.minimum(lo[:n], lo[r : r + n]), np.maximum(hi[:n], hi[r : r + n])
 
 
+def _shift_extremes(values: np.ndarray, ws: np.ndarray, k: int):
+    """(lo, hi), lo[i] and hi[i] the least and the largest of values[ws[i] + l]
+    over l = 1..k, for ascending points ws.
+
+    A grid as dense as its span holds them from _sliding_extremes over the
+    segment ws covers, about log2(k) passes of the span's length.  A sparser
+    one, whose points times k come below that, folds in one shift at a time:
+    k reads of its points.  Either way a NaN among a point's values is
+    carried to both of its extremes.
+    """
+    read = _reader(ws)
+    first, last = int(ws[0]), int(ws[-1])
+    if ws.size * k < (last - first + k) * k.bit_length():
+        lo = np.array(read(values, 1))
+        hi = lo.copy()
+        for l in range(2, k + 1):
+            shifted = read(values, l)
+            np.minimum(lo, shifted, out=lo)
+            np.maximum(hi, shifted, out=hi)
+        return lo, hi
+    lows, highs = _sliding_extremes(values[first + 1 : last + k + 1], k)
+    return read(lows, -first), read(highs, -first)
+
+
 def verify_f_properties(
     ctx: SteinContext, table: SteinSolutionTable, grid=None
 ) -> PropertyReport:
@@ -525,8 +549,9 @@ def verify_f_properties(
     misses.
 
     (b) and (d) read, per point w, only the least and the largest f(w+l)
-    over the shifts l, taken once over the table segment the grid covers by
-    _sliding_extremes; no array has a shift axis.  Rounding to nearest is
+    over the shifts l, from _shift_extremes: about log2(m) passes over the
+    table segment a dense grid covers, m reads of each point of a sparse
+    one; no array has a shift axis.  Rounding to nearest is
     monotone, so on a finite table these give the floats that reading one
     shift at a time gives: the least f(w+l) - f(w) is the one at the least
     f(w+l), the largest w*(f(w+l) - f(w)) the one at the largest, and the
@@ -548,8 +573,7 @@ def verify_f_properties(
     if not pts.size or pts.min() < m:
         raise ValidationError("grid must be nonempty and start at or above m")
     # the distinct grid points, ascending, whose shifts by up to m are in range
-    kept = pts[pts + m <= table.w_max]
-    usable = kept if as_range and grid.step > 0 else np.flatnonzero(np.bincount(kept))
+    usable = np.flatnonzero(np.bincount(pts[pts + m <= table.w_max]))
     tail = usable[usable >= my]
     below = usable[usable < my]
     values = table.values
@@ -578,18 +602,17 @@ def verify_f_properties(
     f_lattice = checked(values[lattice], lattice, (0,))
     rise = checked(tail_at(values, step), tail, (step,)) - f_tail
 
-    # The least and the largest f(w + l) over the shifts: over l = 1..m-1
-    # from one pass of sliding windows over the segment the grid covers, with
-    # l = m beside it at the points at or above m*y.
+    # The least and the largest f(w + l) over the shifts: over l = 1..m-1 at
+    # every point, the points below m*y first, with l = m beside it at the
+    # points at or above m*y.
     off_shifts = len(l_values) > 1
     if off_shifts and usable.size:
-        lows, highs = _sliding_extremes(values[usable[0] + 1 : usable[-1] + m], m - 1)
-        at = -int(usable[0])
+        lo, hi = _shift_extremes(values, usable, m - 1)
         f_tail_m = tail_at(values, m)
-        tail_lo = checked(np.minimum(tail_at(lows, at), f_tail_m), tail, l_values)
-        tail_hi = np.maximum(tail_at(highs, at), f_tail_m)
-        below_lo = checked(below_at(lows, at), below, l_values[:-1])
-        below_hi = below_at(highs, at)
+        tail_lo = checked(np.minimum(lo[below.size :], f_tail_m), tail, l_values)
+        tail_hi = np.maximum(hi[below.size :], f_tail_m)
+        below_lo = checked(lo[: below.size], below, l_values[:-1])
+        below_hi = hi[: below.size]
     else:
         tail_lo = tail_hi = checked(tail_at(values, m), tail, (m,))
     # f(m*j + l) in row j, column l - 1 (the last column alone on the lattice)

@@ -652,7 +652,8 @@ class TestSliceReads:
 @st.composite
 def _report_cases(draw):
     """(context, table, grid) over lam in 1/2..700, m in 1..40 with a coprime
-    n, tables on and off the lattice, solved, negated or with noise on f, and grids of
+    n, tables on and off the lattice, solved, negated or with noise on f,
+    some with a NaN in f, and grids of
     None, a range, a stepped range and a list, some reaching points a
     lattice-only table lacks."""
     m = draw(st.sampled_from(range(1, 41)))
@@ -683,7 +684,13 @@ def _report_cases(draw):
     if scale is not None:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         noise = rng.standard_normal(table.values.size) * 10.0**scale * table.tail_at_threshold
-    table = dataclasses.replace(table, values=sign * table.values + noise)
+    values = sign * table.values + noise
+    # now and then f not evaluated just past a grid point, which the report
+    # must refuse
+    if draw(st.integers(0, 3)) == 0:
+        hole = draw(st.sampled_from(grid or range(m, w_max + 1))) + draw(st.integers(1, m))
+        values[min(hole, w_max)] = math.nan
+    table = dataclasses.replace(table, values=values)
     return ctx, table, grid
 
 
@@ -707,6 +714,25 @@ class TestExtremesOverShifts:
         for a, b in zip(got, want):
             for field in ("name", "passed", "worst_margin", "observed_constant", "points"):
                 assert _same(getattr(a, field), getattr(b, field)), (a.name, field)
+
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[31 * 70 + 3], range(31 * 70 + 3, 31 * 80, 40), range(31 * 70 + 3, 31 * 80)],
+        ids=["one_point", "sparse_range", "dense_range"],
+    )
+    def test_nan_among_the_shifts_is_refused(self, grid):
+        # f(w + 5) is read only through the extremes over the shifts of the
+        # sparse grids, past every lattice increment
+        table = solve_stein(BENCH_CTX, 5000, include_off_lattice=True)
+        values = table.values.copy()
+        values[31 * 70 + 8] = math.nan
+        table = dataclasses.replace(table, values=values)
+        with pytest.raises(ValidationError) as want:
+            verify_f_properties_gather(BENCH_CTX, table, grid)
+        with pytest.raises(ValidationError) as got:
+            verify_f_properties(BENCH_CTX, table, grid)
+        assert str(got.value) == str(want.value)
 
 
 class TestLatticeIncrementsAgainstMpmath:
