@@ -511,10 +511,10 @@ def _shift_extremes(values: np.ndarray, ws: np.ndarray, k: int):
     """(lo, hi), lo[i] and hi[i] the least and the largest of values[ws[i] + l]
     over l = 1..k, for ascending points ws.
 
-    A grid as dense as its span holds them from _sliding_extremes over the
-    segment ws covers, about log2(k) passes of the span's length.  A sparser
-    one, whose points times k come below that, folds in one shift at a time:
-    k reads of its points.  Either way a NaN among a point's values is
+    A grid about as dense as its span takes them from _sliding_extremes over
+    the segment ws covers, about log2(k) passes of the span's length.  A
+    sparser one, whose points times k come below that, folds the shifts in
+    one at a time: k reads of its points.  Either way a NaN among a point's values is
     carried to both of its extremes.
     """
     read = _reader(ws)
