@@ -35,7 +35,7 @@ from math import fsum
 import numpy as np
 
 from .bernoulli_lattice import BernoulliScheme, _capped_class_pmfs, scheme_moments
-from .errors import ValidationError
+from .errors import ValidationError, _within_budget
 from .poisson_core import _regularized_gamma_pq, poisson_tail
 from .stein_lattice import SteinContext, SteinSolutionTable, _solved_for, solve_stein
 from .weighted_sum import (
@@ -62,6 +62,9 @@ __all__ = [
 # of M* + 1 entries, so R^2 * M*; and the points of the law of W.
 _EXHAUSTIVE_COST = 800
 _EXHAUSTIVE_POINTS = 100_000
+
+# The coupling laws' cap: _stein_table sizes the table for h_decomposition's laws.
+_CAP = 1e-250
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
     index within a class is exchangeable, so only the class matters) and
     forces that copy-group to one: in class block r it is b_r plus a draw
     from the leave-one-out law of class r.  Both are the capped laws of
-    _tables (upper tails within 1e-250 overall); the mass a law drops lands
+    _tables (upper tails within _CAP overall); the mass a law drops lands
     on its last entry.  The two sides are drawn separately, so they are
     independent.  The cost is O(support), whatever the sample count, and f
     runs once over the distinct values.
@@ -252,7 +255,7 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
         raise ValidationError("use at least 1e4 samples for a meaningful standard error")
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    w_law, loo = _tables(scheme, 1e-250)
+    w_law, loo = _tables(scheme, _CAP)
     deltas = np.array([float(d) for d in _class_deltas(scheme)])
     # lattice constants from the scheme's exact moments
     mu_q, s2_q = scheme_moments(scheme)
@@ -282,7 +285,7 @@ def size_bias_sample(scheme: BernoulliScheme, f, samples: int, seed: int) -> Siz
 
 
 def conditional_delta_bound(
-    scheme: BernoulliScheme, m: SumMoments, w: int, cap: float = 1e-250
+    scheme: BernoulliScheme, m: SumMoments, w: int, cap: float = _CAP
 ) -> list[tuple[float, Fraction]]:
     """Pairs (P[Delta = m - n*b_r | W = w], delta_r) for every class.
 
@@ -320,20 +323,16 @@ def _table_w_needed(m: SumMoments, support: int, replication) -> int:
 
 def _stein_table(scheme: BernoulliScheme, m: SumMoments, ctx: SteinContext) -> SteinSolutionTable:
     """The Stein table, with off-lattice points, that h_decomposition reads
-    for scheme at cap 1e-250: to _table_w_needed at W's support, at least
-    solve_stein's m*(y + 10), and one m more.  One past int64 indexing at
+    for scheme at cap _CAP: to _table_w_needed at W's support, at least
+    solve_stein's m*(y + 10), and one m more.  One past the size budget at
     support 0 is refused before any law is built."""
     floor = m.k_den * (ctx.threshold_y + 10)
 
     def w_max(support: int) -> int:
         return max(_table_w_needed(m, support, scheme.replication), floor) + m.k_den
 
-    if (points := w_max(0) + 1) > 2**63 - 1:
-        raise ValidationError(
-            f"the Stein table spans at least {points} points (m = {m.k_den}, n = {m.k_num}), "
-            "past int64 indexing"
-        )
-    w_law, _ = _tables(scheme, 1e-250)
+    _within_budget(f"the Stein table on [0, {w_max(0)}]", w_max(0) + 1)
+    w_law, _ = _tables(scheme, _CAP)
     return solve_stein(ctx, w_max(w_law.support_max), include_off_lattice=True)
 
 
@@ -353,7 +352,7 @@ def h_decomposition(
     m: SumMoments,
     ctx: SteinContext,
     table: SteinSolutionTable,
-    cap: float = 1e-250,
+    cap: float = _CAP,
 ) -> HDecomposition:
     """Exact H-terms from the joint law of (W, Delta) and the solution table.
 
@@ -414,7 +413,7 @@ def g_expectation_ratio(
     ctx: SteinContext,
     table: SteinSolutionTable,
     l: int,
-    cap: float = 1e-250,
+    cap: float = _CAP,
 ) -> GExpectationRatio:
     """E[g_l(nW ^ my)] against E[g_l(mA ^ my)], with g_l := 0 below w = m.
 

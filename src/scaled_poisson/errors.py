@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size budget."""
 
 
 class ValidationError(ValueError):
@@ -7,3 +7,15 @@ class ValidationError(ValueError):
 
 class NumericalRangeError(ArithmeticError):
     """A requested quantity fell below the supported floating-point range."""
+
+
+# The most points an input-sized array may span: over a hundred times the
+# 130,014 of the largest Stein table a documented command asks for.
+_BUDGET = 2**24
+
+
+def _within_budget(what: str, size: int) -> int:
+    """size, once it is within _BUDGET; a ValidationError naming what otherwise."""
+    if size > _BUDGET:
+        raise ValidationError(f"{what} spans {size} points, past the budget of {_BUDGET}")
+    return size

@@ -61,7 +61,7 @@ from math import fsum, lgamma
 
 import numpy as np
 
-from .errors import NumericalRangeError, ValidationError
+from .errors import NumericalRangeError, ValidationError, _within_budget
 from .poisson_core import _regularized_gamma_pq, poisson_tail
 from .weighted_sum import _poisson_pmf_vector
 
@@ -175,11 +175,6 @@ class SteinSolutionTable:
         return self.f(w)
 
 
-# The most integer points a Stein table may span: 2**24, over a hundred times
-# the 130,014 of the largest table a documented command asks for.  Its arrays
-# and scratch come to about 60 bytes a point, so ~1 GiB at the budget.
-_TABLE_BUDGET = 2**24
-
 # ln 2**-53: the depth at which the omitted terms fall below one rounding.
 _LOG_ROUNDING = -53.0 * math.log(2.0)
 
@@ -230,7 +225,12 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
     n = cols.size
     top = w_max // m
     c_low, c_high = int(cols[0]), int(cols[-1])
-    z = top + _depth(lam_m, m, top * m + c_low)
+    # J rows of n points lie above the table; _depth's ratios stay at or above
+    # 1 through l = (lam*m - w) / m, so J passing that is refused up front.
+    w = top * m + c_low
+    _within_budget("the recurrence above the Stein table", n * (int(max(lam_m - w, 0.0) // m) + 1))
+    z = top + _depth(lam_m, m, w)
+    _within_budget("the recurrence above the Stein table", n * (z - top))
     # exact integers, so the same floats as the integer points converted
     divisors = list(m * np.arange(low, z, dtype=float)[:, None] + np.concatenate((cols, cols)))
 
@@ -261,8 +261,8 @@ def solve_stein(
 ) -> SteinSolutionTable:
     """Evaluate the tail-indicator solution on [0, w_max].
 
-    A table of more than _TABLE_BUDGET points is refused with
-    ValidationError before anything is allocated.
+    A table past the size budget is refused with ValidationError before
+    anything is allocated.
 
     Lattice points at or below m*y use the regrouped all-positive D_low form.
     Every other point (off-lattice integers only when requested) is
@@ -285,11 +285,7 @@ def solve_stein(
     w_max = int(w_max)
     if w_max < m * (y + 10):
         raise ValidationError(f"w_max must be at least m*(y+10) = {m * (y + 10)}")
-    if w_max >= _TABLE_BUDGET:
-        raise ValidationError(
-            f"the Stein table on [0, {w_max}] spans {w_max + 1} points,"
-            f" past the budget of {_TABLE_BUDGET}"
-        )
+    _within_budget(f"the Stein table on [0, {w_max}]", w_max + 1)
     lam = float(ctx.lam)
     lam_m = float(ctx.lambda_m)
     p_ge = poisson_tail(lam, y)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _within_budget
 from .poisson_core import _regularized_gamma_pq, normal_tail, poisson_tail
 
 __all__ = [
@@ -375,7 +375,7 @@ class LatticeDistribution:
     @functools.cached_property
     def probs(self) -> np.ndarray:
         """The dense read-only table, pmf(0..support_max)."""
-        p = np.zeros(self._size)
+        p = np.zeros(_within_budget("the law's dense table", self._size))
         p[self._points] = self._values
         p.flags.writeable = False
         return p
@@ -422,9 +422,11 @@ def _truncation_point(rate: float, tail_budget: float) -> tuple[int, float]:
     """The first n on the growth schedule with P(A_rate > n) < tail_budget,
     and that dropped tail mass."""
     n = int(math.ceil(rate + 10.0 * math.sqrt(rate) + 20.0))
-    while (dropped := poisson_tail(rate, n + 1)) >= tail_budget:
+    while True:
+        _within_budget(f"the Poisson table at rate {rate:.17g}", n + 1)
+        if (dropped := poisson_tail(rate, n + 1)) < tail_budget:
+            return n, dropped
         n = int(math.ceil(n * 1.25)) + 10
-    return n, dropped
 
 
 def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
@@ -437,7 +439,8 @@ def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
     min(b, len(acc), len(pmf)) in all.  The law keeps the common dtype of
     its inputs, so object arrays of Fractions convolve exactly.
     """
-    out = np.zeros(acc.size + b * (pmf.size - 1), dtype=np.result_type(acc, pmf))
+    size = _within_budget("the convolved law", acc.size + b * (pmf.size - 1))
+    out = np.zeros(size, dtype=np.result_type(acc, pmf))
     if min(b, acc.size) <= pmf.size:
         for c in range(min(b, acc.size)):
             out[c::b] = np.convolve(acc[c::b], pmf)
@@ -482,6 +485,7 @@ def _lattice_law(classes: list[tuple[np.ndarray, int]], dropped) -> LatticeDistr
     if size > np.iinfo(np.int64).max:
         raise ValidationError(f"the law spans {size} lattice points, past int64 indexing")
     nz = (acc != 0).nonzero()[0]
+    _within_budget("the law's entries", top.size * nz.size)
     values = np.outer(top, acc[nz]).ravel()
     points = (np.arange(top.size)[:, None] * b + nz).ravel()
     # products that underflowed are zero entries of the dense law too; the

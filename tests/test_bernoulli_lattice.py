@@ -147,6 +147,13 @@ class TestWDistribution:
         assert dist.mass_deficit == 0.0
         assert "probs" not in vars(dist)
 
+    def test_dense_table_past_the_budget_raises(self):
+        # the law holds its 9 entries; only its dense table passes the budget
+        dist = w_distribution(build_scheme(WeightedPoissonSum((1, 2**40), (1, 1)), 2))
+        assert dist.support_max == 2**41 + 2
+        with pytest.raises(ValidationError, match=r"spans 2199023255555 points, past the budget"):
+            dist.probs
+
     def test_far_apart_weights_past_int64_refused(self):
         # 2**61 spans 2**62 + 3 points and is built; 2**62 passes int64
         for top, fits in ((2**61, True), (2**62, False)):

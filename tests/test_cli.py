@@ -6,11 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaled_poisson import cli
 from scaled_poisson.cli import build_parser, main
@@ -417,21 +420,20 @@ class TestBound:
 
     def test_coupling_check_at_far_apart_weights_is_2(self, monkeypatch):
         # k = n/m has m near 2**122, so the Stein table over n*W spans more
-        # points than int64 indexes, whatever W's support: refused before
+        # points than the size budget, whatever W's support: refused before
         # any law is built
         from scaled_poisson import coupling
 
         def no_tables(*args):
-            raise AssertionError("a law was built for a table past int64")
+            raise AssertionError("a law was built for a table past the budget")
 
         monkeypatch.setattr(coupling, "_tables", no_tables)
         code, out, err = run_cli(COUPLING_FAR_APART)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: the Stein table spans at least 6911985578081562539")
-        assert err.endswith(
-            "(m = 5316911983139663491615228241121378305, n = 2305843009213693953), "
-            "past int64 indexing\n"
+        assert err == (
+            "error: the Stein table on [0, 69119855780815625390997967134577917965] spans "
+            "69119855780815625390997967134577917966 points, past the budget of 16777216\n"
         )
 
     @pytest.mark.parametrize(
@@ -454,6 +456,81 @@ class TestBound:
             f"error: the Stein table on [0, {w_max}] spans {w_max + 1} points,"
             " past the budget of 16777216\n"
         )
+
+
+def run_traced(argv):
+    """run_cli(argv) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run_cli(argv)
+        return (*result, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
+_PAST_THE_BUDGET = re.compile(r"error: .* spans (\d+) points, past the budget of 16777216\n")
+
+
+class TestSizeBudget:
+    """Every array whose size follows from the input is refused past 2**24
+    points before it is allocated: exit 2, with no memory limit needed."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("exact-tail --y 5 --weights 1,2 --rates 100000000,1",
+             "the Poisson table at rate 100000000 spans 100100021 points"),
+            ("coupling-check --mstar 100000000 --y 60 --samples 10",
+             "the Binomial(10000000000, 1/100000000) table spans 10000000001 points"),
+            ("empirical-constant --y-from 52 --y-to 80 --mstar 100000000",
+             "the Binomial(10000000000, 1/100000000) table spans 10000000001 points"),
+            ("stein-check --lambda-num 1000000000 --m 1 --n 1 --y 1 --wmax 11",
+             "the recurrence above the Stein table spans 999999989 points"),
+            ("sweep-relerr --weights 1,1125899906842624 --rates 1,1 --y-from 1"
+             " --y-to 10000000000000000",
+             "the y grid [1, 10000000000000000] spans 10000000000000000 points"),
+            # the brackets were built for every y before the first Poisson
+            # tail, which underflows at y = 449, was taken
+            ("empirical-constant --y-from 52 --y-to 100000000 --mstar 2",
+             "the y grid [52, 100000000] spans 99999949 points"),
+        ],
+        ids=["poisson_table", "coupling_binomial", "empirical_binomial", "stein_depth",
+             "sweep_grid", "empirical_grid"],
+    )
+    def test_array_past_the_budget_is_2(self, argv, err):
+        code, out, got, peak = run_traced(shlex.split(argv))
+        assert code == 2
+        assert out == ""
+        assert got == f"error: {err}, past the budget of 16777216\n"
+        assert peak < 64 * 2**20
+
+    @given(
+        st.one_of(
+            st.integers(2**24, 10**300).map(
+                lambda r: f"exact-tail --y 5 --weights 1,2 --rates {r},1"),
+            st.integers(167_773, 10**12).map(
+                lambda s: f"coupling-check --mstar {s} --y 60 --samples 10"),
+            st.integers(167_773, 10**12).map(
+                lambda s: f"empirical-constant --y-from 52 --y-to 80 --mstar {s}"),
+            st.integers(2**24, 10**30).map(
+                lambda w: f"stein-check --lambda-num 1600 --lambda-den 31 --m 31 --n 4 --y 60 --wmax {w}"),
+            st.integers(2**24 + 12, 10**15).map(
+                lambda lam: f"stein-check --lambda-num {lam} --m 1 --n 1 --y 1 --wmax 11"),
+            st.tuples(st.integers(52, 10**12), st.integers(2**24, 10**30)).map(
+                lambda a: f"empirical-constant --y-from {a[0]} --y-to {sum(a)} --mstar 2"),
+            st.tuples(st.integers(1, 10**12), st.integers(2**24, 10**16)).map(
+                lambda a: "sweep-relerr --weights 1,1125899906842624 --rates 1,1"
+                f" --y-from {a[0]} --y-to {sum(a)}"),
+        )
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_drawn_sizes_past_the_budget_are_2(self, argv):
+        code, out, err, peak = run_traced(shlex.split(argv))
+        assert code == 2
+        assert out == ""
+        size = _PAST_THE_BUDGET.fullmatch(err)
+        assert size and int(size[1]) > 2**24
+        assert peak < 64 * 2**20
 
 
 class TestSharedParser:

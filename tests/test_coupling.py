@@ -315,6 +315,13 @@ def _bench_sampled_check(model):
 
 
 class TestSizeBiasSample:
+    def test_dense_leave_one_out_law_past_the_budget_raises(self):
+        # the weight-1 class's leave-one-out law strides the 2**40 class
+        # densely: 2**40 + 1 points, refused before it is allocated
+        scheme = build_scheme(WeightedPoissonSum((1, 2**40), (1, 1)), 2)
+        with pytest.raises(ValidationError, match=r"spans 1099511627777 points, past the budget"):
+            size_bias_sample(scheme, lambda x: float(x), 10_000, seed=7)
+
     def test_degenerate_all_ones(self):
         model = WeightedPoissonSum((1,), (Fraction(1),))
         m = moments(model)

@@ -45,12 +45,15 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # a dense law of S over 420,714 points, 85,694 of them nonzero, from class
 # tables of about 100,000 entries, whose compensated sums run through 11-13
 # blocks; a coupling check at weights 1,2**61, whose Stein table is past
-# int64 indexing; sampled and exhaustive checks at weights 1,100, where
+# int64 indexing, so past the size budget; sampled and exhaustive checks at weights 1,100, where
 # the leave-one-out law of the weight-1 class has its top class's blocks
 # apart (201 points), which a lattice law would hold as its entries alone;
-# and Stein tables within int64 indexing but past the table budget of 2**24
+# and Stein tables within int64 indexing but past the size budget of 2**24
 # points, from stein-check's --wmax and from coupling-check at weights
-# 1,1048576.
+# 1,1048576; and arrays past that budget elsewhere: a Poisson class table
+# (rate 1e8), capped binomial class tables (--mstar 1e8, on coupling-check
+# and empirical-constant), the recurrence above a Stein table (lam 1e9 at
+# --wmax 11), and a sweep's y grid of 1e16 points.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -110,6 +113,12 @@ EDGE_ARGVS = [
     ["stein-check", "--lambda-num", "1600", "--lambda-den", "31", "--m", "31", "--n", "4",
      "--y", "60", "--wmax", "100000000000"],
     ["coupling-check", "--weights", "1,1048576", "--rates", "1,1", "--mstar", "2", "--y", "2"],
+    ["exact-tail", "--y", "5", "--weights", "1,2", "--rates", "100000000,1"],
+    ["coupling-check", "--mstar", "100000000", "--y", "60", "--samples", "10"],
+    ["empirical-constant", "--y-from", "52", "--y-to", "80", "--mstar", "100000000"],
+    ["stein-check", "--lambda-num", "1000000000", "--m", "1", "--n", "1", "--y", "1", "--wmax", "11"],
+    ["sweep-relerr", "--weights", "1,1125899906842624", "--rates", "1,1", "--y-from", "1",
+     "--y-to", "10000000000000000"],
 ]
 
 
