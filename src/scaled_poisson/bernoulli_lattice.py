@@ -99,7 +99,7 @@ def binomial_pmf_vector(trials: int, p: Fraction) -> np.ndarray:
     pmf(j) / pmf(j-1) = (trials - j + 1) * odds / j; p = 1 (infinite odds)
     puts all the mass at trials.
     """
-    _within_budget(f"the Binomial({trials}, {p}) table", trials + 1)
+    _within_budget(f"the Binomial({trials}, {p}) table", trials + 1, 32)
     pf = float(p)
     odds = pf / (1.0 - pf) if pf < 1.0 else math.inf
     j = np.arange(1.0, trials + 1.0)

@@ -62,9 +62,7 @@ __all__ = [
 # of M* + 1 entries, so R^2 * M*; and the points of the law of W.
 _EXHAUSTIVE_COST = 800
 _EXHAUSTIVE_POINTS = 100_000
-
-# The coupling laws' cap: _stein_table sizes the table for h_decomposition's laws.
-_CAP = 1e-250
+_CAP = 1e-250  # the coupling laws' cap: _stein_table sizes for h_decomposition's laws
 
 
 @dataclass(frozen=True)
@@ -331,7 +329,7 @@ def _stein_table(scheme: BernoulliScheme, m: SumMoments, ctx: SteinContext) -> S
     def w_max(support: int) -> int:
         return max(_table_w_needed(m, support, scheme.replication), floor) + m.k_den
 
-    _within_budget(f"the Stein table on [0, {w_max(0)}]", w_max(0) + 1)
+    _within_budget(f"the Stein table on [0, {w_max(0)}]", w_max(0) + 1, 64)
     w_law, _ = _tables(scheme, _CAP)
     return solve_stein(ctx, w_max(w_law.support_max), include_off_lattice=True)
 

@@ -149,7 +149,7 @@ def _w_tail_ratios(w_dist: LatticeDistribution, m: SumMoments, r_from: int, r_to
     NumericalRangeError at the first r whose Poisson tail underflows, naming
     it as ``var``.
     """
-    _within_budget(f"the {var} grid [{r_from}, {r_to}]", r_to - r_from + 1)
+    _within_budget(f"the {var} grid [{r_from}, {r_to}]", r_to - r_from + 1, 192)
     rs = np.arange(r_from, r_to + 1, dtype=object)
     nums = _tail_sums(w_dist, _threshold_ratio(m.k_den * rs, m.k_num)).tolist()
     rate = float(m.lam)
@@ -195,7 +195,7 @@ def _rows(
     the rows on it.  The per-row floats are those of the scalar evaluation,
     operation for operation.
     """
-    _within_budget(f"the y grid [{y_from}, {y_to}]", y_to - y_from + 1)
+    _within_budget(f"the y grid [{y_from}, {y_to}]", y_to - y_from + 1, 576)
     ys = np.arange(y_from, y_to + 1, dtype=object)
     exact = _tail_sums(dist, _threshold_ratio(ys, 1, strict))
     plateaus = _threshold_ratio(model_moments.k_num * ys, model_moments.k_den, strict).tolist()
@@ -344,7 +344,7 @@ def empirical_constant(
     y_lo = max(y_from, _threshold(m.lam))
     if y_lo > y_to:
         raise ValidationError("empty y grid above lam")
-    _within_budget(f"the y grid [{y_lo}, {y_to}]", y_to - y_lo + 1)
+    _within_budget(f"the y grid [{y_lo}, {y_to}]", y_to - y_lo + 1, 192)
     rows = []
     c_hat = 0.0
     brackets = params._brackets(range(y_lo, y_to + 1))

@@ -177,27 +177,32 @@ class SteinSolutionTable:
 
 # ln 2**-53: the depth at which the omitted terms fall below one rounding.
 _LOG_ROUNDING = -53.0 * math.log(2.0)
+_ROW_BLOCK = 2**16  # the most rows _depth's search and _halves' row lists hold
 
 
-def _depth(lam_m: float, m: int, w: int) -> int:
+def _depth(lam_m: float, m: int, w: int, n: int) -> int:
     """Least J at which the series at w, cut after J terms, is within 2**-53
-    of its term 0.
+    of its term 0; refused past the size budget as J rows of n points.
 
     Term l is term 0 times r_1 * ... * r_l with r_l = lam*m / (w + m*l); the
     ratios fall, so the terms from J on sum to at most term J / (1 - r_J)
     once r_J < 1.  The products are summed as logarithms: at large lam they
-    pass the float range before the terms start to fall.
+    pass the float range before the terms start to fall.  They are summed in
+    blocks, and a J past the budget is refused before the next block.
     """
-    size = 64
+    start, size, total = 0, 64, 0.0
     while True:
-        r = lam_m / (w + m * np.arange(1.0, size + 1.0))
+        r = lam_m / (w + m * np.arange(start + 1.0, start + size + 1.0))
         # r_l >= 1 makes the bound infinite, never below the target
         with np.errstate(divide="ignore"):
-            bound = np.cumsum(np.log(r)) - np.log1p(-np.minimum(r, 1.0))
+            logs = np.cumsum(np.concatenate(([total], np.log(r))))[1:]
+            bound = logs - np.log1p(-np.minimum(r, 1.0))
         done = np.flatnonzero(bound < _LOG_ROUNDING)
+        depth = start + (int(done[0]) + 1 if done.size else size + 1)
+        _within_budget(f"the Stein recurrence, at least {depth} rows above the table,", n * depth, 40)
         if done.size:
-            return int(done[0]) + 1
-        size *= 2
+            return depth
+        start, size, total = start + size, min(2 * size, _ROW_BLOCK), logs[-1]
 
 
 def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
@@ -225,14 +230,9 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
     n = cols.size
     top = w_max // m
     c_low, c_high = int(cols[0]), int(cols[-1])
-    # J rows of n points lie above the table; _depth's ratios stay at or above
-    # 1 through l = (lam*m - w) / m, so J passing that is refused up front.
-    w = top * m + c_low
-    _within_budget("the recurrence above the Stein table", n * (int(max(lam_m - w, 0.0) // m) + 1))
-    z = top + _depth(lam_m, m, w)
-    _within_budget("the recurrence above the Stein table", n * (z - top))
+    z = top + _depth(lam_m, m, top * m + c_low, n)
     # exact integers, so the same floats as the integer points converted
-    divisors = list(m * np.arange(low, z, dtype=float)[:, None] + np.concatenate((cols, cols)))
+    divisors = m * np.arange(low, z, dtype=float)[:, None] + np.concatenate((cols, cols))
 
     # term 0 of each half: ones on S0 below m*y, on S1 at or above it
     below, above = np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n)
@@ -245,14 +245,16 @@ def _halves(ctx: SteinContext, cols: np.ndarray, low: int, w_max: int):
         firsts.append(np.concatenate((w < my, w >= my)).astype(float))
     firsts += [above] * (z - over)
 
-    # one vector step per row, from the zero row Z
+    # one vector step per row, from the zero row Z, one block of row views at a time
     halves = np.zeros((z - low + 1, 2 * n))
-    rows = list(halves)
-    for q in range(len(rows) - 2, -1, -1):
-        row = rows[q]
-        np.multiply(rows[q + 1], lam_m, out=row)
-        row += firsts[q]
-        row /= divisors[q]
+    for end in range(z - low, 0, -_ROW_BLOCK):
+        start = max(end - _ROW_BLOCK, 0)
+        rows, divs = list(halves[start : end + 1]), list(divisors[start:end])
+        for q in range(end - start - 1, -1, -1):
+            row = rows[q]
+            np.multiply(rows[q + 1], lam_m, out=row)
+            row += firsts[start + q]
+            row /= divs[q]
     return halves[: top - low + 1], z
 
 
@@ -261,8 +263,7 @@ def solve_stein(
 ) -> SteinSolutionTable:
     """Evaluate the tail-indicator solution on [0, w_max].
 
-    A table past the size budget is refused with ValidationError before
-    anything is allocated.
+    A table past the size budget is refused before anything is allocated.
 
     Lattice points at or below m*y use the regrouped all-positive D_low form.
     Every other point (off-lattice integers only when requested) is
@@ -285,7 +286,7 @@ def solve_stein(
     w_max = int(w_max)
     if w_max < m * (y + 10):
         raise ValidationError(f"w_max must be at least m*(y+10) = {m * (y + 10)}")
-    _within_budget(f"the Stein table on [0, {w_max}]", w_max + 1)
+    _within_budget(f"the Stein table on [0, {w_max}]", w_max + 1, 64)
     lam = float(ctx.lam)
     lam_m = float(ctx.lambda_m)
     p_ge = poisson_tail(lam, y)
@@ -317,6 +318,7 @@ def solve_stein(
         s0 *= p_ge
         s1 *= 1.0 - p_ge
         np.subtract(s0, s1, out=rows_of(values))
+        del halves, s0, s1  # freed before the residuals' scratch
         values[m : my + 1 : m] = -p_ge * np.array(d_low) / lam_m
     rows_of(counts)[:] = (z - np.arange(low, top + 1))[:, None]
     counts[m : my + 1 : m] = np.arange(1, y + 1)

@@ -422,11 +422,10 @@ def _truncation_point(rate: float, tail_budget: float) -> tuple[int, float]:
     """The first n on the growth schedule with P(A_rate > n) < tail_budget,
     and that dropped tail mass."""
     n = int(math.ceil(rate + 10.0 * math.sqrt(rate) + 20.0))
-    while True:
-        _within_budget(f"the Poisson table at rate {rate:.17g}", n + 1)
-        if (dropped := poisson_tail(rate, n + 1)) < tail_budget:
-            return n, dropped
+    what = f"the Poisson table at rate {rate:.17g}"
+    while (dropped := poisson_tail(rate, _within_budget(what, n + 1, 32))) >= tail_budget:
         n = int(math.ceil(n * 1.25)) + 10
+    return n, dropped
 
 
 def _stride_convolve(acc: np.ndarray, pmf: np.ndarray, b: int) -> np.ndarray:
@@ -485,7 +484,7 @@ def _lattice_law(classes: list[tuple[np.ndarray, int]], dropped) -> LatticeDistr
     if size > np.iinfo(np.int64).max:
         raise ValidationError(f"the law spans {size} lattice points, past int64 indexing")
     nz = (acc != 0).nonzero()[0]
-    _within_budget("the law's entries", top.size * nz.size)
+    _within_budget("the law's entries", top.size * nz.size, 32)
     values = np.outer(top, acc[nz]).ravel()
     points = (np.arange(top.size)[:, None] * b + nz).ravel()
     # products that underflowed are zero entries of the dense law too; the

@@ -9,10 +9,10 @@ they do the same float arithmetic one point at a time, and the CSV reference
 formats each cell by its own type, as the CLI did before column kinds.  The
 routes the library replaced by cheaper ones with the same bits (suffix sums
 over every table entry, and in one pass, the size-bias check over Fraction laws, the Stein
-report by gathers, the Stein table through 2-D scratch tables and gathers, the
-coupling laws as bare convolutions) are kept here, so the new routes are held
-to them.  So is second_order_sum, which only tests
-read.
+report by gathers, the Stein table through 2-D scratch tables and gathers, its
+recurrence depth by one doubling search, the coupling laws as bare convolutions)
+are kept here, so the new routes are held to them.  So is second_order_sum,
+which only tests read.
 """
 
 from __future__ import annotations
@@ -416,6 +416,20 @@ def stein_d_high_reference(j: int, lam: float, rel_tol: float) -> float:
             return acc
 
 
+def depth_doubling(lam_m: float, m: int, w: int) -> int:
+    """stein_lattice._depth as it was before it searched in blocks: the whole
+    log-ratio sum from term 1 in arrays that double until the depth is found."""
+    size = 64
+    while True:
+        r = lam_m / (w + m * np.arange(1.0, size + 1.0))
+        with np.errstate(divide="ignore"):
+            bound = np.cumsum(np.log(r)) - np.log1p(-np.minimum(r, 1.0))
+        done = np.flatnonzero(bound < -53.0 * math.log(2.0))
+        if done.size:
+            return int(done[0]) + 1
+        size *= 2
+
+
 def stein_halves_gathered(ctx, cols: np.ndarray, low: int, w_max: int):
     """stein_lattice._halves as it was before it wrote into the table: the
     points q*m + c (c in cols, q >= low) up to w_max with S0, S1 and their
@@ -425,7 +439,7 @@ def stein_halves_gathered(ctx, cols: np.ndarray, low: int, w_max: int):
     lam_m = float(ctx.lambda_m)
     n = cols.size
     top = w_max // m
-    z = top + _depth(lam_m, m, top * m + int(cols[0]))
+    z = top + _depth(lam_m, m, top * m + int(cols[0]), n)
     grid = m * np.arange(low, z)[:, None] + cols
 
     halves = np.zeros((grid.shape[0] + 1, 2 * n))

@@ -468,31 +468,38 @@ def run_traced(argv):
         tracemalloc.stop()
 
 
-_PAST_THE_BUDGET = re.compile(r"error: .* spans (\d+) points, past the budget of 16777216\n")
+_PAST_THE_BUDGET = re.compile(r"error: .* spans (\d+) points, past the budget of (\d+)\n")
 
 
 class TestSizeBudget:
-    """Every array whose size follows from the input is refused past 2**24
-    points before it is allocated: exit 2, with no memory limit needed."""
+    """Every array whose size follows from the input is refused past 1 GiB,
+    at its own bytes a point, before it is allocated: exit 2, with no memory
+    limit needed."""
 
     @pytest.mark.parametrize(
         "argv, err",
         [
             ("exact-tail --y 5 --weights 1,2 --rates 100000000,1",
-             "the Poisson table at rate 100000000 spans 100100021 points"),
+             "the Poisson table at rate 100000000 spans 100100021 points, past the budget"
+             " of 33554432"),
             ("coupling-check --mstar 100000000 --y 60 --samples 10",
-             "the Binomial(10000000000, 1/100000000) table spans 10000000001 points"),
+             "the Binomial(10000000000, 1/100000000) table spans 10000000001 points, past"
+             " the budget of 33554432"),
             ("empirical-constant --y-from 52 --y-to 80 --mstar 100000000",
-             "the Binomial(10000000000, 1/100000000) table spans 10000000001 points"),
+             "the Binomial(10000000000, 1/100000000) table spans 10000000001 points, past"
+             " the budget of 33554432"),
+            # the depth search stops at the first block past the budget
             ("stein-check --lambda-num 1000000000 --m 1 --n 1 --y 1 --wmax 11",
-             "the recurrence above the Stein table spans 999999989 points"),
+             "the Stein recurrence, at least 26869697 rows above the table, spans 26869697"
+             " points, past the budget of 26843545"),
             ("sweep-relerr --weights 1,1125899906842624 --rates 1,1 --y-from 1"
              " --y-to 10000000000000000",
-             "the y grid [1, 10000000000000000] spans 10000000000000000 points"),
+             "the y grid [1, 10000000000000000] spans 10000000000000000 points, past the"
+             " budget of 1864135"),
             # the brackets were built for every y before the first Poisson
             # tail, which underflows at y = 449, was taken
             ("empirical-constant --y-from 52 --y-to 100000000 --mstar 2",
-             "the y grid [52, 100000000] spans 99999949 points"),
+             "the y grid [52, 100000000] spans 99999949 points, past the budget of 5592405"),
         ],
         ids=["poisson_table", "coupling_binomial", "empirical_binomial", "stein_depth",
              "sweep_grid", "empirical_grid"],
@@ -501,35 +508,44 @@ class TestSizeBudget:
         code, out, got, peak = run_traced(shlex.split(argv))
         assert code == 2
         assert out == ""
-        assert got == f"error: {err}, past the budget of 16777216\n"
+        assert got == f"error: {err}\n"
         assert peak < 64 * 2**20
 
-    @given(
-        st.one_of(
-            st.integers(2**24, 10**300).map(
+    # one strategy per size field, so each field gets its own draws; a
+    # Poisson table holds more than the rate's points, a binomial one
+    # 100*mstar + 1 at rate 1, and past --lambda-num 9,900,000 at --wmax 11
+    # the depth J (about e*lam) passes the recurrence's 26,843,545 points
+    @pytest.mark.parametrize(
+        "argvs",
+        [
+            st.integers(2**25, 10**300).map(
                 lambda r: f"exact-tail --y 5 --weights 1,2 --rates {r},1"),
-            st.integers(167_773, 10**12).map(
+            st.integers(335_545, 10**12).map(
                 lambda s: f"coupling-check --mstar {s} --y 60 --samples 10"),
-            st.integers(167_773, 10**12).map(
+            st.integers(335_545, 10**12).map(
                 lambda s: f"empirical-constant --y-from 52 --y-to 80 --mstar {s}"),
             st.integers(2**24, 10**30).map(
                 lambda w: f"stein-check --lambda-num 1600 --lambda-den 31 --m 31 --n 4 --y 60 --wmax {w}"),
-            st.integers(2**24 + 12, 10**15).map(
+            st.integers(9_900_000, 10**15).map(
                 lambda lam: f"stein-check --lambda-num {lam} --m 1 --n 1 --y 1 --wmax 11"),
-            st.tuples(st.integers(52, 10**12), st.integers(2**24, 10**30)).map(
+            st.tuples(st.integers(52, 10**12), st.integers(5_592_405, 10**30)).map(
                 lambda a: f"empirical-constant --y-from {a[0]} --y-to {sum(a)} --mstar 2"),
-            st.tuples(st.integers(1, 10**12), st.integers(2**24, 10**16)).map(
+            st.tuples(st.integers(1, 10**12), st.integers(1_864_135, 10**16)).map(
                 lambda a: "sweep-relerr --weights 1,1125899906842624 --rates 1,1"
                 f" --y-from {a[0]} --y-to {sum(a)}"),
-        )
+        ],
+        ids=["rate", "coupling_mstar", "empirical_mstar", "wmax", "lambda_num", "empirical_y",
+             "sweep_y"],
     )
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    def test_drawn_sizes_past_the_budget_are_2(self, argv):
-        code, out, err, peak = run_traced(shlex.split(argv))
+    @given(data=st.data())
+    # a refused depth costs ~0.5 s of search, so the draws are few
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    def test_drawn_sizes_past_the_budget_are_2(self, argvs, data):
+        code, out, err, peak = run_traced(shlex.split(data.draw(argvs)))
         assert code == 2
         assert out == ""
-        size = _PAST_THE_BUDGET.fullmatch(err)
-        assert size and int(size[1]) > 2**24
+        refused = _PAST_THE_BUDGET.fullmatch(err)
+        assert refused and int(refused[1]) > int(refused[2])
         assert peak < 64 * 2**20
 
 

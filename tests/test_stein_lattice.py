@@ -24,9 +24,11 @@ from scaled_poisson import (
     stein_apply,
     verify_f_properties,
 )
-from scaled_poisson.stein_lattice import SteinSolutionTable, _halves, factorial_envelope
+from scaled_poisson import stein_lattice
+from scaled_poisson.stein_lattice import SteinSolutionTable, _depth, _halves, factorial_envelope
 
 from oracles import (
+    depth_doubling,
     mp_d_low,
     mp_stein_depth,
     mp_stein_halves,
@@ -827,6 +829,73 @@ def _outcome(solve, ctx, w_max, off):
         t.tail_at_threshold,
         t.values.size == t.truncation_terms.size == w_max + 1,
     )
+
+
+class TestRecurrenceInBlocks:
+    """_depth sums its terms and _halves keeps its row views one block of
+    _ROW_BLOCK rows at a time: the same depths and tables as one pass, a
+    refusal before a depth past the size budget is searched to its end, and
+    a table within 64 bytes a point, its budget's."""
+
+    @given(
+        lam=st.floats(1e-3, 1e5),
+        m=st.sampled_from([1, 2, 3, 7, 31, 100]),
+        w=st.one_of(st.integers(1, 100), st.integers(1, 10**7)),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_depth_equals_the_doubling_search(self, lam, m, w):
+        # lam past 24,000 at a small w takes J past one block of 2**16
+        assert _depth(lam * m, m, w, 1) == depth_doubling(lam * m, m, w)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_any_block_gives_the_same_depths_and_tables(self, monkeypatch, block):
+        cases = [IN_PLACE_CASES[c] for c in ("coupling_table", "unit_lattice", "tall_off_lattice")]
+        before = [_outcome(solve_stein, ctx, w_max, off) for ctx, w_max in cases for off in (True, False)]
+        monkeypatch.setattr(stein_lattice, "_ROW_BLOCK", block)
+        for lam_m, m, w in ((1600.0, 31, 3565), (3000.0, 1, 11), (0.5, 1, 1)):
+            assert _depth(lam_m, m, w, 1) == depth_doubling(lam_m, m, w)
+        assert before == [_outcome(solve_stein, ctx, w_max, off) for ctx, w_max in cases for off in (True, False)]
+
+    def test_depth_past_the_budget_is_refused_early(self):
+        # at --m 1 --wmax 11 the depth is about e*lam: 24,464,395 rows at lam
+        # 9e6 fit the budget's 26,843,545 points of one column, not of two,
+        # and none fit at 1e7
+        tracemalloc.start()
+        try:
+            assert _depth(9e6, 1, 11, 1) == 24_464_395
+            with pytest.raises(ValidationError) as two_columns:
+                _depth(9e6, 1, 11, 2)
+            with pytest.raises(ValidationError) as deeper:
+                _depth(1e7, 1, 11, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(two_columns.value) == (
+            "the Stein recurrence, at least 13434817 rows above the table, spans 26869634"
+            " points, past the budget of 26843545"
+        )
+        assert str(deeper.value) == (
+            "the Stein recurrence, at least 26869697 rows above the table, spans 26869697"
+            " points, past the budget of 26843545"
+        )
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "ctx, w_max, off",
+        [(SteinContext(Fraction(5), 1, 1, 1), 20_000, False), (BENCH_CTX, 31 * 2000, True)],
+        ids=["unit_step", "off_lattice"],
+    )
+    def test_table_peaks_within_its_budget_a_point(self, monkeypatch, ctx, w_max, off):
+        # at m = 1 a row is one point: a list of views over every row held
+        # about 300 bytes a point
+        monkeypatch.setattr(stein_lattice, "_ROW_BLOCK", 256)
+        tracemalloc.start()
+        try:
+            solve_stein(ctx, w_max, include_off_lattice=off)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (w_max + 1) + 2**20
 
 
 class TestTableWrittenInPlace:

@@ -45,15 +45,19 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # a dense law of S over 420,714 points, 85,694 of them nonzero, from class
 # tables of about 100,000 entries, whose compensated sums run through 11-13
 # blocks; a coupling check at weights 1,2**61, whose Stein table is past
-# int64 indexing, so past the size budget; sampled and exhaustive checks at weights 1,100, where
+# int64 indexing, so past the size budget; sampled and exhaustive checks at
+# weights 1,100, where
 # the leave-one-out law of the weight-1 class has its top class's blocks
 # apart (201 points), which a lattice law would hold as its entries alone;
-# and Stein tables within int64 indexing but past the size budget of 2**24
-# points, from stein-check's --wmax and from coupling-check at weights
-# 1,1048576; and arrays past that budget elsewhere: a Poisson class table
+# and arrays past the size budget of 1 GiB (at each array's bytes a point):
+# Stein tables within int64 indexing but past 2**24 points, from stein-check's
+# --wmax and from coupling-check at weights 1,1048576, a Poisson class table
 # (rate 1e8), capped binomial class tables (--mstar 1e8, on coupling-check
 # and empirical-constant), the recurrence above a Stein table (lam 1e9 at
-# --wmax 11), and a sweep's y grid of 1e16 points.
+# --wmax 11), and a sweep's y grid of 1e16 points; and arrays past 2**24
+# points but within the budget, which run: a Poisson table of 17,041,253
+# points (rate 1.7e7), a dense law of 97,517,600 points (weights
+# 1,2**20,2**21) and binomial tables of 2e7 + 1 points (--mstar 200000).
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
@@ -119,6 +123,9 @@ EDGE_ARGVS = [
     ["stein-check", "--lambda-num", "1000000000", "--m", "1", "--n", "1", "--y", "1", "--wmax", "11"],
     ["sweep-relerr", "--weights", "1,1125899906842624", "--rates", "1,1", "--y-from", "1",
      "--y-to", "10000000000000000"],
+    ["exact-tail", "--y", "17000000", "--weights", "1", "--rates", "17000000"],
+    ["exact-tail", "--y", "5", "--weights", "1,1048576,2097152", "--rates", "1,1,1"],
+    ["empirical-constant", "--y-from", "52", "--y-to", "80", "--mstar", "200000"],
 ]
 
 
