@@ -221,7 +221,7 @@ def _coupling_check(args, model, _):
     table = _stein_table(scheme, m, ctx)
     hd = h_decomposition(scheme, m, ctx, table)
     # %.17g writes a count up to 2**53 exactly; a larger one never gets here,
-    # as its class tables pass the size budget of 2**24 points
+    # as its binomial tables pass the size budget (33,554,432 points)
     rows = [("trials_per_class", float(trials))]
     rows += [(f"H_{i}", h) for i, h in enumerate(hd.H)]
     rows += [("tail_diff", hd.tail_diff), ("closure_error", hd.closure_error)]
