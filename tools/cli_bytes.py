@@ -57,7 +57,10 @@ _RATIONAL = ["--weights", "1/2,1/3", "--rates", "1,2"]
 # --wmax 11), and a sweep's y grid of 1e16 points; and arrays past 2**24
 # points but within the budget, which run: a Poisson table of 17,041,253
 # points (rate 1.7e7), a dense law of 97,517,600 points (weights
-# 1,2**20,2**21) and binomial tables of 2e7 + 1 points (--mstar 200000).
+# 1,2**20,2**21) and binomial tables of 2e7 + 1 points (--mstar 200000),
+# each in 0.55-1.1 GB. A capture needs that much memory; run it under
+# `ulimit -v 3000000` where a commit before the budget allocates GiBs on the
+# refused argvs.
 EDGE_ARGVS = [
     ["approx-tail", "--y", "1e400"],
     ["approx-tail", "--y", "1e400", "--mode", "continuous"],
